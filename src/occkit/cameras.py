@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .grid import VoxelPoints
 
 NEAR_PLANE = 1e-3  # meters; points closer than this are treated as invisible
 
@@ -91,24 +92,15 @@ class FeatureMapSet:
     def channels(self):
         return self.maps[0].channels if self.maps else 0
 
-    def by_camera(self, cam_id):
-        for m in self.maps:
-            if m.camera_id == cam_id:
-                return m
-        raise DataError(f"no feature map for camera {cam_id!r}")
-
 
 @dataclass
 class ProjectedReference:
-    """Image projections of flattened reference points, per camera.
+    """Image projections of reference points, per camera.
 
-    ``valid[c, p]`` marks point p visible in camera c; ``pixels[c, p]`` is
-    its feature-map coordinate. ``point_voxel`` maps flat point rows to rows
-    of ``voxel_keys``.
+    ``valid[c, p]`` marks point row p visible in camera c; ``pixels[c, p]``
+    is its feature-map coordinate.
     """
 
-    voxel_keys: np.ndarray  # (V, 3)
-    point_voxel: np.ndarray  # (P,)
     cam_ids: list
     valid: np.ndarray  # (n_cam, P) bool
     pixels: np.ndarray  # (n_cam, P, 2)
@@ -155,7 +147,7 @@ def project(point, cam: CameraModel, feat_size=None):
     return px[0] if valid[0] else None
 
 
-def project_all(refs, rig, feat_sizes=None) -> ProjectedReference:
+def project_all(refs: VoxelPoints, rig, feat_sizes=None) -> ProjectedReference:
     """Project every reference point into every camera of the rig.
 
     ``feat_sizes`` is an optional list of (width, height) per camera, e.g.
@@ -163,17 +155,13 @@ def project_all(refs, rig, feat_sizes=None) -> ProjectedReference:
     """
     if not rig:
         raise ConfigError("camera rig must not be empty")
-    keys, point_voxel, positions, _, _ = refs.flatten()
-    n_cam = len(rig)
-    n_pts = len(positions)
-    valid = np.zeros((n_cam, n_pts), dtype=bool)
-    pixels = np.zeros((n_cam, n_pts, 2), dtype=np.float64)
+    n_pts = len(refs.positions)
+    valid = np.zeros((len(rig), n_pts), dtype=bool)
+    pixels = np.zeros((len(rig), n_pts, 2), dtype=np.float64)
     for c, cam in enumerate(rig):
         fs = feat_sizes[c] if feat_sizes is not None else None
-        valid[c], pixels[c] = project_batch(positions, cam, fs)
+        valid[c], pixels[c] = project_batch(refs.positions, cam, fs)
     return ProjectedReference(
-        voxel_keys=keys,
-        point_voxel=point_voxel,
         cam_ids=[cam.cam_id for cam in rig],
         valid=valid,
         pixels=pixels,
@@ -234,7 +222,7 @@ def rig_from_json(obj) -> list:
             )
             for c in obj["cameras"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"malformed camera rig JSON: {exc}") from exc
 
 

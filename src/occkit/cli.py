@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -107,19 +108,15 @@ def _cmd_preprocess(args):
     cloud = pointprep.read_cloud(args.cloud)
     bins, dropped = gridmod.bin_points(cloud, cfg.grid)
     refs = pointprep.preprocess(bins, cloud, pp, cfg.grid)
-    counts = [refs.voxels[k].count for k in refs.sorted_keys()]
-    synthetic = sum(
-        int((refs.voxels[k].source == pointprep.SOURCE_SYNTHETIC).sum())
-        for k in refs.sorted_keys()
-    )
+    counts = refs.counts
     report = {
         "cloud_points": len(cloud),
         "dropped_points": dropped,
         "processed_voxels": len(counts),
-        "reference_points": int(sum(counts)),
-        "synthetic_points": synthetic,
-        "min_count": int(min(counts)) if counts else 0,
-        "max_count": int(max(counts)) if counts else 0,
+        "reference_points": len(refs.positions),
+        "synthetic_points": int((refs.source == pointprep.SOURCE_SYNTHETIC).sum()),
+        "min_count": int(counts.min()) if len(counts) else 0,
+        "max_count": int(counts.max()) if len(counts) else 0,
         "tau": pp.tau,
         "theta": pp.theta,
     }
@@ -152,12 +149,7 @@ def _cmd_predict(args):
     cfg = _load_config(args)
     model, cfg = _model_for(args, cfg)
     if args.delta is not None:
-        cfg.decoder = type(cfg.decoder)(
-            delta=args.delta,
-            split_factor=cfg.decoder.split_factor,
-            n_class=cfg.decoder.n_class,
-            rank_scope=cfg.decoder.rank_scope,
-        )
+        cfg.decoder = dataclasses.replace(cfg.decoder, delta=args.delta)
     sample = _load_sample(args.sample, cfg)
     _, fine_grid, report, coarse_grid = predict(model, sample, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -182,7 +174,8 @@ def _cmd_train(args):
     cfg_path = args.config or os.path.join(root, "config.json")
     with open(cfg_path) as fh:
         cfg = PipelineConfig.from_json(json.load(fh))
-    cfg.training = type(cfg.training)(
+    cfg.training = dataclasses.replace(
+        cfg.training,
         epochs=args.epochs,
         k_percent=args.k_percent,
         learning_rate=args.learning_rate,
@@ -219,12 +212,7 @@ def _cmd_bench(args):
     fused, _, _ = forward_coarse(model, sample, cfg)
     rows = []
     for delta in BENCH_DELTAS:
-        dec = type(cfg.decoder)(
-            delta=delta,
-            split_factor=cfg.decoder.split_factor,
-            n_class=cfg.decoder.n_class,
-            rank_scope=cfg.decoder.rank_scope,
-        )
+        dec = dataclasses.replace(cfg.decoder, delta=delta)
         _, report, _ = decode(fused, sample.maps, sample.scene.rig, model.heads, dec, cfg.grid)
         row = report.to_json()
         row["delta"] = delta

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import GridConfig, VoxelFeatureVolume
+from .grid import GridConfig, VoxelFeatureVolume, VoxelPoints
 from .cameras import FeatureMap, FeatureMapSet
 
 
@@ -56,7 +56,9 @@ class EncoderParams:
         )
 
 
-def encode_lidar(bins, cloud, params: EncoderParams, grid: GridConfig) -> VoxelFeatureVolume:
+def encode_lidar(
+    bins: VoxelPoints, cloud, params: EncoderParams, grid: GridConfig
+) -> VoxelFeatureVolume:
     """Embed raw points into a coarse voxel feature volume.
 
     ``cloud`` is (n, 4) with (x, y, z, intensity). Per voxel: mean over its
@@ -68,14 +70,11 @@ def encode_lidar(bins, cloud, params: EncoderParams, grid: GridConfig) -> VoxelF
     c = params.channels
     data = np.zeros((nz, ny, nx, c), dtype=np.float64)
     pts = np.asarray(cloud, dtype=np.float64).reshape(-1, 4)
-    for b in bins:
-        idx = np.asarray(b.point_indices, dtype=np.int64)
-        if len(idx) == 0:
-            continue
-        center = grid.voxel_center(b.voxel_index)
-        rel = (pts[idx, :3] - center) / grid.coarse_cell
+    centers = grid.voxel_center(bins.keys)
+    for v, (ix, iy, iz) in enumerate(bins.keys):
+        idx = bins.raw_index[bins.offsets[v] : bins.offsets[v + 1]]
+        rel = (pts[idx, :3] - centers[v]) / grid.coarse_cell
         feats = np.concatenate([rel, pts[idx, 3:4]], axis=1) @ params.point_embed.T
-        ix, iy, iz = b.voxel_index
         data[iz, iy, ix] = np.tanh(params.voxel_mix @ feats.mean(axis=0))
     return VoxelFeatureVolume(data=data)
 

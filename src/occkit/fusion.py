@@ -10,13 +10,14 @@ every learnable parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import GridConfig, VoxelFeatureVolume
+from .grid import GridConfig, VoxelFeatureVolume, VoxelPoints
 from .cameras import FeatureMap, FeatureMapSet, ProjectedReference
+from .objectives import softmax
 
 
 @dataclass
@@ -124,12 +125,6 @@ def build_query(voxel_feature, point, grid: GridConfig) -> np.ndarray:
     return np.concatenate([feat, norm])
 
 
-def _softmax(x, axis=-1):
-    z = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def _bilinear_fwd(data: np.ndarray, locs: np.ndarray):
     """Clamped bilinear sampling with the cache needed for spatial gradients."""
     h, w = data.shape[:2]
@@ -181,7 +176,7 @@ def _attn_forward(q: np.ndarray, pix: np.ndarray, data: np.ndarray, params: Atte
     m, k, c = params.n_heads, params.n_keys, params.channels
     off = (q @ params.offset_gen.T).reshape(n, m, k, 2)
     logits = (q @ params.weight_gen.T).reshape(n, m, k)
-    attn = _softmax(logits, axis=2)
+    attn = softmax(logits, axis=2)
     locs = pix[:, None, None, :] + off
     v, bcache = _bilinear_fwd(data, locs)  # (n, m, k, C)
     val = np.einsum("mcd,nmkd->nmkc", params.w_val, v)
@@ -247,7 +242,7 @@ class FusionCache:
 def occ_fuse(
     f_l: VoxelFeatureVolume,
     maps: FeatureMapSet,
-    refs,
+    refs: VoxelPoints,
     proj: ProjectedReference,
     params: AttentionParams,
     grid: GridConfig,
@@ -268,19 +263,17 @@ def occ_fuse(
     if f_l.dims != (nx, ny, nz):
         raise ConfigError("LiDAR volume dims do not match the coarse grid")
 
-    keys, point_voxel, positions, _, _ = refs.flatten()
+    keys, point_voxel = refs.keys, refs.point_voxel
     n_vox = len(keys)
-    n_pts = len(positions)
-    qfeat = f_l.data[keys[:, 2], keys[:, 1], keys[:, 0]] if n_vox else np.zeros((0, c))
-    norm = (positions - grid.lo) / (grid.hi - grid.lo)
+    qfeat = f_l.data[keys[:, 2], keys[:, 1], keys[:, 0]]
+    norm = (refs.positions - grid.lo) / (grid.hi - grid.lo)
     queries = np.concatenate([qfeat[point_voxel], norm], axis=1)
 
     n_proj = proj.valid.sum(axis=0)
     visible = n_proj > 0
     vis_count = np.bincount(point_voxel[visible], minlength=n_vox)
-    weights = np.zeros(n_pts)
-    has = visible
-    weights[has] = 1.0 / (vis_count[point_voxel[has]] * n_proj[has])
+    weights = np.zeros(len(point_voxel))
+    weights[visible] = 1.0 / (vis_count[point_voxel[visible]] * n_proj[visible])
 
     accum = np.zeros((n_vox, c))
     per_camera = []
@@ -295,11 +288,10 @@ def occ_fuse(
 
     data = np.zeros((nz, ny, nx, c))
     fallback = np.ones((nz, ny, nx), dtype=bool)
-    if n_vox:
-        seen = vis_count > 0
-        sk = keys[seen]
-        data[sk[:, 2], sk[:, 1], sk[:, 0]] = accum[seen]
-        fallback[sk[:, 2], sk[:, 1], sk[:, 0]] = False
+    seen = vis_count > 0
+    sk = keys[seen]
+    data[sk[:, 2], sk[:, 1], sk[:, 0]] = accum[seen]
+    fallback[sk[:, 2], sk[:, 1], sk[:, 0]] = False
     data[fallback] = f_l.data[fallback] @ params.w_fallback.T
     fused = VoxelFeatureVolume(data=data)
     cache = FusionCache(
@@ -331,13 +323,12 @@ def fusion_backward(grad_volume, cache: FusionCache) -> AttentionParams:
         raise ConfigError("upstream gradient shape mismatch")
     grads = AttentionParams.zeros_like(cache.params)
     keys = cache.voxel_keys
-    if len(keys):
-        g_voxel = g[keys[:, 2], keys[:, 1], keys[:, 0]]
-        for sel, acache in cache.per_camera:
-            if acache is None:
-                continue
-            g_pts = cache.weights[sel, None] * g_voxel[cache.point_voxel[sel]]
-            _attn_backward(g_pts, acache, cache.params, grads)
+    g_voxel = g[keys[:, 2], keys[:, 1], keys[:, 0]]
+    for sel, acache in cache.per_camera:
+        if acache is None:
+            continue
+        g_pts = cache.weights[sel, None] * g_voxel[cache.point_voxel[sel]]
+        _attn_backward(g_pts, acache, cache.params, grads)
     fb = cache.fallback_mask
     grads.w_fallback += np.einsum("vc,vd->cd", g[fb], cache.lidar[fb])
     return grads

@@ -10,7 +10,7 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +59,23 @@ class GridConfig:
         if np.any(np.round(dims) < 1):
             raise ConfigError("coarse grid must have at least one voxel per axis")
 
+    def to_json(self) -> dict:
+        return {
+            "min_corner": list(self.min_corner),
+            "max_corner": list(self.max_corner),
+            "voxel_size": self.voxel_size,
+            "stride": self.stride,
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "GridConfig":
+        return cls(
+            min_corner=tuple(obj["min_corner"]),
+            max_corner=tuple(obj["max_corner"]),
+            voxel_size=float(obj["voxel_size"]),
+            stride=int(obj["stride"]),
+        )
+
     @property
     def lo(self) -> np.ndarray:
         return _as_vec3(self.min_corner)
@@ -104,16 +121,65 @@ class GridConfig:
         return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
 
-@dataclass(frozen=True)
-class VoxelBin:
-    """Points assigned to one coarse voxel, in ascending source order."""
+SOURCE_RAW = 0
+SOURCE_SYNTHETIC = 1
 
-    voxel_index: tuple
-    point_indices: tuple
+
+@dataclass(frozen=True)
+class VoxelPoints:
+    """Points grouped by coarse voxel, stored as flat arrays.
+
+    Voxel ``v`` has key ``keys[v]`` and owns rows ``offsets[v]:offsets[v+1]``
+    of the per-point arrays; keys are sorted by (x, y, z). ``bin_points``
+    returns raw points in ascending source order; ``preprocess`` returns
+    reference points, raw survivors first and synthetic points after them.
+    """
+
+    keys: np.ndarray  # (V, 3) int64
+    offsets: np.ndarray  # (V + 1,) int64
+    positions: np.ndarray  # (P, 3) world meters
+    source: np.ndarray  # (P,) uint8, SOURCE_RAW or SOURCE_SYNTHETIC
+    raw_index: np.ndarray  # (P,) int64 row of the input cloud, -1 if synthetic
+
+    @property
+    def counts(self) -> np.ndarray:
+        """(V,) points per voxel."""
+        return np.diff(self.offsets)
+
+    @property
+    def point_voxel(self) -> np.ndarray:
+        """(P,) row of ``keys`` owning each point."""
+        return np.repeat(np.arange(len(self.keys)), self.counts)
 
     @property
     def count(self) -> int:
-        return len(self.point_indices)
+        return len(self.positions)
+
+    def voxel(self, v: int) -> "VoxelPoints":
+        """Single-voxel view whose arrays are slices of this one's."""
+        a, b = self.offsets[v], self.offsets[v + 1]
+        return VoxelPoints(
+            keys=self.keys[v : v + 1],
+            offsets=self.offsets[v : v + 2] - a,
+            positions=self.positions[a:b],
+            source=self.source[a:b],
+            raw_index=self.raw_index[a:b],
+        )
+
+    # Per-voxel views and the flatten() tuple remain only for perfbench/.
+    def __iter__(self):
+        return (self.voxel(v) for v in range(len(self.keys)))
+
+    @property
+    def voxels(self) -> dict:
+        return {tuple(int(i) for i in k): self.voxel(v) for v, k in enumerate(self.keys)}
+
+    def total_points(self) -> int:
+        return self.count
+
+    def flatten(self):
+        """(keys, point_voxel, positions, source, raw_index)."""
+        return self.keys, self.point_voxel, self.positions, self.source, self.raw_index
 
 
 @dataclass
@@ -162,6 +228,12 @@ class OccupancyGrid:
         return (nx, ny, nz)
 
 
+def cloud_xyz(cloud) -> np.ndarray:
+    """(n, 3) coordinates of an (n, 3+) cloud, also for an empty one."""
+    pts = np.asarray(cloud, dtype=np.float64)
+    return pts.reshape(len(pts), -1)[:, :3] if len(pts) else pts.reshape(0, 3)
+
+
 def voxel_indices(points: np.ndarray, cfg: GridConfig):
     """Vectorized coarse-voxel lookup.
 
@@ -169,11 +241,11 @@ def voxel_indices(points: np.ndarray, cfg: GridConfig):
     meaningful where ``inside`` holds.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    rel = (pts - cfg.lo) / cfg.coarse_cell
-    idx = np.floor(rel).astype(np.int64)
-    dims = np.asarray(cfg.coarse_dims)
-    inside = np.all((idx >= 0) & (idx < dims), axis=1)
+    rel = np.floor((pts - cfg.lo) / cfg.coarse_cell)
+    # Decided on floats, so far-away points never reach the integer cast.
     # Upper faces are exclusive: a point exactly on max_corner floors to dims.
+    inside = np.all((rel >= 0) & (rel < cfg.coarse_dims), axis=1)
+    idx = np.where(inside[:, None], rel, 0).astype(np.int64)
     return idx, inside
 
 
@@ -188,34 +260,29 @@ def voxel_index(point, cfg: GridConfig):
 def bin_points(cloud, cfg: GridConfig):
     """Assign points to coarse voxels.
 
-    Returns (bins, dropped): bins sorted by voxel index with point indices
-    ascending; ``dropped`` counts points outside the grid.
+    Returns (VoxelPoints of the raw points, dropped): voxels sorted by key,
+    point rows ascending within each voxel; ``dropped`` counts points outside
+    the grid.
     """
-    pts = np.asarray(cloud, dtype=np.float64)
-    if pts.size == 0:
-        return [], 0
-    pts = pts.reshape(len(pts), -1)[:, :3]
+    pts = cloud_xyz(cloud)
     idx, inside = voxel_indices(pts, cfg)
-    dropped = int((~inside).sum())
-    if not inside.any():
-        return [], dropped
     src = np.nonzero(inside)[0]
     keys = idx[src]
-    # Sort by (x, y, z, source index); stable grouping keeps sources ascending.
-    order = np.lexsort((src, keys[:, 2], keys[:, 1], keys[:, 0]))
+    # Sort by (x, y, z); the stable sort keeps sources ascending per voxel.
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
     keys = keys[order]
     src = src[order]
-    change = np.any(np.diff(keys, axis=0) != 0, axis=1)
-    starts = np.concatenate([[0], np.nonzero(change)[0] + 1, [len(src)]])
-    bins = []
-    for a, b in zip(starts[:-1], starts[1:]):
-        bins.append(
-            VoxelBin(
-                voxel_index=tuple(int(v) for v in keys[a]),
-                point_indices=tuple(int(v) for v in src[a:b]),
-            )
-        )
-    return bins, dropped
+    first = np.ones(len(src), dtype=bool)
+    first[1:] = np.any(np.diff(keys, axis=0) != 0, axis=1)
+    starts = np.flatnonzero(first)
+    points = VoxelPoints(
+        keys=keys[starts],
+        offsets=np.append(starts, len(src)),
+        positions=pts[src],
+        source=np.full(len(src), SOURCE_RAW, dtype=np.uint8),
+        raw_index=src,
+    )
+    return points, len(pts) - len(src)
 
 
 def trilinear_sample(vol: VoxelFeatureVolume, pos) -> np.ndarray:

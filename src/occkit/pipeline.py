@@ -11,18 +11,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import GridConfig, OccupancyGrid, VoxelFeatureVolume, bin_points
+from .grid import GridConfig, OccupancyGrid, VoxelFeatureVolume, VoxelPoints, bin_points
 from .pointprep import FillScope, PreprocessConfig, preprocess
 from .cameras import project_all
 from .encoders import EncoderParams, encode_images, encode_lidar
-from .fusion import AttentionParams, FusionCache, fusion_backward, occ_fuse
+from .fusion import AttentionParams, fusion_backward, occ_fuse
 from .decoder import DecoderConfig, Heads, decode, iou_miou
-from .objectives import LossBreakdown, softmax, total_loss_logits
+from .objectives import LossBreakdown, total_loss_logits
 from . import scenes
 
 
@@ -81,12 +81,7 @@ class PipelineConfig:
 
     def to_json(self) -> dict:
         return {
-            "grid": {
-                "min_corner": list(self.grid.min_corner),
-                "max_corner": list(self.grid.max_corner),
-                "voxel_size": self.grid.voxel_size,
-                "stride": self.grid.stride,
-            },
+            "grid": self.grid.to_json(),
             "preprocess": {
                 "tau": self.preprocess.tau,
                 "theta": self.preprocess.theta,
@@ -118,18 +113,12 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "PipelineConfig":
         try:
-            g = obj["grid"]
             p = obj["preprocess"]
             f = obj["fusion"]
             d = obj["decoder"]
             t = obj["training"]
             return cls(
-                grid=GridConfig(
-                    min_corner=tuple(g["min_corner"]),
-                    max_corner=tuple(g["max_corner"]),
-                    voxel_size=float(g["voxel_size"]),
-                    stride=int(g["stride"]),
-                ),
+                grid=GridConfig.from_json(obj["grid"]),
                 preprocess=PreprocessConfig(
                     tau=int(p["tau"]),
                     theta=int(p["theta"]),
@@ -251,7 +240,7 @@ class Sample:
     cloud: np.ndarray  # (n, 4)
     lidar_volume: VoxelFeatureVolume
     maps: object  # FeatureMapSet
-    refs: object  # ReferencePointSet
+    refs: VoxelPoints  # reference points
     proj: object  # ProjectedReference
     gt_fine: OccupancyGrid
     coarse_labels: np.ndarray  # (nz, ny, nx) int64

@@ -10,19 +10,16 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import GridConfig, VoxelBin
+from .grid import SOURCE_RAW, SOURCE_SYNTHETIC, GridConfig, VoxelPoints, cloud_xyz
 
 _OCFP_MAGIC = b"OCFP"
 _OCFP_VERSION = 1
-
-SOURCE_RAW = 0
-SOURCE_SYNTHETIC = 1
 
 
 class FillScope(Enum):
@@ -49,61 +46,6 @@ class PreprocessConfig:
             raise ConfigError("theta must be >= 1")
         if self.tau < 0 or self.tau >= self.theta:
             raise ConfigError("tau must satisfy 0 <= tau < theta")
-
-
-@dataclass
-class VoxelRefs:
-    """Reference points of one voxel: raw survivors first, then synthetic."""
-
-    positions: np.ndarray  # (n, 3) world meters
-    source: np.ndarray  # (n,) uint8, 0 = raw, 1 = synthetic
-    raw_index: np.ndarray  # (n,) int64, -1 for synthetic points
-
-    @property
-    def count(self) -> int:
-        return len(self.positions)
-
-
-@dataclass
-class ReferencePointSet:
-    """Per-voxel reference points keyed by coarse voxel index."""
-
-    voxels: dict  # (ix, iy, iz) -> VoxelRefs
-
-    def sorted_keys(self):
-        return sorted(self.voxels.keys())
-
-    def total_points(self) -> int:
-        return sum(v.count for v in self.voxels.values())
-
-    def flatten(self):
-        """Concatenate all voxels in canonical (sorted-key) order.
-
-        Returns (keys (V, 3), point_voxel (P,), positions (P, 3),
-        source (P,), raw_index (P,)).
-        """
-        keys = self.sorted_keys()
-        if not keys:
-            z3 = np.zeros((0, 3))
-            z = np.zeros((0,), dtype=np.int64)
-            return np.zeros((0, 3), dtype=np.int64), z, z3, z.astype(np.uint8), z
-        point_voxel = []
-        pos = []
-        src = []
-        ridx = []
-        for vi, k in enumerate(keys):
-            refs = self.voxels[k]
-            point_voxel.append(np.full(refs.count, vi, dtype=np.int64))
-            pos.append(refs.positions)
-            src.append(refs.source)
-            ridx.append(refs.raw_index)
-        return (
-            np.asarray(keys, dtype=np.int64),
-            np.concatenate(point_voxel),
-            np.concatenate(pos),
-            np.concatenate(src),
-            np.concatenate(ridx),
-        )
 
 
 def voxel_rng(seed: int, index) -> np.random.Generator:
@@ -152,52 +94,50 @@ def fps(points, k: int, start_index: int) -> np.ndarray:
 
 
 def preprocess(
-    bins, cloud, cfg: PreprocessConfig, grid: GridConfig
-) -> ReferencePointSet:
+    bins: VoxelPoints, cloud, cfg: PreprocessConfig, grid: GridConfig
+) -> VoxelPoints:
     """Apply the per-voxel densify/reduce rule to a binned cloud.
 
     With ``fill_scope = ALL_VOXELS`` every coarse voxel of the grid is
     processed (empty ones receive ``theta`` synthetic points); with
     ``NON_EMPTY_ONLY`` voxels without raw points are skipped.
     """
-    pts = np.asarray(cloud, dtype=np.float64)
-    pts = pts.reshape(len(pts), -1)[:, :3] if len(pts) else pts.reshape(0, 3)
-    by_key = {b.voxel_index: b for b in bins}
+    pts = cloud_xyz(cloud)
+    n_raw = bins.counts
     if cfg.fill_scope is FillScope.ALL_VOXELS:
-        keys = [tuple(int(v) for v in k) for k in grid.all_coarse_indices()]
+        keys = grid.all_coarse_indices()
+        _, ny, nz = grid.coarse_dims
+        row = (bins.keys[:, 0] * ny + bins.keys[:, 1]) * nz + bins.keys[:, 2]
+        n = np.zeros(len(keys), dtype=np.int64)
+        n[row] = n_raw
     else:
-        keys = sorted(by_key.keys())
-    out = {}
-    for key in keys:
-        b = by_key.get(key)
-        raw_idx = np.asarray(b.point_indices if b else (), dtype=np.int64)
-        n = len(raw_idx)
-        if n <= cfg.tau:
-            lo, hi = grid.voxel_bounds(key)
-            synth = uniform_fill(lo, hi, cfg.theta - n, voxel_rng(cfg.seed, key))
-            positions = np.concatenate([pts[raw_idx], synth]) if n else synth
-            source = np.concatenate(
-                [
-                    np.full(n, SOURCE_RAW, dtype=np.uint8),
-                    np.full(cfg.theta - n, SOURCE_SYNTHETIC, dtype=np.uint8),
-                ]
-            )
-            raw_index = np.concatenate(
-                [raw_idx, np.full(cfg.theta - n, -1, dtype=np.int64)]
-            )
-        elif n <= cfg.theta:
-            positions = pts[raw_idx]
-            source = np.full(n, SOURCE_RAW, dtype=np.uint8)
-            raw_index = raw_idx
-        else:
-            rng = voxel_rng(cfg.seed, key)
-            start = int(rng.integers(n))
-            keep = fps(pts[raw_idx], cfg.theta, start)
-            raw_index = raw_idx[keep]
-            positions = pts[raw_index]
-            source = np.full(cfg.theta, SOURCE_RAW, dtype=np.uint8)
-        out[key] = VoxelRefs(positions=positions, source=source, raw_index=raw_index)
-    return ReferencePointSet(voxels=out)
+        keys, row, n = bins.keys, np.arange(len(bins.keys)), n_raw
+    # Padded and reduced voxels hold theta points, the rest keep their own.
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.where((n <= cfg.tau) | (n > cfg.theta), cfg.theta, n), out=offsets[1:])
+    raw_index = np.full(offsets[-1], -1, dtype=np.int64)
+
+    # Voxels with at most theta raw points keep all of them, in source order.
+    owner = bins.point_voxel
+    rank = np.arange(len(owner)) - bins.offsets[owner]
+    keep = n_raw[owner] <= cfg.theta
+    raw_index[offsets[row[owner[keep]]] + rank[keep]] = bins.raw_index[keep]
+    for b in np.flatnonzero(n_raw > cfg.theta):
+        v = row[b]
+        idx = bins.raw_index[bins.offsets[b] : bins.offsets[b + 1]]
+        start = int(voxel_rng(cfg.seed, keys[v]).integers(len(idx)))
+        raw_index[offsets[v] : offsets[v + 1]] = idx[fps(pts[idx], cfg.theta, start)]
+
+    raw = raw_index >= 0
+    positions = np.empty((len(raw_index), 3))
+    positions[raw] = pts[raw_index[raw]]
+    lo = grid.lo + keys * grid.coarse_cell
+    hi = lo + grid.coarse_cell
+    for v in np.flatnonzero(n <= cfg.tau):
+        a, b = offsets[v] + n[v], offsets[v + 1]
+        positions[a:b] = uniform_fill(lo[v], hi[v], b - a, voxel_rng(cfg.seed, keys[v]))
+    source = np.where(raw, SOURCE_RAW, SOURCE_SYNTHETIC).astype(np.uint8)
+    return VoxelPoints(keys, offsets, positions, source, raw_index)
 
 
 def write_ocfp(path, cloud: np.ndarray) -> None:
@@ -222,9 +162,16 @@ def read_ocfp(path) -> np.ndarray:
     body = raw[12:]
     if len(body) != count * 16:
         raise DataError(f"{path}: truncated point records")
-    return (
-        np.frombuffer(body, dtype="<f4").reshape(count, 4).astype(np.float64)
+    return _finite_rows(
+        path, np.frombuffer(body, dtype="<f4").reshape(count, 4).astype(np.float64)
     )
+
+
+def _finite_rows(path, cloud: np.ndarray) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(cloud).all(axis=1))
+    if len(bad):
+        raise DataError(f"{path}: {len(bad)} point rows are not finite (first: row {bad[0]})")
+    return cloud
 
 
 def read_cloud(path) -> np.ndarray:
@@ -237,5 +184,5 @@ def read_cloud(path) -> np.ndarray:
                 (float(r["x"]), float(r["y"]), float(r["z"]), float(r["intensity"]))
                 for r in reader
             ]
-        return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
+        return _finite_rows(path, np.asarray(rows, dtype=np.float64).reshape(-1, 4))
     return read_ocfp(path)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,12 +218,7 @@ def read_ppm(path) -> np.ndarray:
 def scene_to_json(spec: SceneSpec) -> dict:
     return {
         "seed": spec.seed,
-        "grid": {
-            "min_corner": list(spec.grid.min_corner),
-            "max_corner": list(spec.grid.max_corner),
-            "voxel_size": spec.grid.voxel_size,
-            "stride": spec.grid.stride,
-        },
+        "grid": spec.grid.to_json(),
         "objects": [
             {
                 "class_id": b.class_id,
@@ -247,16 +242,10 @@ def scene_to_json(spec: SceneSpec) -> dict:
 
 def scene_from_json(obj) -> SceneSpec:
     try:
-        g = obj["grid"]
         lid = obj["lidar"]
         return SceneSpec(
             seed=int(obj["seed"]),
-            grid=GridConfig(
-                min_corner=tuple(g["min_corner"]),
-                max_corner=tuple(g["max_corner"]),
-                voxel_size=float(g["voxel_size"]),
-                stride=int(g["stride"]),
-            ),
+            grid=GridConfig.from_json(obj["grid"]),
             objects=[
                 Box(
                     class_id=int(b["class_id"]),
@@ -276,7 +265,7 @@ def scene_from_json(obj) -> SceneSpec:
                 elevation_range=tuple(lid["elevation_range"]),
             ),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"malformed scene JSON: {exc}") from exc
 
 
@@ -288,7 +277,11 @@ def save_scene(path, spec: SceneSpec) -> None:
 
 def load_scene(path) -> SceneSpec:
     with open(path) as fh:
-        return scene_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    return scene_from_json(obj)
 
 
 # --- CI presets --------------------------------------------------------------

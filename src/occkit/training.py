@@ -9,14 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .pipeline import (
-    OccModel,
-    PipelineConfig,
-    Sample,
-    TrainingConfig,
-    sample_gradients,
-    sample_loss,
-)
+from .pipeline import OccModel, PipelineConfig, sample_gradients, sample_loss
 
 
 @dataclass

@@ -5,6 +5,7 @@ criterion is printed by the conftest terminal hook. Timing budgets are
 asserted where the criterion states one.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -36,7 +37,13 @@ from occkit.fusion import (
     fusion_backward,
     occ_fuse,
 )
-from occkit.grid import GridConfig, OccupancyGrid, VoxelFeatureVolume, bin_points
+from occkit.grid import (
+    GridConfig,
+    OccupancyGrid,
+    VoxelFeatureVolume,
+    VoxelPoints,
+    bin_points,
+)
 from occkit.objectives import (
     cross_entropy,
     lovasz_softmax,
@@ -60,7 +67,6 @@ from occkit.pointprep import (
     SOURCE_SYNTHETIC,
     FillScope,
     PreprocessConfig,
-    VoxelRefs,
     fps,
     preprocess,
 )
@@ -107,6 +113,24 @@ def read_json(path):
         return json.load(fh)
 
 
+def voxel_of(points, key):
+    """Single-voxel view of the rows ``points`` holds for ``key``."""
+    (v,) = np.flatnonzero((points.keys == key).all(axis=1))
+    return points.voxel(v)
+
+
+def raw_points(keys, counts, positions):
+    """VoxelPoints of raw points already grouped by voxel."""
+    n = len(positions)
+    return VoxelPoints(
+        keys=np.asarray(keys, dtype=np.int64),
+        offsets=np.concatenate([[0], np.cumsum(counts)]),
+        positions=positions,
+        source=np.zeros(n, np.uint8),
+        raw_index=np.arange(n, dtype=np.int64),
+    )
+
+
 # --- criterion 1: per-voxel reference count law ------------------------------
 
 
@@ -125,8 +149,7 @@ def test_criterion_01_reference_count_law():
             cloud = rng.uniform(grid.lo, grid.hi, (n, 3))
         bins, _ = bin_points(cloud, grid)
         refs = preprocess(bins, cloud, cfg, grid)
-        for v in refs.voxels.values():
-            assert cfg.tau < v.count <= cfg.theta
+        assert np.all((refs.counts > cfg.tau) & (refs.counts <= cfg.theta))
 
     # explicit branch coverage: voxels holding exactly 0, 5, 6, 20, 21, 500 points
     counts = {(1, 1, 1): 5, (2, 1, 1): 6, (3, 1, 1): 20, (4, 1, 1): 21, (5, 1, 1): 500}
@@ -137,18 +160,18 @@ def test_criterion_01_reference_count_law():
     cloud = np.concatenate(parts)
     bins, _ = bin_points(cloud, grid)
     refs = preprocess(bins, cloud, PreprocessConfig(tau=5, theta=20, seed=0), grid)
-    assert len(refs.voxels) == math.prod(grid.coarse_dims)  # N = 0 voxels processed
-    empty = refs.voxels[(0, 0, 0)]
+    assert len(refs.keys) == math.prod(grid.coarse_dims)  # N = 0 voxels processed
+    empty = voxel_of(refs, (0, 0, 0))
     assert empty.count == 20 and np.all(empty.source == SOURCE_SYNTHETIC)
-    padded = refs.voxels[(1, 1, 1)]
+    padded = voxel_of(refs, (1, 1, 1))
     assert padded.count == 20
     assert int((padded.source == SOURCE_RAW).sum()) == 5
-    untouched = refs.voxels[(2, 1, 1)]
+    untouched = voxel_of(refs, (2, 1, 1))
     assert untouched.count == 6 and np.all(untouched.source == SOURCE_RAW)
-    atmost = refs.voxels[(3, 1, 1)]
+    atmost = voxel_of(refs, (3, 1, 1))
     assert atmost.count == 20 and np.all(atmost.source == SOURCE_RAW)
     for key in ((4, 1, 1), (5, 1, 1)):
-        reduced = refs.voxels[key]
+        reduced = voxel_of(refs, key)
         assert reduced.count == 20 and np.all(reduced.source == SOURCE_RAW)
         assert len(set(reduced.raw_index.tolist())) == 20
     elapsed = time.time() - t0
@@ -258,16 +281,8 @@ def test_criterion_03_attention_identity_and_gradients():
         positions = np.array(
             [grid.voxel_center(tuple(keys[v])) + r.uniform(-0.4, 0.4, 3) for v in point_voxel]
         )
-
-        class Refs:
-            def flatten(self):
-                n = len(positions)
-                return (keys, point_voxel, positions,
-                        np.zeros(n, np.int64), np.arange(n, dtype=np.int64))
-
+        refs = raw_points(keys, [3, 3, 3], positions)
         proj = ProjectedReference(
-            voxel_keys=keys,
-            point_voxel=point_voxel,
             cam_ids=["a", "b"],
             valid=r.uniform(size=(2, 9)) < 0.75,
             pixels=r.uniform(1.5, 5.5, (2, 9, 2)),
@@ -277,7 +292,7 @@ def test_criterion_03_attention_identity_and_gradients():
         )
         f_l = VoxelFeatureVolume(data=r.normal(size=(2, 2, 2, c)))
         g_up = r.normal(size=f_l.data.shape)
-        _, cache = occ_fuse(f_l, maps, Refs(), proj, params, grid)
+        _, cache = occ_fuse(f_l, maps, refs, proj, params, grid)
         gvec = fusion_backward(g_up, cache).to_vector()
         vec = params.to_vector()
         for i in r.choice(len(vec), 5, replace=False):
@@ -285,7 +300,7 @@ def test_criterion_03_attention_identity_and_gradients():
             for sgn in (1, -1):
                 v2 = vec.copy()
                 v2[i] += sgn * h
-                fused2, _ = occ_fuse(f_l, maps, Refs(), proj, params.from_vector(v2), grid)
+                fused2, _ = occ_fuse(f_l, maps, refs, proj, params.from_vector(v2), grid)
                 vals.append((fused2.data * g_up).sum())
             fd = (vals[0] - vals[1]) / (2 * h)
             assert rel_close(gvec[i], fd), (inst, i, gvec[i], fd)
@@ -326,35 +341,31 @@ def test_criterion_03_attention_identity_and_gradients():
 # --- criterion 4: two-level averaging laws -----------------------------------
 
 
+def reordered(refs, order):
+    """The same voxels with their point rows taken in ``order``."""
+    return dataclasses.replace(
+        refs,
+        positions=refs.positions[order],
+        source=refs.source[order],
+        raw_index=refs.raw_index[order],
+    )
+
+
 def canonical(refs):
     """Re-canonicalize each voxel: raw points by ascending raw index first,
     then synthetic points by position."""
-    out = {}
-    for k, v in refs.voxels.items():
-        order = np.lexsort(
-            (v.positions[:, 2], v.positions[:, 1], v.positions[:, 0],
-             v.raw_index, v.source)
-        )
-        out[k] = VoxelRefs(
-            positions=v.positions[order],
-            source=v.source[order],
-            raw_index=v.raw_index[order],
-        )
-    refs2 = type(refs)(voxels=out)
-    return refs2
+    p = refs.positions
+    order = np.lexsort(
+        (p[:, 2], p[:, 1], p[:, 0], refs.raw_index, refs.source, refs.point_voxel)
+    )
+    return reordered(refs, order)
 
 
 def shuffled(refs, seed):
+    """Permute the point rows within each voxel."""
     rng = np.random.default_rng(seed)
-    out = {}
-    for k, v in refs.voxels.items():
-        perm = rng.permutation(v.count)
-        out[k] = VoxelRefs(
-            positions=v.positions[perm],
-            source=v.source[perm],
-            raw_index=v.raw_index[perm],
-        )
-    return type(refs)(voxels=out)
+    bounds = zip(refs.offsets[:-1], refs.offsets[1:])
+    return reordered(refs, np.concatenate([a + rng.permutation(b - a) for a, b in bounds]))
 
 
 def test_criterion_04_averaging_laws():
@@ -384,8 +395,6 @@ def test_criterion_04_averaging_laws():
     # duplicating the rig leaves the fused volume unchanged (inner mean)
     proj = project_all(base, spec.rig, feat_sizes)
     proj2 = ProjectedReference(
-        voxel_keys=proj.voxel_keys,
-        point_voxel=proj.point_voxel,
         cam_ids=proj.cam_ids + [c + "_dup" for c in proj.cam_ids],
         valid=np.concatenate([proj.valid, proj.valid], axis=0),
         pixels=np.concatenate([proj.pixels, proj.pixels], axis=0),
@@ -411,18 +420,11 @@ def test_criterion_04_averaging_laws():
     fmap = FeatureMap(camera_id="a", data=rng.normal(size=(8, 8, c)))
     f_l = VoxelFeatureVolume(data=rng.normal(size=(2, 2, 2, c)))
     pixels = rng.uniform(2.0, 5.0, size=(1, 2, 2))
-
-    class Refs:
-        def flatten(self):
-            return (keys, np.zeros(2, np.int64), positions,
-                    np.zeros(2, np.int64), np.arange(2, dtype=np.int64))
+    refs = raw_points(keys, [2], positions)
 
     def fuse_with(cam_ids, valid, pix, maps):
-        proj1 = ProjectedReference(
-            voxel_keys=keys, point_voxel=np.zeros(2, np.int64),
-            cam_ids=cam_ids, valid=valid, pixels=pix,
-        )
-        fused, _ = occ_fuse(f_l, FeatureMapSet(maps=maps), Refs(), proj1,
+        proj1 = ProjectedReference(cam_ids=cam_ids, valid=valid, pixels=pix)
+        fused, _ = occ_fuse(f_l, FeatureMapSet(maps=maps), refs, proj1,
                             small_params, grid)
         return fused.data[0, 0, 0]
 

@@ -1,12 +1,14 @@
 import filecmp
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from occkit.cli import run_command
 from occkit.pipeline import PipelineConfig, evaluate, predict
+from occkit.pointprep import write_ocfp
 from occkit import cli as climod
 
 
@@ -180,6 +182,38 @@ def test_missing_inputs_exit_two(tmp_path, capsys):
     assert run("preprocess", "--cloud", str(tmp_path / "c.ocfp"),
                "--out", str(tmp_path / "p.json")) == 2
     capsys.readouterr()
+
+
+def _set_class_id(value):
+    def corrupt(text):
+        scene = json.loads(text)
+        scene["objects"][0]["class_id"] = value
+        return json.dumps(scene)
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda text: "{not json", _set_class_id("x"), _set_class_id(0)],
+    ids=["not_json", "class_id_not_int", "class_id_zero"],
+)
+def test_corrupt_scene_exits_two(data_dir, tmp_path, capsys, corrupt):
+    sample = tmp_path / "sample"
+    shutil.copytree(data_dir / "sample_000", sample)
+    scene = sample / "scene.json"
+    scene.write_text(corrupt(scene.read_text()))
+    assert run("predict", "--preset", "tiny", "--sample", str(sample),
+               "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_finite_cloud_exits_two(tmp_path, capsys):
+    cloud = tmp_path / "c.ocfp"
+    write_ocfp(cloud, np.array([[0.1, 0.1, 0.1, 0.5], [np.nan, 0.0, 0.0, 0.5]]))
+    assert run("preprocess", "--cloud", str(cloud), "--out", str(tmp_path / "p.json")) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_console_script_installed():

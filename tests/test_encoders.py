@@ -3,7 +3,19 @@ import pytest
 
 from occkit.encoders import EncoderParams, encode_images, encode_lidar
 from occkit.errors import ConfigError
-from occkit.grid import GridConfig, VoxelBin, bin_points
+from occkit.grid import GridConfig, VoxelPoints, bin_points
+
+
+def one_voxel(key, rows, cloud):
+    """VoxelPoints holding the given cloud rows in a single voxel."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return VoxelPoints(
+        keys=np.array([key], dtype=np.int64),
+        offsets=np.array([0, len(rows)]),
+        positions=cloud[rows, :3],
+        source=np.zeros(len(rows), dtype=np.uint8),
+        raw_index=rows,
+    )
 
 
 @pytest.fixture
@@ -33,7 +45,8 @@ def test_create_deterministic():
 
 def test_encode_lidar_empty_voxels_zero(grid):
     params = EncoderParams.create(4, seed=0)
-    vol = encode_lidar([], np.zeros((0, 4)), params, grid)
+    bins, _ = bin_points(np.zeros((0, 4)), grid)
+    vol = encode_lidar(bins, np.zeros((0, 4)), params, grid)
     assert vol.data.shape == (2, 2, 2, 4)
     np.testing.assert_array_equal(vol.data, 0.0)
 
@@ -43,7 +56,7 @@ def test_encode_lidar_bounded_and_placed(grid):
     cloud = np.concatenate([rng.uniform(1.0, 2.0, (6, 3)), rng.uniform(size=(6, 1))], axis=1)
     bins, _ = bin_points(cloud[:, :3], grid)
     vol = encode_lidar(bins, cloud, EncoderParams.create(4, seed=1), grid)
-    occupied = {b.voxel_index for b in bins}
+    occupied = {tuple(k) for k in bins.keys.tolist()}
     for iz in range(2):
         for iy in range(2):
             for ix in range(2):
@@ -59,8 +72,8 @@ def test_encode_lidar_permutation_invariant(grid):
     rng = np.random.default_rng(1)
     cloud = np.concatenate([rng.uniform(0, 1, (9, 3)), rng.uniform(size=(9, 1))], axis=1)
     params = EncoderParams.create(5, seed=2)
-    fwd = [VoxelBin(voxel_index=(0, 0, 0), point_indices=tuple(range(9)))]
-    rev = [VoxelBin(voxel_index=(0, 0, 0), point_indices=tuple(reversed(range(9))))]
+    fwd = one_voxel((0, 0, 0), range(9), cloud)
+    rev = one_voxel((0, 0, 0), range(8, -1, -1), cloud)
     a = encode_lidar(fwd, cloud, params, grid)
     b = encode_lidar(rev, cloud, params, grid)
     np.testing.assert_allclose(a.data, b.data, atol=1e-14)
@@ -74,8 +87,8 @@ def test_encode_lidar_translation_covariance(grid):
     shifted = cloud.copy()
     shifted[:, 0] += 1.0
     params = EncoderParams.create(3, seed=3)
-    a = encode_lidar([VoxelBin((0, 0, 0), tuple(range(5)))], cloud, params, grid)
-    b = encode_lidar([VoxelBin((1, 0, 0), tuple(range(5)))], shifted, params, grid)
+    a = encode_lidar(one_voxel((0, 0, 0), range(5), cloud), cloud, params, grid)
+    b = encode_lidar(one_voxel((1, 0, 0), range(5), shifted), shifted, params, grid)
     np.testing.assert_allclose(a.data[0, 0, 0], b.data[0, 0, 1], atol=1e-14)
 
 

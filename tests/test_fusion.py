@@ -10,28 +10,24 @@ from occkit.fusion import (
     fusion_backward,
     occ_fuse,
 )
-from occkit.grid import GridConfig, VoxelFeatureVolume
+from occkit.grid import GridConfig, VoxelFeatureVolume, VoxelPoints
 
 C = 4
 
 
-class RefStub:
-    """Minimal reference-point container exposing the flatten() contract."""
-
-    def __init__(self, keys, point_voxel, positions):
-        self.keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
-        self.point_voxel = np.asarray(point_voxel, dtype=np.int64)
-        self.positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-
-    def flatten(self):
-        n = len(self.positions)
-        return (
-            self.keys,
-            self.point_voxel,
-            self.positions,
-            np.zeros(n, dtype=np.int64),
-            np.arange(n, dtype=np.int64),
-        )
+def grouped(keys, point_voxel, positions):
+    """VoxelPoints of raw points whose rows are already grouped by voxel."""
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    counts = np.bincount(point_voxel, minlength=len(keys))
+    n = len(positions)
+    return VoxelPoints(
+        keys=keys,
+        offsets=np.concatenate([[0], np.cumsum(counts)]),
+        positions=positions,
+        source=np.zeros(n, dtype=np.uint8),
+        raw_index=np.arange(n, dtype=np.int64),
+    )
 
 
 def make_grid():
@@ -152,13 +148,11 @@ def _fusion_case(seed, n_vox=3, pts_per_vox=4, n_cam=2, vis_prob=0.8):
     positions = np.array(
         [grid.voxel_center(tuple(keys[v])) + rng.uniform(-0.4, 0.4, 3) for v in point_voxel]
     )
-    refs = RefStub(keys, point_voxel, positions)
+    refs = grouped(keys, point_voxel, positions)
     n_pts = len(positions)
     valid = rng.uniform(size=(n_cam, n_pts)) < vis_prob
     pixels = rng.uniform(1.5, 5.5, size=(n_cam, n_pts, 2))
     proj = ProjectedReference(
-        voxel_keys=keys,
-        point_voxel=point_voxel,
         cam_ids=[f"cam{i}" for i in range(n_cam)],
         valid=valid,
         pixels=pixels,
@@ -175,7 +169,7 @@ def _fusion_case(seed, n_vox=3, pts_per_vox=4, n_cam=2, vis_prob=0.8):
 
 def fuse_oracle(f_l, maps, refs, proj, params, grid):
     """Per-voxel two-level mean computed with explicit loops."""
-    keys, point_voxel, positions, _, _ = refs.flatten()
+    keys, point_voxel, positions = refs.keys, refs.point_voxel, refs.positions
     data = np.zeros_like(f_l.data)
     done = np.zeros(f_l.data.shape[:3], dtype=bool)
     for v, key in enumerate(keys):
@@ -216,16 +210,13 @@ def test_occ_fuse_point_permutation_invariant():
     fused, _ = occ_fuse(f_l, maps, refs, proj, params, grid)
     rng = np.random.default_rng(0)
     perm = rng.permutation(len(refs.positions))
-    refs2 = RefStub(refs.keys, refs.point_voxel[perm], refs.positions[perm])
-    # flatten() contract requires voxel-grouped order; regroup stably
-    order = np.argsort(refs2.point_voxel, kind="stable")
-    refs2 = RefStub(refs.keys, refs2.point_voxel[order], refs2.positions[order])
+    # VoxelPoints rows are grouped by voxel; regroup the permutation stably
+    order = perm[np.argsort(refs.point_voxel[perm], kind="stable")]
+    refs2 = grouped(refs.keys, refs.point_voxel[order], refs.positions[order])
     proj2 = ProjectedReference(
-        voxel_keys=proj.voxel_keys,
-        point_voxel=refs2.point_voxel,
         cam_ids=proj.cam_ids,
-        valid=proj.valid[:, perm][:, order],
-        pixels=proj.pixels[:, perm][:, order],
+        valid=proj.valid[:, order],
+        pixels=proj.pixels[:, order],
     )
     fused2, _ = occ_fuse(f_l, maps, refs2, proj2, params, grid)
     np.testing.assert_allclose(fused.data, fused2.data, atol=1e-12)
@@ -238,8 +229,6 @@ def test_occ_fuse_duplicate_rig_no_change():
     params = random_params(6)
     fused, _ = occ_fuse(f_l, maps, refs, proj, params, grid)
     proj2 = ProjectedReference(
-        voxel_keys=proj.voxel_keys,
-        point_voxel=proj.point_voxel,
         cam_ids=proj.cam_ids + [c + "_twin" for c in proj.cam_ids],
         valid=np.concatenate([proj.valid, proj.valid], axis=0),
         pixels=np.concatenate([proj.pixels, proj.pixels], axis=0),
@@ -262,12 +251,10 @@ def test_occ_fuse_two_point_hand_case():
     params = random_params(8)
     keys = np.array([[0, 0, 0]])
     positions = np.array([[0.4, 0.5, 0.5], [0.6, 0.5, 0.5]])
-    refs = RefStub(keys, [0, 0], positions)
+    refs = grouped(keys, [0, 0], positions)
     valid = np.array([[True, True], [True, False]])
     pixels = rng.uniform(2.0, 5.0, size=(2, 2, 2))
-    proj = ProjectedReference(
-        voxel_keys=keys, point_voxel=np.array([0, 0]), cam_ids=["a", "b"], valid=valid, pixels=pixels
-    )
+    proj = ProjectedReference(cam_ids=["a", "b"], valid=valid, pixels=pixels)
     maps = FeatureMapSet(
         maps=[FeatureMap(camera_id=c, data=rng.normal(size=(8, 8, C))) for c in "ab"]
     )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from occkit.grid import (
     split_voxel,
     trilinear_sample,
     voxel_index,
+    voxel_indices,
     write_occg,
 )
 
@@ -52,20 +55,34 @@ def test_voxel_index_center_roundtrip(unit_grid):
         assert voxel_index(center, unit_grid) == idx
 
 
+def test_voxel_indices_far_and_non_finite_points_outside(unit_grid):
+    pts = np.array([[0.5, 0.5, 0.5], [1e30, 0.5, 0.5], [0.5, -1e300, 0.5],
+                    [np.nan, 0.5, 0.5], [0.5, np.inf, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx, inside = voxel_indices(pts, unit_grid)
+    assert inside.tolist() == [True, False, False, False, False]
+    assert idx[0].tolist() == [0, 0, 0]
+    bins, dropped = bin_points(pts[:3], unit_grid)
+    assert dropped == 2 and bins.raw_index.tolist() == [0]
+
+
 def test_bin_points_empty_and_basic(unit_grid):
     bins, dropped = bin_points(np.zeros((0, 3)), unit_grid)
-    assert bins == [] and dropped == 0
+    assert len(bins.keys) == 0 and bins.count == 0 and dropped == 0
+    assert bins.keys.shape == (0, 3) and bins.offsets.tolist() == [0]
     bins, dropped = bin_points([(0.5, 0.5, 0.5)], unit_grid)
-    assert len(bins) == 1 and bins[0].count == 1 and dropped == 0
+    assert bins.keys.tolist() == [[0, 0, 0]] and bins.counts.tolist() == [1] and dropped == 0
 
 
 def test_bin_points_same_voxel_and_dropped(unit_grid):
     cloud = [(0.1, 0.1, 0.1), (9.0, 0.0, 0.0), (0.2, 0.2, 0.2), (0.3, 0.1, 0.4)]
     bins, dropped = bin_points(cloud, unit_grid)
     assert dropped == 1
-    assert len(bins) == 1
-    assert bins[0].count == 3
-    assert bins[0].point_indices == (0, 2, 3)
+    assert len(bins.keys) == 1
+    assert bins.counts.tolist() == [3]
+    assert bins.raw_index.tolist() == [0, 2, 3]
+    np.testing.assert_array_equal(bins.positions, np.asarray(cloud)[[0, 2, 3]])
 
 
 def test_bin_points_partition_property(unit_grid):
@@ -73,12 +90,14 @@ def test_bin_points_partition_property(unit_grid):
     for _ in range(20):
         cloud = rng.uniform(-1, 5, (200, 3))
         bins, dropped = bin_points(cloud, unit_grid)
-        assert sum(b.count for b in bins) + dropped == len(cloud)
-        seen = sorted(i for b in bins for i in b.point_indices)
-        assert len(seen) == len(set(seen))
-        for b in bins:
-            lo, hi = unit_grid.voxel_bounds(b.voxel_index)
-            pts = cloud[list(b.point_indices)]
+        assert bins.count + dropped == len(cloud)
+        assert len(set(bins.raw_index.tolist())) == bins.count
+        assert [tuple(k) for k in bins.keys.tolist()] == sorted(map(tuple, bins.keys.tolist()))
+        for v, key in enumerate(bins.keys):
+            lo, hi = unit_grid.voxel_bounds(key)
+            rows = bins.raw_index[bins.offsets[v] : bins.offsets[v + 1]]
+            assert np.all(np.diff(rows) > 0)
+            pts = cloud[rows]
             assert np.all(pts >= lo) and np.all(pts < hi)
 
 

@@ -116,10 +116,16 @@ def _prep(cloud, grid, **kw):
     return preprocess(bins, cloud, cfg, grid), cfg
 
 
+def _only_voxel(refs, key):
+    """The single voxel of ``refs``, checked to have ``key``."""
+    assert refs.keys.tolist() == [list(key)]
+    return refs
+
+
 def test_preprocess_pads_sparse_voxel(grid):
     cloud = np.array([[0.5, 0.5, 0.5]])
     refs, cfg = _prep(cloud, grid, fill_scope=FillScope.NON_EMPTY_ONLY)
-    v = refs.voxels[(0, 0, 0)]
+    v = _only_voxel(refs, (0, 0, 0))
     assert v.count == cfg.theta
     assert (v.source == SOURCE_RAW).sum() == 1
     assert (v.source == SOURCE_SYNTHETIC).sum() == cfg.theta - 1
@@ -134,7 +140,7 @@ def test_preprocess_midrange_untouched(grid):
     rng = np.random.default_rng(0)
     cloud = rng.uniform(0.0, 1.0, (10, 3))
     refs, _ = _prep(cloud, grid, fill_scope=FillScope.NON_EMPTY_ONLY)
-    v = refs.voxels[(0, 0, 0)]
+    v = _only_voxel(refs, (0, 0, 0))
     assert v.count == 10
     assert np.all(v.source == SOURCE_RAW)
     np.testing.assert_array_equal(v.raw_index, np.arange(10))
@@ -145,7 +151,7 @@ def test_preprocess_dense_voxel_fps_subset(grid):
     rng = np.random.default_rng(1)
     cloud = rng.uniform(0.0, 1.0, (50, 3))
     refs, cfg = _prep(cloud, grid, fill_scope=FillScope.NON_EMPTY_ONLY)
-    v = refs.voxels[(0, 0, 0)]
+    v = _only_voxel(refs, (0, 0, 0))
     assert v.count == cfg.theta
     assert np.all(v.source == SOURCE_RAW)
     assert np.all(np.diff(v.raw_index) > 0)
@@ -154,16 +160,17 @@ def test_preprocess_dense_voxel_fps_subset(grid):
 
 def test_preprocess_all_voxels_fills_empty(grid):
     refs, cfg = _prep(np.zeros((0, 3)), grid, fill_scope=FillScope.ALL_VOXELS)
-    assert len(refs.voxels) == 8  # 2x2x2 coarse grid
-    for v in refs.voxels.values():
-        assert v.count == cfg.theta
-        assert np.all(v.source == SOURCE_SYNTHETIC)
+    assert len(refs.keys) == 8  # 2x2x2 coarse grid
+    assert np.all(refs.counts == cfg.theta)
+    assert np.all(refs.source == SOURCE_SYNTHETIC)
+    lo = grid.lo + refs.keys[refs.point_voxel] * grid.coarse_cell
+    assert np.all(refs.positions >= lo) and np.all(refs.positions < lo + grid.coarse_cell)
 
 
 def test_preprocess_non_empty_only_skips_empty(grid):
     cloud = np.array([[1.5, 0.5, 0.5]])
     refs, _ = _prep(cloud, grid, fill_scope=FillScope.NON_EMPTY_ONLY)
-    assert set(refs.voxels.keys()) == {(1, 0, 0)}
+    assert refs.keys.tolist() == [[1, 0, 0]]
 
 
 def test_preprocess_deterministic(grid):
@@ -171,10 +178,10 @@ def test_preprocess_deterministic(grid):
     cloud = rng.uniform(0.0, 2.0, (80, 3))
     a, _ = _prep(cloud, grid)
     b, _ = _prep(cloud, grid)
-    assert a.sorted_keys() == b.sorted_keys()
-    for k in a.sorted_keys():
-        np.testing.assert_array_equal(a.voxels[k].positions, b.voxels[k].positions)
-        np.testing.assert_array_equal(a.voxels[k].raw_index, b.voxels[k].raw_index)
+    np.testing.assert_array_equal(a.keys, b.keys)
+    np.testing.assert_array_equal(a.offsets, b.offsets)
+    np.testing.assert_array_equal(a.positions, b.positions)
+    np.testing.assert_array_equal(a.raw_index, b.raw_index)
 
 
 def test_preprocess_count_law(grid):
@@ -182,8 +189,7 @@ def test_preprocess_count_law(grid):
     for _ in range(25):
         cloud = rng.uniform(-0.5, 2.5, (120, 3))
         refs, cfg = _prep(cloud, grid)
-        for v in refs.voxels.values():
-            assert cfg.tau < v.count <= cfg.theta
+        assert np.all((refs.counts > cfg.tau) & (refs.counts <= cfg.theta))
 
 
 def test_flatten_canonical_order(grid):
@@ -191,9 +197,11 @@ def test_flatten_canonical_order(grid):
     cloud = rng.uniform(0.0, 2.0, (40, 3))
     refs, _ = _prep(cloud, grid)
     keys, point_voxel, positions, source, raw_index = refs.flatten()
-    assert len(positions) == refs.total_points()
-    assert [tuple(k) for k in keys] == refs.sorted_keys()
+    assert len(positions) == refs.total_points() == refs.offsets[-1]
+    assert [tuple(k) for k in keys] == sorted(tuple(k) for k in keys.tolist())
+    np.testing.assert_array_equal(point_voxel, np.repeat(np.arange(len(keys)), refs.counts))
     assert np.all(np.diff(point_voxel) >= 0)
+    np.testing.assert_array_equal(source, (raw_index < 0).astype(np.uint8))
 
 
 def test_ocfp_roundtrip_and_csv(tmp_path):
@@ -208,3 +216,33 @@ def test_ocfp_roundtrip_and_csv(tmp_path):
     bad.write_bytes(b"XXXX" + b"\0" * 8)
     with pytest.raises(DataError):
         read_ocfp(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_rejected(tmp_path, bad):
+    cloud = np.array([[0.5, 0.5, 0.5, 0.1], [0.5, bad, 0.5, 0.1]])
+    path = tmp_path / "c.ocfp"
+    write_ocfp(path, cloud)
+    with pytest.raises(DataError, match="not finite"):
+        read_ocfp(path)
+    csv_path = tmp_path / "c.csv"
+    csv_path.write_text(f"x,y,z,intensity\n0.5,0.5,0.5,0.1\n0.5,{bad},0.5,0.1\n")
+    with pytest.raises(DataError, match="not finite"):
+        read_cloud(csv_path)
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [np.zeros((0, 4)), np.array([[9.0, 9.0, 9.0, 0.5], [-1e30, 0.5, 0.5, 0.5]])],
+    ids=["empty", "all_outside"],
+)
+def test_preprocess_no_points_inside(grid, cloud):
+    refs, cfg = _prep(cloud, grid, fill_scope=FillScope.NON_EMPTY_ONLY)
+    arrays = refs.keys, refs.offsets, refs.positions, refs.source, refs.raw_index
+    assert [(a.dtype, a.shape) for a in arrays] == [
+        (np.int64, (0, 3)), (np.int64, (1,)), (np.float64, (0, 3)),
+        (np.uint8, (0,)), (np.int64, (0,)),
+    ]
+    assert refs.point_voxel.dtype == np.int64 and refs.point_voxel.shape == (0,)
+    refs, cfg = _prep(cloud, grid, fill_scope=FillScope.ALL_VOXELS)
+    assert refs.count == 8 * cfg.theta and np.all(refs.raw_index == -1)
