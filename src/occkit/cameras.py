@@ -11,6 +11,7 @@ from .errors import ConfigError, DataError
 from .grid import VoxelPoints
 
 NEAR_PLANE = 1e-3  # meters; points closer than this are treated as invisible
+_GATHER_BLOCK = 512  # rows per gather_sum block; its gather stays in cache
 
 
 @dataclass
@@ -174,26 +175,62 @@ def bilinear(fmap: FeatureMap, pixel) -> np.ndarray:
 
 
 def bilinear_batch(data: np.ndarray, pixels: np.ndarray) -> np.ndarray:
-    h, w = data.shape[:2]
-    p = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-    x = np.clip(p[:, 0], 0.0, w - 1.0)
-    y = np.clip(p[:, 1], 0.0, h - 1.0)
+    h, w, c = data.shape
+    idx, wts = bilinear_corners((h, w), np.asarray(pixels, dtype=np.float64).reshape(-1, 2))
+    return gather_sum(data.reshape(-1, c), idx, wts)
+
+
+def bilinear_corners(shape, pixels: np.ndarray, slopes: bool = False):
+    """Clamped bilinear sampling geometry on a row-major (h, w) map.
+
+    ``pixels`` is (..., 2) in (x, y). Returns (idx, wts), each (..., 4) over
+    the corners (x0, y0), (x1, y0), (x0, y1), (x1, y1): flat indices into the
+    (h * w) map and interpolation weights. With ``slopes`` it also returns
+    the weights' derivatives with respect to x and y, using the clamp
+    subgradient: zero outside the map, the inner cell's slope on its border.
+    """
+    h, w = shape
+    x = np.clip(pixels[..., 0], 0.0, w - 1.0)
+    y = np.clip(pixels[..., 1], 0.0, h - 1.0)
     x0 = np.clip(np.floor(x).astype(np.int64), 0, max(w - 2, 0))
     y0 = np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (x - x0)[:, None]
-    fy = (y - y0)[:, None]
-    v00 = data[y0, x0]
-    v10 = data[y0, x1]
-    v01 = data[y1, x0]
-    v11 = data[y1, x1]
-    return (
-        v00 * (1 - fx) * (1 - fy)
-        + v10 * fx * (1 - fy)
-        + v01 * (1 - fx) * fy
-        + v11 * fx * fy
-    )
+    fx = x - x0
+    fy = y - y0
+    idx = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1], axis=-1)
+    wts = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy], axis=-1)
+    if not slopes:
+        return idx, wts
+    in_x = ((pixels[..., 0] >= 0.0) & (pixels[..., 0] <= w - 1.0))[..., None]
+    in_y = ((pixels[..., 1] >= 0.0) & (pixels[..., 1] <= h - 1.0))[..., None]
+    dx = np.stack([fy - 1, 1 - fy, -fy, fy], axis=-1) * in_x
+    dy = np.stack([fx - 1, -fx, 1 - fx, fx], axis=-1) * in_y
+    return idx, wts, dx, dy
+
+
+def gather_sum(table: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Weighted gather: ``out[i] = sum_j wts[i, j] * table[idx[i, j]]`` for
+    (n, J) ``idx``/``wts`` over a (rows, C) table.
+
+    Rows go in cache-sized blocks, so the (block, J, C) gather stays small.
+    """
+    out = np.empty((len(idx), table.shape[1]))
+    for s in range(0, len(idx), _GATHER_BLOCK):
+        blk = slice(s, s + _GATHER_BLOCK)
+        np.einsum("nj,njc->nc", wts[blk], np.take(table, idx[blk], axis=0), out=out[blk])
+    return out
+
+
+def gather_dot(table: np.ndarray, idx: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Gradient of ``gather_sum(table, idx, wts) . vec`` in ``wts``:
+    ``out[i, j] = table[idx[i, j]] . vec[i]`` for (n, J) ``idx`` and (n, C)
+    ``vec``, in the same blocks."""
+    out = np.empty(idx.shape)
+    for s in range(0, len(idx), _GATHER_BLOCK):
+        blk = slice(s, s + _GATHER_BLOCK)
+        np.einsum("njc,nc->nj", np.take(table, idx[blk], axis=0), vec[blk], out=out[blk])
+    return out
 
 
 def rig_to_json(rig) -> dict:

@@ -188,7 +188,6 @@ def decode(
     else:
         candidates = np.ones(len(probs), dtype=bool)
     selected = select_refine(probs, cfg.delta, candidates)
-    selected_set = set(int(s) for s in selected)
 
     f = cfg.split_factor
     fine_labels = np.repeat(
@@ -199,25 +198,23 @@ def decode(
         axis=2,
     ).astype(np.uint8)
 
-    feat_sizes = [(m.width, m.height) for m in maps.maps]
-    for flat in selected:
-        iz, rem = divmod(int(flat), ny * nx)
-        iy, ix = divmod(rem, nx)
-        fine_idx, centers = split_voxel((ix, iy, iz), f, grid)
-        # Coarse-volume sampling position in voxel-center coordinates.
-        pos = (centers - grid.lo) / grid.coarse_cell - 0.5
-        vol_feat = trilinear_sample_batch(fused, pos)
-        img_feat = np.zeros((len(centers), fused.channels))
-        img_n = np.zeros(len(centers))
-        for cam, fmap, fs in zip(rig, maps.maps, feat_sizes):
-            valid, px = project_batch(centers, cam, fs)
-            if valid.any():
-                img_feat[valid] += bilinear_batch(fmap.data, px[valid])
-                img_n[valid] += 1
-        img_feat[img_n > 0] /= img_n[img_n > 0, None]
-        child_logits = heads.fine.logits(np.concatenate([vol_feat, img_feat], axis=1))
-        labels = child_logits.argmax(axis=-1).astype(np.uint8)
-        fine_labels[fine_idx[:, 2], fine_idx[:, 1], fine_idx[:, 0]] = labels
+    # Every selected voxel's children in one batch.
+    iz, rem = np.divmod(selected, ny * nx)
+    iy, ix = np.divmod(rem, nx)
+    fine_idx, centers = split_voxel(np.stack([ix, iy, iz], axis=1), f, grid)
+    # Coarse-volume sampling position in voxel-center coordinates.
+    pos = (centers - grid.lo) / grid.coarse_cell - 0.5
+    vol_feat = trilinear_sample_batch(fused, pos)
+    img_feat = np.zeros((len(centers), fused.channels))
+    img_n = np.zeros(len(centers))
+    for cam, fmap in zip(rig, maps.maps):
+        valid, px = project_batch(centers, cam, (fmap.width, fmap.height))
+        if valid.any():
+            img_feat[valid] += bilinear_batch(fmap.data, px[valid])
+            img_n[valid] += 1
+    img_feat[img_n > 0] /= img_n[img_n > 0, None]
+    child_logits = heads.fine.logits(np.concatenate([vol_feat, img_feat], axis=1))
+    fine_labels[fine_idx[:, 2], fine_idx[:, 1], fine_idx[:, 0]] = child_logits.argmax(axis=-1)
 
     report = OpCountReport(
         fine_ops=len(selected) * f**3,

@@ -16,7 +16,14 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .grid import GridConfig, VoxelFeatureVolume, VoxelPoints
-from .cameras import FeatureMap, FeatureMapSet, ProjectedReference
+from .cameras import (
+    FeatureMap,
+    FeatureMapSet,
+    ProjectedReference,
+    bilinear_corners,
+    gather_dot,
+    gather_sum,
+)
 from .objectives import softmax
 
 
@@ -102,19 +109,29 @@ class AttentionParams:
         }
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.tensors().values()])
+        return flatten_tensors(self.tensors())
 
     def from_vector(self, vec: np.ndarray) -> "AttentionParams":
-        vec = np.asarray(vec, dtype=np.float64).ravel()
         out = AttentionParams.zeros_like(self)
-        total = sum(a.size for a in out.tensors().values())
-        if len(vec) != total:
-            raise ConfigError("parameter vector length mismatch")
-        pos = 0
-        for name, a in out.tensors().items():
-            a[...] = vec[pos : pos + a.size].reshape(a.shape)
-            pos += a.size
+        unflatten_into(out.tensors(), vec)
         return out
+
+
+def flatten_tensors(tensors: dict) -> np.ndarray:
+    """One flat vector of named tensors, in the dict's order."""
+    return np.concatenate([a.ravel() for a in tensors.values()])
+
+
+def unflatten_into(tensors: dict, vec) -> None:
+    """Overwrite named tensors in place, in the dict's order, from a flat
+    vector laid out as ``flatten_tensors`` writes it."""
+    vec = np.asarray(vec, dtype=np.float64).ravel()
+    if len(vec) != sum(a.size for a in tensors.values()):
+        raise ConfigError("parameter vector length mismatch")
+    pos = 0
+    for a in tensors.values():
+        a[...] = vec[pos : pos + a.size].reshape(a.shape)
+        pos += a.size
 
 
 def build_query(voxel_feature, point, grid: GridConfig) -> np.ndarray:
@@ -125,94 +142,75 @@ def build_query(voxel_feature, point, grid: GridConfig) -> np.ndarray:
     return np.concatenate([feat, norm])
 
 
-def _bilinear_fwd(data: np.ndarray, locs: np.ndarray):
-    """Clamped bilinear sampling with the cache needed for spatial gradients."""
-    h, w = data.shape[:2]
-    x = np.clip(locs[..., 0], 0.0, w - 1.0)
-    y = np.clip(locs[..., 1], 0.0, h - 1.0)
-    x0 = np.clip(np.floor(x).astype(np.int64), 0, max(w - 2, 0))
-    y0 = np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (x - x0)[..., None]
-    fy = (y - y0)[..., None]
-    v00 = data[y0, x0]
-    v10 = data[y0, x1]
-    v01 = data[y1, x0]
-    v11 = data[y1, x1]
-    vals = (
-        v00 * (1 - fx) * (1 - fy)
-        + v10 * fx * (1 - fy)
-        + v01 * (1 - fx) * fy
-        + v11 * fx * fy
-    )
-    cache = {
-        "corners": (v00, v10, v01, v11),
-        "fx": fx,
-        "fy": fy,
-        # Clamp subgradient: zero outside the map, inner-cell slope on the border.
-        "mask_x": (locs[..., 0] >= 0.0) & (locs[..., 0] <= w - 1.0),
-        "mask_y": (locs[..., 1] >= 0.0) & (locs[..., 1] <= h - 1.0),
-    }
-    return vals, cache
+def _sampling(q: np.ndarray, pix: np.ndarray, shape, params: AttentionParams, slopes=False):
+    """Softmax attention (n, m, k) and the bilinear corners of every sample.
+
+    Offsets and logits come from one matmul with the stacked generators;
+    the corners are ``bilinear_corners`` of the offset sampling locations.
+    """
+    n = len(q)
+    m, k = params.n_heads, params.n_keys
+    gen = q @ np.concatenate([params.offset_gen, params.weight_gen]).T
+    off = gen[:, : m * k * 2].reshape(n, m, k, 2)
+    attn = softmax(gen[:, m * k * 2 :].reshape(n, m, k), axis=2)
+    return attn, bilinear_corners(shape, pix[:, None, None, :] + off, slopes)
 
 
-def _bilinear_spatial_grad(cache, g_vals):
-    v00, v10, v01, v11 = cache["corners"]
-    fx, fy = cache["fx"], cache["fy"]
-    dvdx = (v10 - v00) * (1 - fy) + (v11 - v01) * fy
-    dvdy = (v01 - v00) * (1 - fx) + (v11 - v10) * fx
-    gx = (g_vals * dvdx).sum(axis=-1) * cache["mask_x"]
-    gy = (g_vals * dvdy).sum(axis=-1) * cache["mask_y"]
-    return np.stack([gx, gy], axis=-1)
+def _out_matrix(params: AttentionParams) -> np.ndarray:
+    """``w_out`` as one (m * C, C) matrix: ``out = head.reshape(n, m * C) @ it``."""
+    m, c = params.n_heads, params.channels
+    return params.w_out.transpose(0, 2, 1).reshape(m * c, c)
 
 
 def _attn_forward(q: np.ndarray, pix: np.ndarray, data: np.ndarray, params: AttentionParams):
     """Batched deformable attention over one feature map.
 
     ``q`` is (n, C+3), ``pix`` (n, 2); returns (out (n, C), cache).
+    Bilinear sampling is linear, so each head's value projection is applied
+    once to the (h * w) map and the samples gather the projected rows. The
+    cache is the call's inputs; the backward recomputes the geometry.
     """
     n = len(q)
-    m, k, c = params.n_heads, params.n_keys, params.channels
-    off = (q @ params.offset_gen.T).reshape(n, m, k, 2)
-    logits = (q @ params.weight_gen.T).reshape(n, m, k)
-    attn = softmax(logits, axis=2)
-    locs = pix[:, None, None, :] + off
-    v, bcache = _bilinear_fwd(data, locs)  # (n, m, k, C)
-    val = np.einsum("mcd,nmkd->nmkc", params.w_val, v)
-    head = np.einsum("nmk,nmkc->nmc", attn, val)
-    out = np.einsum("mcd,nmd->nc", params.w_out, head)
-    cache = {
-        "q": q,
-        "attn": attn,
-        "v": v,
-        "val": val,
-        "head": head,
-        "bcache": bcache,
-    }
-    return out, cache
+    h, w, c = data.shape
+    attn, (idx, wts) = _sampling(q, pix, (h, w), params)
+    cw = (attn[..., None] * wts).reshape(n, params.n_heads, -1)
+    idx = idx.reshape(n, params.n_heads, -1)
+    flat = data.reshape(-1, c)
+    head = np.stack(
+        [
+            gather_sum(flat @ w_val.T, idx[:, i], cw[:, i])
+            for i, w_val in enumerate(params.w_val)
+        ],
+        axis=1,
+    )
+    out = head.reshape(n, -1) @ _out_matrix(params)
+    return out, (q, pix, data)
 
 
 def _attn_backward(g: np.ndarray, cache, params: AttentionParams, grads: AttentionParams):
     """Accumulate parameter gradients for one batched attention call."""
-    q, attn, v, val, head = (
-        cache["q"],
-        cache["attn"],
-        cache["v"],
-        cache["val"],
-        cache["head"],
-    )
+    q, pix, data = cache
+    n = len(q)
+    h, w, c = data.shape
     m, k = params.n_heads, params.n_keys
-    grads.w_out += np.einsum("nc,nmd->mcd", g, head)
-    g_head = np.einsum("mcd,nc->nmd", params.w_out, g)
-    g_attn = np.einsum("nmc,nmkc->nmk", g_head, val)
-    g_val = attn[..., None] * g_head[:, :, None, :]
-    grads.w_val += np.einsum("nmkc,nmkd->mcd", g_val, v)
-    g_v = np.einsum("mcd,nmkc->nmkd", params.w_val, g_val)
+    attn, (idx, wts, dx, dy) = _sampling(q, pix, (h, w), params, slopes=True)
+    cw = (attn[..., None] * wts).reshape(n, m, -1)
+    flat = data.reshape(-1, c)
+    g_head = (g @ _out_matrix(params).T).reshape(n, m, c)
+    dots = np.empty((n, m, k * 4))  # gradient in each combined corner weight
+    for i, w_val in enumerate(params.w_val):
+        proj = flat @ w_val.T
+        idx_i = idx[:, i].reshape(n, -1)
+        grads.w_out[i] += g.T @ gather_sum(proj, idx_i, cw[:, i])
+        grads.w_val[i] += g_head[:, i].T @ gather_sum(flat, idx_i, cw[:, i])
+        dots[:, i] = gather_dot(proj, idx_i, g_head[:, i])
+    dots = dots.reshape(n, m, k, 4)
+    g_attn = (wts * dots).sum(axis=-1)
     g_logits = attn * (g_attn - (attn * g_attn).sum(axis=2, keepdims=True))
-    grads.weight_gen += np.einsum("nmk,nq->mkq", g_logits, q).reshape(m * k, -1)
-    g_loc = _bilinear_spatial_grad(cache["bcache"], g_v)
-    grads.offset_gen += np.einsum("nmko,nq->mkoq", g_loc, q).reshape(m * k * 2, -1)
+    grads.weight_gen += g_logits.reshape(n, -1).T @ q
+    g_wts = attn[..., None] * dots
+    g_loc = np.stack([(g_wts * dx).sum(axis=-1), (g_wts * dy).sum(axis=-1)], axis=-1)
+    grads.offset_gen += g_loc.reshape(n, -1).T @ q
 
 
 def deform_attn(query, pixel, fmap: FeatureMap, params: AttentionParams) -> np.ndarray:
@@ -234,7 +232,7 @@ class FusionCache:
     point_voxel: np.ndarray  # (P,)
     voxel_keys: np.ndarray  # (V, 3)
     weights: np.ndarray  # (P,) outer*inner averaging weight per point
-    per_camera: list  # (sel indices, attention cache) per rig camera
+    per_camera: list  # (sel, pixels (len(sel), 2), map data) per camera seeing any point
     fallback_mask: np.ndarray  # (nz, ny, nx) bool
     lidar: np.ndarray  # (nz, ny, nx, C)
 
@@ -280,11 +278,14 @@ def occ_fuse(
     for ci, fmap in enumerate(maps.maps):
         sel = np.nonzero(proj.valid[ci])[0]
         if len(sel) == 0:
-            per_camera.append((sel, None))
             continue
-        out, cache = _attn_forward(queries[sel], proj.pixels[ci, sel], fmap.data, params)
-        np.add.at(accum, point_voxel[sel], weights[sel, None] * out)
-        per_camera.append((sel, cache))
+        pix = proj.pixels[ci, sel]
+        out, _ = _attn_forward(queries[sel], pix, fmap.data, params)
+        # Rows are grouped by voxel, so each voxel's points form one run.
+        pv = point_voxel[sel]
+        starts = np.flatnonzero(np.r_[True, pv[1:] != pv[:-1]])
+        accum[pv[starts]] += np.add.reduceat(weights[sel, None] * out, starts, axis=0)
+        per_camera.append((sel, pix, fmap.data))
 
     data = np.zeros((nz, ny, nx, c))
     fallback = np.ones((nz, ny, nx), dtype=bool)
@@ -324,11 +325,9 @@ def fusion_backward(grad_volume, cache: FusionCache) -> AttentionParams:
     grads = AttentionParams.zeros_like(cache.params)
     keys = cache.voxel_keys
     g_voxel = g[keys[:, 2], keys[:, 1], keys[:, 0]]
-    for sel, acache in cache.per_camera:
-        if acache is None:
-            continue
+    for sel, pix, data in cache.per_camera:
         g_pts = cache.weights[sel, None] * g_voxel[cache.point_voxel[sel]]
-        _attn_backward(g_pts, acache, cache.params, grads)
+        _attn_backward(g_pts, (cache.queries[sel], pix, data), cache.params, grads)
     fb = cache.fallback_mask
-    grads.w_fallback += np.einsum("vc,vd->cd", g[fb], cache.lidar[fb])
+    grads.w_fallback += g[fb].T @ cache.lidar[fb]
     return grads

@@ -325,19 +325,21 @@ def trilinear_sample_batch(vol: VoxelFeatureVolume, pos: np.ndarray) -> np.ndarr
 
 
 def split_voxel(coarse_index, factor: int, cfg: GridConfig):
-    """Tile a coarse voxel into factor^3 children.
+    """Tile coarse voxels into factor^3 children each.
 
-    Returns (fine_indices (f^3, 3), centers (f^3, 3) world meters); children
-    are ordered lexicographically by (x, y, z) offset.
+    ``coarse_index`` is one (x, y, z) index or an (S, 3) array of them.
+    Returns (fine_indices (S * f^3, 3), centers (S * f^3, 3) world meters):
+    voxel by voxel in input order, each voxel's children ordered
+    lexicographically by (x, y, z) offset.
     """
     if factor < 1:
         raise ConfigError("split factor must be >= 1")
-    idx = np.asarray(coarse_index, dtype=np.int64).reshape(3)
+    idx = np.asarray(coarse_index, dtype=np.int64).reshape(-1, 1, 3)
     ox, oy, oz = np.meshgrid(
         np.arange(factor), np.arange(factor), np.arange(factor), indexing="ij"
     )
     offs = np.stack([ox.ravel(), oy.ravel(), oz.ravel()], axis=1)
-    fine = idx * factor + offs
+    fine = (idx * factor + offs).reshape(-1, 3)
     child = cfg.coarse_cell / factor
     centers = cfg.lo + (fine + 0.5) * child
     return fine, centers

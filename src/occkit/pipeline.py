@@ -20,7 +20,13 @@ from .grid import GridConfig, OccupancyGrid, VoxelFeatureVolume, VoxelPoints, bi
 from .pointprep import FillScope, PreprocessConfig, preprocess
 from .cameras import project_all
 from .encoders import EncoderParams, encode_images, encode_lidar
-from .fusion import AttentionParams, fusion_backward, occ_fuse
+from .fusion import (
+    AttentionParams,
+    flatten_tensors,
+    fusion_backward,
+    occ_fuse,
+    unflatten_into,
+)
 from .decoder import DecoderConfig, Heads, decode, iou_miou
 from .objectives import LossBreakdown, total_loss_logits
 from . import scenes
@@ -173,15 +179,10 @@ class OccModel:
         return out
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.tensors().values()])
+        return flatten_tensors(self.tensors())
 
     def apply_vector(self, vec: np.ndarray) -> None:
-        pos = 0
-        for a in self.tensors().values():
-            a[...] = vec[pos : pos + a.size].reshape(a.shape)
-            pos += a.size
-        if pos != len(vec):
-            raise ConfigError("parameter vector length mismatch")
+        unflatten_into(self.tensors(), vec)
 
     def param_hash(self) -> str:
         digest = hashlib.sha256()
@@ -210,24 +211,35 @@ def save_checkpoint(out_dir, model: OccModel, cfg: PipelineConfig) -> None:
 
 
 def load_checkpoint(ckpt_dir):
-    """Returns (model, config) from a checkpoint directory."""
+    """Returns (model, config) from a checkpoint directory.
+
+    A manifest or tensor file that does not describe a model of its own
+    config raises DataError.
+    """
     manifest_path = os.path.join(ckpt_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise DataError(f"no checkpoint manifest at {manifest_path}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    cfg = PipelineConfig.from_json(manifest["config"])
-    model = OccModel.create(cfg)
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        cfg = PipelineConfig.from_json(manifest["config"])
+        model = OccModel.create(cfg)
+        files = {
+            name: os.path.join(ckpt_dir, manifest["tensors"][name]["file"])
+            for name in model.tensors()
+        }
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{manifest_path}: malformed checkpoint manifest: {exc!r}") from exc
     for name, a in model.tensors().items():
-        entry = manifest["tensors"].get(name)
-        if entry is None:
-            raise DataError(f"checkpoint missing tensor {name}")
-        path = os.path.join(ckpt_dir, entry["file"])
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        vals = np.frombuffer(raw, dtype="<f8")
+        try:
+            with open(files[name], "rb") as fh:
+                vals = np.frombuffer(fh.read(), dtype="<f8")
+        except OSError as exc:
+            raise DataError(f"tensor {name}: cannot read {files[name]}: {exc}") from exc
         if vals.size != a.size:
             raise DataError(f"tensor {name}: expected {a.size} values, got {vals.size}")
+        if not np.all(np.isfinite(vals)):
+            raise DataError(f"tensor {name}: values are not finite")
         a[...] = vals.reshape(a.shape)
     return model, cfg
 
@@ -330,10 +342,7 @@ def sample_gradients(model: OccModel, sample: Sample, cfg: PipelineConfig):
     grad["heads.coarse_bias"] = g_coarse_b
     grad["heads.fine_weight"] = np.zeros_like(model.heads.fine.weight)
     grad["heads.fine_bias"] = np.zeros_like(model.heads.fine.bias)
-    vec = np.concatenate(
-        [grad[name].ravel() for name in model.tensors().keys()]
-    )
-    return breakdown, vec
+    return breakdown, flatten_tensors({name: grad[name] for name in model.tensors()})
 
 
 def predict(model: OccModel, sample: Sample, cfg: PipelineConfig):

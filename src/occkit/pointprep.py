@@ -153,6 +153,8 @@ def write_ocfp(path, cloud: np.ndarray) -> None:
 def read_ocfp(path) -> np.ndarray:
     with open(path, "rb") as fh:
         raw = fh.read()
+    if len(raw) < 12:
+        raise DataError(f"{path}: {len(raw)} bytes, shorter than the 12-byte OCFP header")
     if raw[:4] != _OCFP_MAGIC:
         raise DataError(f"{path}: bad magic, expected OCFP")
     (version,) = struct.unpack_from("<I", raw, 4)
@@ -179,10 +181,14 @@ def read_cloud(path) -> np.ndarray:
     path = str(path)
     if path.endswith(".csv"):
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = [
-                (float(r["x"]), float(r["y"]), float(r["z"]), float(r["intensity"]))
-                for r in reader
-            ]
+            try:
+                rows = [
+                    (float(r["x"]), float(r["y"]), float(r["z"]), float(r["intensity"]))
+                    for r in csv.DictReader(fh)
+                ]
+            except KeyError as exc:
+                raise DataError(f"{path}: CSV cloud has no {exc} column") from exc
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}: malformed CSV cloud row: {exc}") from exc
         return _finite_rows(path, np.asarray(rows, dtype=np.float64).reshape(-1, 4))
     return read_ocfp(path)

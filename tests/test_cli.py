@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from occkit.cli import run_command
-from occkit.pipeline import PipelineConfig, evaluate, predict
+from occkit.pipeline import OccModel, PipelineConfig, evaluate, predict, save_checkpoint
 from occkit.pointprep import write_ocfp
 from occkit import cli as climod
 
@@ -214,6 +214,69 @@ def test_non_finite_cloud_exits_two(tmp_path, capsys):
     write_ocfp(cloud, np.array([[0.1, 0.1, 0.1, 0.5], [np.nan, 0.0, 0.0, 0.5]]))
     assert run("preprocess", "--cloud", str(cloud), "--out", str(tmp_path / "p.json")) == 2
     assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name,raw",
+    [
+        ("short.ocfp", b"OCFP\1\0\0\0"),
+        ("no_intensity.csv", b"x,y,z\n0.5,0.5,0.5\n"),
+        ("not_numeric.csv", b"x,y,z,intensity\n0.5,abc,0.5,0.1\n"),
+    ],
+    ids=["short_ocfp", "no_intensity_csv", "not_numeric_csv"],
+)
+def test_malformed_cloud_exits_two(tmp_path, capsys, name, raw):
+    cloud = tmp_path / name
+    cloud.write_bytes(raw)
+    assert run("preprocess", "--cloud", str(cloud), "--out", str(tmp_path / "p.json")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _drop_tensor_entry(ckpt):
+    manifest = read_json(ckpt / "manifest.json")
+    del manifest["tensors"]["heads.fine_bias"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _tensor_path_is_dir(ckpt):
+    manifest = read_json(ckpt / "manifest.json")
+    manifest["tensors"]["heads.fine_bias"]["file"] = "."
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _truncate_tensor(ckpt):
+    path = ckpt / "attention_w_out.f64"
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _nan_tensor(ckpt):
+    path = ckpt / "heads_coarse_bias.f64"
+    path.write_bytes(np.full(path.stat().st_size // 8, np.nan).astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda ckpt: (ckpt / "manifest.json").write_text("{not json"),
+        lambda ckpt: (ckpt / "manifest.json").write_text("{}"),
+        _drop_tensor_entry,
+        _tensor_path_is_dir,
+        _truncate_tensor,
+        _nan_tensor,
+    ],
+    ids=["not_json", "empty_object", "missing_tensor", "tensor_path_is_dir", "size_mismatch",
+         "non_finite"],
+)
+def test_corrupt_checkpoint_exits_two(data_dir, tmp_path, capsys, corrupt):
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, OccModel.create(cfg), cfg)
+    corrupt(ckpt)
+    assert run("predict", "--sample", str(data_dir / "sample_000"), "--ckpt", str(ckpt),
+               "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_console_script_installed():

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from occkit.cameras import FeatureMapSet
+from occkit.cameras import FeatureMap, FeatureMapSet, bilinear_batch, project_batch
 from occkit.decoder import (
     DecoderConfig,
     Heads,
     LinearHead,
+    OpCountReport,
     classify,
     decode,
     entropy,
@@ -17,7 +18,15 @@ from occkit.decoder import (
     select_refine,
 )
 from occkit.errors import ConfigError
-from occkit.grid import GridConfig, OccupancyGrid, VoxelFeatureVolume
+from occkit.grid import (
+    GridConfig,
+    OccupancyGrid,
+    VoxelFeatureVolume,
+    split_voxel,
+    trilinear_sample_batch,
+)
+from occkit.objectives import softmax
+from occkit.scenes import preset
 
 
 def test_config_validation():
@@ -152,8 +161,6 @@ def test_decode_gate_only_touches_selected():
     fine, report, coarse = decode(fused, FeatureMapSet(maps=[]), [], heads, cfg, grid)
     assert report.selected_voxels == 2
     # recover the selected flats by re-ranking
-    from occkit.objectives import softmax
-
     probs = softmax(heads.coarse.logits(fused.data.reshape(-1, 4)), axis=-1)
     sel = set(int(s) for s in select_refine(probs, 0.25))
     nz, ny, nx = 2, 2, 2
@@ -183,6 +190,76 @@ def test_decode_occupied_scope_excludes_empty():
     assert report.candidate_voxels == 1
     assert report.selected_voxels == 1
     assert coarse[0, 0, 0] == 1 and (coarse.sum() == 1)
+
+
+def decode_oracle(fused, maps, rig, heads, cfg, grid):
+    """Voxel-by-voxel reference for ``decode``: one split, projection and
+    fine-head call per selected voxel."""
+    nx, ny, nz = grid.coarse_dims
+    probs = softmax(heads.coarse.logits(fused.data.reshape(-1, fused.channels)), axis=-1)
+    coarse_labels = probs.argmax(axis=-1)
+    if cfg.rank_scope == "occupied":
+        candidates = coarse_labels != 0
+    else:
+        candidates = np.ones(len(probs), dtype=bool)
+    selected = select_refine(probs, cfg.delta, candidates)
+    f = cfg.split_factor
+    fine_labels = np.repeat(
+        np.repeat(np.repeat(coarse_labels.reshape(nz, ny, nx), f, axis=0), f, axis=1),
+        f,
+        axis=2,
+    ).astype(np.uint8)
+    feat_sizes = [(m.width, m.height) for m in maps.maps]
+    for flat in selected:
+        iz, rem = divmod(int(flat), ny * nx)
+        iy, ix = divmod(rem, nx)
+        fine_idx, centers = split_voxel((ix, iy, iz), f, grid)
+        pos = (centers - grid.lo) / grid.coarse_cell - 0.5
+        vol_feat = trilinear_sample_batch(fused, pos)
+        img_feat = np.zeros((len(centers), fused.channels))
+        img_n = np.zeros(len(centers))
+        for cam, fmap, fs in zip(rig, maps.maps, feat_sizes):
+            valid, px = project_batch(centers, cam, fs)
+            if valid.any():
+                img_feat[valid] += bilinear_batch(fmap.data, px[valid])
+                img_n[valid] += 1
+        img_feat[img_n > 0] /= img_n[img_n > 0, None]
+        child_logits = heads.fine.logits(np.concatenate([vol_feat, img_feat], axis=1))
+        labels = child_logits.argmax(axis=-1).astype(np.uint8)
+        fine_labels[fine_idx[:, 2], fine_idx[:, 1], fine_idx[:, 0]] = labels
+    report = OpCountReport(
+        fine_ops=len(selected) * f**3,
+        full_ops=int(candidates.sum()) * f**3,
+        selected_voxels=len(selected),
+        candidate_voxels=int(candidates.sum()),
+    )
+    return fine_labels, report, coarse_labels.reshape(nz, ny, nx)
+
+
+@pytest.mark.parametrize("rank_scope", ["occupied", "all"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decode_matches_voxel_loop_oracle(seed, rank_scope):
+    spec = preset("tiny", seed=seed)
+    grid, c = spec.grid, 6
+    rng = np.random.default_rng([seed, 0xDEC0])
+    nx, ny, nz = grid.coarse_dims
+    fused = VoxelFeatureVolume(data=rng.normal(size=(nz, ny, nx, c)))
+    maps = FeatureMapSet(
+        maps=[FeatureMap(cam.cam_id, data=rng.normal(size=(9, 13, c))) for cam in spec.rig]
+    )
+    heads = Heads(
+        coarse=LinearHead(weight=rng.normal(size=(4, c)), bias=rng.normal(size=4)),
+        fine=LinearHead(weight=rng.normal(size=(4, 2 * c)), bias=rng.normal(size=4)),
+    )
+    for delta in (0.0, 0.1, 0.3, 1.0):
+        cfg = DecoderConfig(
+            delta=delta, split_factor=grid.stride, n_class=4, rank_scope=rank_scope
+        )
+        fine, report, coarse = decode(fused, maps, spec.rig, heads, cfg, grid)
+        fine_o, report_o, coarse_o = decode_oracle(fused, maps, spec.rig, heads, cfg, grid)
+        np.testing.assert_array_equal(fine.labels, fine_o)
+        np.testing.assert_array_equal(coarse, coarse_o)
+        assert report == report_o
 
 
 def _grid_of(labels):

@@ -1,8 +1,9 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 
-from occkit.pipeline import OccModel, PipelineConfig, forward_coarse, prepare_sample
+from occkit.pipeline import OccModel, PipelineConfig, forward_coarse, predict, prepare_sample
 from occkit.pointprep import FillScope, PreprocessConfig
 from occkit.scenes import preset
 
@@ -10,6 +11,18 @@ from occkit.scenes import preset
 # binning, preprocessing (including the per-voxel random streams), encoding or
 # projection changes it; update it only for an intended change of outputs.
 TINY_SEED0_DIGEST = "bbb44123282e525dbca33cbac8013b570516cf42772c21d8490b5decef69e749"
+# sha256 of predict's fine labels for the tiny preset at seed 0 and delta 0.3,
+# with a freshly created model. Fusion, the heads and decoding all feed it.
+TINY_SEED0_PREDICT_DIGEST = "8b002b09598a22bfda015c13b7aee0ac33c4c16c35dab4c6baabcaed3a6d4c94"
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def _sample_arrays(sample):
@@ -28,12 +41,37 @@ def _sample_arrays(sample):
 def test_prepare_sample_golden_digest():
     cfg = PipelineConfig.for_preset("tiny", seed=0)
     sample = prepare_sample(preset("tiny", seed=0), cfg)
-    h = hashlib.sha256()
-    for a in _sample_arrays(sample):
-        a = np.ascontiguousarray(a)
-        h.update(f"{a.dtype.str}{a.shape}".encode())
-        h.update(a.tobytes())
-    assert h.hexdigest() == TINY_SEED0_DIGEST
+    assert _digest(_sample_arrays(sample)) == TINY_SEED0_DIGEST
+
+
+def test_predict_golden_digest():
+    cfg = PipelineConfig.for_preset("tiny", seed=0, delta=0.3)
+    sample = prepare_sample(preset("tiny", seed=0), cfg)
+    _, fine, _, _ = predict(OccModel.create(cfg), sample, cfg)
+    assert _digest([fine.labels]) == TINY_SEED0_PREDICT_DIGEST
+
+
+def _nbytes(obj):
+    """Total bytes of the arrays reachable from a cache object."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj):
+        return sum(_nbytes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_nbytes(v) for v in obj)
+    return 0
+
+
+def test_fusion_cache_is_compact():
+    # Per-point inputs only: one per-sample (n, heads, keys, C) array would
+    # hold 2 * 4 * 16 = 128 values per visible point against 19 per query.
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    sample = prepare_sample(preset("tiny", seed=0), cfg)
+    _, cache, _ = forward_coarse(OccModel.create(cfg), sample, cfg)
+    assert cache.per_camera
+    assert _nbytes(cache) <= 2 * cache.queries.nbytes
 
 
 def test_empty_cloud_runs_end_to_end():

@@ -218,6 +218,21 @@ def test_ocfp_roundtrip_and_csv(tmp_path):
         read_ocfp(bad)
 
 
+MALFORMED_CLOUDS = {
+    "short_ocfp.ocfp": b"OCFP\1\0\0\0",
+    "no_intensity.csv": b"x,y,z\n0.5,0.5,0.5\n",
+    "not_numeric.csv": b"x,y,z,intensity\n0.5,abc,0.5,0.1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CLOUDS))
+def test_malformed_cloud_rejected(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(MALFORMED_CLOUDS[name])
+    with pytest.raises(DataError):
+        read_cloud(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rows_rejected(tmp_path, bad):
     cloud = np.array([[0.5, 0.5, 0.5, 0.1], [0.5, bad, 0.5, 0.1]])
