@@ -190,13 +190,8 @@ def decode(
     selected = select_refine(probs, cfg.delta, candidates)
 
     f = cfg.split_factor
-    fine_labels = np.repeat(
-        np.repeat(
-            np.repeat(coarse_labels.reshape(nz, ny, nx), f, axis=0), f, axis=1
-        ),
-        f,
-        axis=2,
-    ).astype(np.uint8)
+    fine_labels = coarse_labels.reshape(nz, ny, nx).repeat(f, 0).repeat(f, 1).repeat(f, 2)
+    fine_labels = fine_labels.astype(np.uint8)
 
     # Every selected voxel's children in one batch.
     iz, rem = np.divmod(selected, ny * nx)

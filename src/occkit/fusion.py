@@ -21,10 +21,11 @@ from .cameras import (
     FeatureMapSet,
     ProjectedReference,
     bilinear_corners,
-    gather_dot,
-    gather_sum,
+    corner_patches,
 )
 from .objectives import softmax
+
+_BLOCK = 1024  # query rows per attention block; its (block, m, k, 4) temporaries stay in cache
 
 
 @dataclass
@@ -146,71 +147,72 @@ def _sampling(q: np.ndarray, pix: np.ndarray, shape, params: AttentionParams, sl
     """Softmax attention (n, m, k) and the bilinear corners of every sample.
 
     Offsets and logits come from one matmul with the stacked generators;
-    the corners are ``bilinear_corners`` of the offset sampling locations.
+    the corners are ``bilinear_corners`` of the offset sampling locations,
+    with each head's top-left indices moved to its rows of ``_head_tables``.
     """
-    n = len(q)
     m, k = params.n_heads, params.n_keys
     gen = q @ np.concatenate([params.offset_gen, params.weight_gen]).T
-    off = gen[:, : m * k * 2].reshape(n, m, k, 2)
-    attn = softmax(gen[:, m * k * 2 :].reshape(n, m, k), axis=2)
-    return attn, bilinear_corners(shape, pix[:, None, None, :] + off, slopes)
+    off = gen[:, : m * k * 2].reshape(-1, m, k, 2)
+    attn = softmax(gen[:, m * k * 2 :].reshape(-1, m, k), axis=2)
+    idx, *geometry = bilinear_corners(shape, pix[:, None, None, :] + off, slopes)
+    return (attn, idx + np.arange(m)[:, None] * (shape[0] * shape[1]), *geometry)
 
 
-def _out_matrix(params: AttentionParams) -> np.ndarray:
-    """``w_out`` as one (m * C, C) matrix: ``out = head.reshape(n, m * C) @ it``."""
-    m, c = params.n_heads, params.channels
-    return params.w_out.transpose(0, 2, 1).reshape(m * c, c)
+def _head_tables(data: np.ndarray, params: AttentionParams, raw: bool = False) -> np.ndarray:
+    """Every head's corner-patch table, stacked: (m * h * w, 4C), or 8C with ``raw``.
+
+    Head ``i``'s table patches ``T_i = flat @ (w_out[i] @ w_val[i]).T``, the
+    map with both of the head's projections folded in; with ``raw`` it
+    patches ``[flat | T_i]``. Head ``i``'s rows start at ``i * h * w``.
+    """
+    h, w, c = data.shape
+    flat = data.reshape(-1, c)
+    folded = [flat @ (w_out @ w_val).T for w_out, w_val in zip(params.w_out, params.w_val)]
+    tables = [corner_patches(np.hstack([flat, t]) if raw else t, h, w) for t in folded]
+    return np.concatenate(tables)
 
 
 def _attn_forward(q: np.ndarray, pix: np.ndarray, data: np.ndarray, params: AttentionParams):
     """Batched deformable attention over one feature map.
 
     ``q`` is (n, C+3), ``pix`` (n, 2); returns (out (n, C), cache).
-    Bilinear sampling is linear, so each head's value projection is applied
-    once to the (h * w) map and the samples gather the projected rows. The
-    cache is the call's inputs; the backward recomputes the geometry.
+    Bilinear sampling is linear, so both head projections are applied once
+    to the (h * w) map, and each row block makes one gather of its samples'
+    corner patches. The cache is the call's inputs; the backward recomputes
+    the geometry.
     """
-    n = len(q)
     h, w, c = data.shape
-    attn, (idx, wts) = _sampling(q, pix, (h, w), params)
-    cw = (attn[..., None] * wts).reshape(n, params.n_heads, -1)
-    idx = idx.reshape(n, params.n_heads, -1)
-    flat = data.reshape(-1, c)
-    head = np.stack(
-        [
-            gather_sum(flat @ w_val.T, idx[:, i], cw[:, i])
-            for i, w_val in enumerate(params.w_val)
-        ],
-        axis=1,
-    )
-    out = head.reshape(n, -1) @ _out_matrix(params)
+    table = _head_tables(data, params)
+    out = np.empty((len(q), c))
+    for s in range(0, len(q), _BLOCK):
+        blk = slice(s, s + _BLOCK)
+        attn, idx, wts = _sampling(q[blk], pix[blk], (h, w), params)
+        patches = np.take(table, idx, axis=0).reshape(*idx.shape, 4, c)
+        np.einsum("nikj,nikjc->nc", attn[..., None] * wts, patches, out=out[blk])
     return out, (q, pix, data)
 
 
 def _attn_backward(g: np.ndarray, cache, params: AttentionParams, grads: AttentionParams):
     """Accumulate parameter gradients for one batched attention call."""
     q, pix, data = cache
-    n = len(q)
     h, w, c = data.shape
-    m, k = params.n_heads, params.n_keys
-    attn, (idx, wts, dx, dy) = _sampling(q, pix, (h, w), params, slopes=True)
-    cw = (attn[..., None] * wts).reshape(n, m, -1)
-    flat = data.reshape(-1, c)
-    g_head = (g @ _out_matrix(params).T).reshape(n, m, c)
-    dots = np.empty((n, m, k * 4))  # gradient in each combined corner weight
-    for i, w_val in enumerate(params.w_val):
-        proj = flat @ w_val.T
-        idx_i = idx[:, i].reshape(n, -1)
-        grads.w_out[i] += g.T @ gather_sum(proj, idx_i, cw[:, i])
-        grads.w_val[i] += g_head[:, i].T @ gather_sum(flat, idx_i, cw[:, i])
-        dots[:, i] = gather_dot(proj, idx_i, g_head[:, i])
-    dots = dots.reshape(n, m, k, 4)
-    g_attn = (wts * dots).sum(axis=-1)
-    g_logits = attn * (g_attn - (attn * g_attn).sum(axis=2, keepdims=True))
-    grads.weight_gen += g_logits.reshape(n, -1).T @ q
-    g_wts = attn[..., None] * dots
-    g_loc = np.stack([(g_wts * dx).sum(axis=-1), (g_wts * dy).sum(axis=-1)], axis=-1)
-    grads.offset_gen += g_loc.reshape(n, -1).T @ q
+    table = _head_tables(data, params, raw=True)
+    for s in range(0, len(q), _BLOCK):
+        blk = slice(s, s + _BLOCK)
+        qb, gb = q[blk], g[blk]
+        attn, idx, wts, slope = _sampling(qb, pix[blk], (h, w), params, slopes=True)
+        patches = np.take(table, idx, axis=0).reshape(*idx.shape, 4, 2 * c)
+        # raw map samples per head
+        raw = np.einsum("nikj,nikjc->nic", attn[..., None] * wts, patches[..., :c])
+        for i in range(params.n_heads):
+            grads.w_val[i] += (gb @ params.w_out[i]).T @ raw[:, i]
+            grads.w_out[i] += gb.T @ (raw[:, i] @ params.w_val[i].T)
+        dots = np.einsum("nikjc,nc->nikj", patches[..., c:], gb)  # gradient in each corner weight
+        g_attn = np.einsum("nikj,nikj->nik", wts, dots)
+        g_logits = attn * (g_attn - (attn * g_attn).sum(axis=2, keepdims=True))
+        grads.weight_gen += g_logits.reshape(len(qb), -1).T @ qb
+        g_loc = attn[..., None] * np.einsum("nikj,nikjx->nikx", dots, slope)
+        grads.offset_gen += g_loc.reshape(len(qb), -1).T @ qb
 
 
 def deform_attn(query, pixel, fmap: FeatureMap, params: AttentionParams) -> np.ndarray:

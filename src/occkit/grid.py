@@ -362,6 +362,8 @@ def read_occg(path) -> OccupancyGrid:
         raw = fh.read()
     if raw[:4] != _OCCG_MAGIC:
         raise DataError(f"{path}: bad magic, expected OCCG")
+    if len(raw) < 36:
+        raise DataError(f"{path}: truncated OCCG header ({len(raw)} of 36 bytes)")
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != _OCCG_VERSION:
         raise DataError(f"{path}: unsupported OCCG version {version}")

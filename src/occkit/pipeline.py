@@ -214,7 +214,8 @@ def load_checkpoint(ckpt_dir):
     """Returns (model, config) from a checkpoint directory.
 
     A manifest or tensor file that does not describe a model of its own
-    config raises DataError.
+    config raises DataError, as does a tensor file named by anything but a
+    plain file name inside ``ckpt_dir``.
     """
     manifest_path = os.path.join(ckpt_dir, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -224,18 +225,20 @@ def load_checkpoint(ckpt_dir):
             manifest = json.load(fh)
         cfg = PipelineConfig.from_json(manifest["config"])
         model = OccModel.create(cfg)
-        files = {
-            name: os.path.join(ckpt_dir, manifest["tensors"][name]["file"])
-            for name in model.tensors()
-        }
+        files = {name: manifest["tensors"][name]["file"] for name in model.tensors()}
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{manifest_path}: malformed checkpoint manifest: {exc!r}") from exc
     for name, a in model.tensors().items():
+        file = files[name]
+        plain = isinstance(file, str) and os.path.basename(file) == file and "\0" not in file
+        if not plain or file in ("", ".", ".."):
+            raise DataError(f"tensor {name}: {file!r} is not a file name in the checkpoint")
+        path = os.path.join(ckpt_dir, file)
         try:
-            with open(files[name], "rb") as fh:
+            with open(path, "rb") as fh:
                 vals = np.frombuffer(fh.read(), dtype="<f8")
         except OSError as exc:
-            raise DataError(f"tensor {name}: cannot read {files[name]}: {exc}") from exc
+            raise DataError(f"tensor {name}: cannot read {path}: {exc}") from exc
         if vals.size != a.size:
             raise DataError(f"tensor {name}: expected {a.size} values, got {vals.size}")
         if not np.all(np.isfinite(vals)):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,18 +199,24 @@ def write_ppm(path, image: np.ndarray) -> None:
         fh.write(quant.tobytes())
 
 
+# magic, then width, height and maxval after whitespace or comments, then one whitespace byte
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:(?:\s|#[^\r\n]*)+(\d+))" * 3 + rb"\s")
+
+
 def read_ppm(path) -> np.ndarray:
-    """Read a binary PPM back into a float RGB image in [0, 1]."""
+    """Read a binary PPM (P6, maxval 1..255, header comments allowed) back
+    into a float RGB image in [0, 1]."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    parts = raw.split(maxsplit=4)
-    if parts[0] != b"P6":
-        raise DataError(f"{path}: not a binary PPM file")
-    w, h, maxval = int(parts[1]), int(parts[2]), int(parts[3])
-    body = parts[4] if len(parts) > 4 else b""
-    if len(body) < w * h * 3:
+    head = _PPM_HEADER.match(raw)
+    if head is None:
+        raise DataError(f"{path}: not a binary PPM file with a well-formed header")
+    w, h, maxval = (int(f) for f in head.groups())
+    if w < 1 or h < 1 or not 1 <= maxval <= 255:
+        raise DataError(f"{path}: PPM size {w}x{h} or maxval {maxval} out of range")
+    if len(raw) - head.end() < w * h * 3:
         raise DataError(f"{path}: truncated PPM body")
-    img = np.frombuffer(body[: w * h * 3], dtype=np.uint8).reshape(h, w, 3)
+    img = np.frombuffer(raw, dtype=np.uint8, count=w * h * 3, offset=head.end()).reshape(h, w, 3)
     return img.astype(np.float64) / maxval
 
 

@@ -6,6 +6,9 @@ from occkit.cameras import (
     CameraModel,
     FeatureMap,
     bilinear,
+    bilinear_batch,
+    bilinear_corners,
+    corner_patches,
     load_rig,
     look_at_extrinsics,
     project,
@@ -183,6 +186,36 @@ def test_bilinear_clamps():
     fmap = FeatureMap(camera_id="c", data=rng.normal(size=(3, 3, 1)))
     np.testing.assert_allclose(bilinear(fmap, (-3.0, 1.0)), bilinear(fmap, (0.0, 1.0)))
     np.testing.assert_allclose(bilinear(fmap, (9.0, 9.0)), fmap.data[2, 2])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (4, 5)])
+def test_bilinear_batch_is_a_plain_four_row_gather(shape):
+    """The corner-patch path is bit-equal to gathering the four clamped
+    corner rows one by one, also on 1xN and Nx1 maps and off the map."""
+    h, w = shape
+    rng = np.random.default_rng(h * 10 + w)
+    data = rng.normal(size=(h, w, 3))
+    pixels = rng.uniform(-2.0, max(h, w) + 2.0, size=(200, 2))
+    pixels[:4] = [[0.0, 0.0], [w - 1.0, h - 1.0], [w - 1.0, 0.0], [0.0, h - 1.0]]
+    x = np.clip(pixels[:, 0], 0.0, w - 1.0)
+    y = np.clip(pixels[:, 1], 0.0, h - 1.0)
+    x0 = np.clip(np.floor(x).astype(np.int64), 0, max(w - 2, 0))
+    y0 = np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx, fy = x - x0, y - y0
+    wts = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy], axis=1)
+    rows = data.reshape(-1, 3)[np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1], 1)]
+
+    idx, got_wts = bilinear_corners((h, w), pixels)
+    np.testing.assert_array_equal(idx, y0 * w + x0)
+    np.testing.assert_array_equal(got_wts, wts)
+    np.testing.assert_array_equal(
+        corner_patches(data.reshape(-1, 3), h, w)[idx], rows.reshape(len(pixels), -1)
+    )
+    np.testing.assert_array_equal(
+        bilinear_batch(data, pixels), np.einsum("nj,njc->nc", wts, rows)
+    )
 
 
 def test_rig_json_roundtrip(tmp_path):

@@ -233,6 +233,30 @@ def test_malformed_cloud_exits_two(tmp_path, capsys, name, raw):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b"", b"P6\n4 3\n", b"P6 4 x 255\n", b"P6 0 3 255\n", b"P6 4 3 0\n" + bytes(36)],
+    ids=["empty", "short_header", "not_integer", "zero_width", "maxval_zero"],
+)
+def test_malformed_image_exits_two(data_dir, tmp_path, capsys, raw):
+    sample = tmp_path / "sample"
+    shutil.copytree(data_dir / "sample_000", sample)
+    next(sample.glob("cam_*.ppm")).write_bytes(raw)
+    assert run("predict", "--preset", "tiny", "--sample", str(sample),
+               "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_short_occg_exits_two(data_dir, tmp_path, capsys):
+    short = tmp_path / "short.occg"
+    short.write_bytes((data_dir / "sample_000" / "gt.occg").read_bytes()[:20])
+    assert run("eval", "--pred", str(short), "--gt", str(data_dir / "sample_000" / "gt.occg"),
+               "--out", str(tmp_path / "e.json")) == 2
+    err = capsys.readouterr().err
+    assert "truncated OCCG header" in err and "Traceback" not in err
+
+
 def _drop_tensor_entry(ckpt):
     manifest = read_json(ckpt / "manifest.json")
     del manifest["tensors"]["heads.fine_bias"]
@@ -242,6 +266,13 @@ def _drop_tensor_entry(ckpt):
 def _tensor_path_is_dir(ckpt):
     manifest = read_json(ckpt / "manifest.json")
     manifest["tensors"]["heads.fine_bias"]["file"] = "."
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _tensor_file_is_subdir(ckpt):
+    (ckpt / "blobs").mkdir()
+    manifest = read_json(ckpt / "manifest.json")
+    manifest["tensors"]["heads.fine_bias"]["file"] = "blobs"
     (ckpt / "manifest.json").write_text(json.dumps(manifest))
 
 
@@ -262,11 +293,12 @@ def _nan_tensor(ckpt):
         lambda ckpt: (ckpt / "manifest.json").write_text("{}"),
         _drop_tensor_entry,
         _tensor_path_is_dir,
+        _tensor_file_is_subdir,
         _truncate_tensor,
         _nan_tensor,
     ],
-    ids=["not_json", "empty_object", "missing_tensor", "tensor_path_is_dir", "size_mismatch",
-         "non_finite"],
+    ids=["not_json", "empty_object", "missing_tensor", "tensor_path_is_dir",
+         "tensor_file_is_subdir", "size_mismatch", "non_finite"],
 )
 def test_corrupt_checkpoint_exits_two(data_dir, tmp_path, capsys, corrupt):
     cfg = PipelineConfig.for_preset("tiny", seed=0)
@@ -277,6 +309,39 @@ def test_corrupt_checkpoint_exits_two(data_dir, tmp_path, capsys, corrupt):
                "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _tensor_file(name):
+    def corrupt(ckpt):
+        manifest = read_json(ckpt / "manifest.json")
+        manifest["tensors"]["attention.w_out"]["file"] = name(ckpt)
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _tensor_file(lambda ckpt: str(ckpt / "attention_w_out.f64")),
+        _tensor_file(lambda ckpt: "../ckpt/attention_w_out.f64"),
+        _tensor_file(lambda ckpt: ".."),
+        _tensor_file(lambda ckpt: "attention\0w_out.f64"),
+        _tensor_file(lambda ckpt: 3),
+    ],
+    ids=["absolute", "parent_dir", "dot_dot", "nul_byte", "not_a_string"],
+)
+def test_checkpoint_tensor_outside_dir_exits_two(data_dir, tmp_path, capsys, corrupt):
+    """A tensor file is a plain name inside the checkpoint directory; an
+    absolute or ``..`` path is refused even when it names a valid blob."""
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, OccModel.create(cfg), cfg)
+    corrupt(ckpt)
+    assert run("predict", "--sample", str(data_dir / "sample_000"), "--ckpt", str(ckpt),
+               "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert "is not a file name in the checkpoint" in err and "Traceback" not in err
 
 
 def test_console_script_installed():

@@ -4,7 +4,10 @@ import pytest
 from occkit.cameras import FeatureMap, FeatureMapSet, ProjectedReference, bilinear
 from occkit.errors import ConfigError
 from occkit.fusion import (
+    _BLOCK,
     AttentionParams,
+    _attn_backward,
+    _attn_forward,
     build_query,
     deform_attn,
     fusion_backward,
@@ -136,6 +139,40 @@ def test_deform_attn_linear_in_feature_map():
         q, pix, FeatureMap(camera_id="c", data=m2), params
     )
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (1, 6), (6, 1)])
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_attn_blocks_match_single_rows(n, shape):
+    """Row blocks change nothing: a batched call equals one call per query
+    row, forward and backward, with offsets that leave the map.
+
+    Queries and generators are multiples of 2**-8, so the generator matmul
+    is exact whichever BLAS kernel a batch size selects.
+    """
+    h, w = shape
+    rng = np.random.default_rng(n)
+    params = random_params(n + h)
+    # offsets of a few pixels: many samples leave the map and get clamped
+    params.offset_gen[...] = np.round(params.offset_gen * 1024) / 256
+    params.weight_gen[...] = np.round(params.weight_gen * 256) / 256
+    data = rng.normal(size=(h, w, C))
+    q = np.round(rng.normal(size=(n, C + 3)) * 256) / 256
+    pix = rng.uniform(0.0, [w - 1.0, h - 1.0], size=(n, 2))
+    g = rng.normal(size=(n, C))
+    out, cache = _attn_forward(q, pix, data, params)
+    grads = AttentionParams.zeros_like(params)
+    _attn_backward(g, cache, params, grads)
+
+    rows = np.zeros((n, C))
+    expect = AttentionParams.zeros_like(params)
+    for i in range(n):
+        rows[i], row_cache = _attn_forward(q[i : i + 1], pix[i : i + 1], data, params)
+        _attn_backward(g[i : i + 1], row_cache, params, expect)
+    np.testing.assert_allclose(out, rows, rtol=0, atol=1e-15)
+    for name, a in grads.tensors().items():
+        b = expect.tensors()[name]
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
 
 
 def _fusion_case(seed, n_vox=3, pts_per_vox=4, n_cam=2, vis_prob=0.8):

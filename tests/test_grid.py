@@ -191,3 +191,13 @@ def test_occg_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 40)
     with pytest.raises(DataError):
         read_occg(path)
+
+
+@pytest.mark.parametrize("size", [4, 8, 35])
+def test_occg_rejects_short_header(tmp_path, size):
+    g = OccupancyGrid(labels=np.zeros((1, 1, 1), dtype=np.uint8), voxel_size=1.0, min_corner=(0, 0, 0))
+    path = tmp_path / "short.occg"
+    write_occg(path, g)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(DataError, match="truncated OCCG header"):
+        read_occg(path)

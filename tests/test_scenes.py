@@ -220,6 +220,36 @@ def test_ppm_roundtrip(tmp_path):
         read_ppm(bad)
 
 
+def test_ppm_header_comments_and_whitespace_raster(tmp_path):
+    """Header comments are skipped, and one whitespace byte ends the header
+    even when the raster itself starts with whitespace byte values."""
+    path = tmp_path / "img.ppm"
+    raster = bytes([10, 32, 9, 13, 200, 0])
+    path.write_bytes(b"P6\n# made by hand\n2 # width\n1\n#maxval next\n255\n" + raster)
+    np.testing.assert_array_equal(read_ppm(path).ravel() * 255, list(raster))
+    write_ppm(path, np.full((2, 3, 3), 10 / 255))
+    np.testing.assert_array_equal(np.round(read_ppm(path) * 255), 10)
+
+
+MALFORMED_PPM = {
+    "empty": b"",
+    "short_header": b"P6\n2 1\n",
+    "not_integer": b"P6 2 one 255\n" + bytes(6),
+    "zero_width": b"P6 0 1 255\n",
+    "negative_height": b"P6 2 -1 255\n" + bytes(6),
+    "maxval_zero": b"P6 2 1 0\n" + bytes(6),
+    "maxval_16bit": b"P6 2 1 65535\n" + bytes(12),
+}
+
+
+@pytest.mark.parametrize("raw", MALFORMED_PPM.values(), ids=MALFORMED_PPM.keys())
+def test_ppm_rejects_malformed_header(tmp_path, raw):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(raw)
+    with pytest.raises(DataError):
+        read_ppm(path)
+
+
 def test_scene_json_roundtrip():
     spec = preset("small", seed=2)
     back = scene_from_json(scene_to_json(spec))
