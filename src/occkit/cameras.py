@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,19 +246,8 @@ def rig_from_json(obj) -> list:
             )
             for c in obj["cameras"]
         ]
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise DataError(f"malformed camera rig JSON: {exc}") from exc
-
-
-def save_rig(path, rig) -> None:
-    with open(path, "w") as fh:
-        json.dump(rig_to_json(rig), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_rig(path) -> list:
-    with open(path) as fh:
-        return rig_from_json(json.load(fh))
 
 
 def look_at_extrinsics(eye, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:

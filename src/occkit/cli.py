@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError, OcckitError
 from . import grid as gridmod
-from . import pointprep, scenes
-from .pointprep import FillScope, PreprocessConfig
+from . import jsonio, pointprep, scenes
+from .pointprep import FillScope
 from .pipeline import (
     OccModel,
     PipelineConfig,
@@ -43,16 +43,13 @@ def _setup_logging():
     logging.basicConfig(level=levels.get(level, logging.ERROR))
 
 
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _read_config(path) -> PipelineConfig:
+    return jsonio.decode(PipelineConfig, jsonio.read_json(path))
 
 
 def _load_config(args, default_preset="tiny"):
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            return PipelineConfig.from_json(json.load(fh))
+        return _read_config(args.config)
     preset = getattr(args, "preset", None) or default_preset
     return PipelineConfig.for_preset(preset, seed=args.seed)
 
@@ -91,20 +88,18 @@ def _cmd_synth(args):
         gridmod.write_occg(os.path.join(sdir, "gt.occg"), scenes.rasterize_gt(spec))
         for cam, img in zip(spec.rig, scenes.render_views(spec)):
             scenes.write_ppm(os.path.join(sdir, f"cam_{cam.cam_id}.ppm"), img)
-        _write_json(os.path.join(sdir, "config.json"), cfg.to_json())
-    _write_json(os.path.join(args.out, "config.json"), cfg.to_json())
+        jsonio.write_json(os.path.join(sdir, "config.json"), jsonio.encode(cfg))
+    jsonio.write_json(os.path.join(args.out, "config.json"), jsonio.encode(cfg))
     log.info("wrote %d samples to %s", args.count, args.out)
     return 0
 
 
 def _cmd_preprocess(args):
     cfg = _load_config(args)
-    pp = PreprocessConfig(
-        tau=args.tau,
-        theta=args.theta,
-        seed=args.seed,
-        fill_scope=FillScope(args.fill_scope),
-    )
+    given = {k: getattr(args, k) for k in ("tau", "theta") if getattr(args, k) is not None}
+    if args.fill_scope is not None:
+        given["fill_scope"] = FillScope(args.fill_scope)
+    pp = dataclasses.replace(cfg.preprocess, **given)
     cloud = pointprep.read_cloud(args.cloud)
     bins, dropped = gridmod.bin_points(cloud, cfg.grid)
     refs = pointprep.preprocess(bins, cloud, pp, cfg.grid)
@@ -120,7 +115,7 @@ def _cmd_preprocess(args):
         "tau": pp.tau,
         "theta": pp.theta,
     }
-    _write_json(args.out, report)
+    jsonio.write_json(args.out, report)
     return 0
 
 
@@ -138,7 +133,7 @@ def _cmd_fuse(args):
     blob = os.path.join(args.out, "fused.f64")
     with open(blob, "wb") as fh:
         fh.write(np.ascontiguousarray(fused.data, dtype="<f8").tobytes())
-    _write_json(
+    jsonio.write_json(
         os.path.join(args.out, "fused.json"),
         {"dims": list(fused.dims), "channels": fused.channels, "blob": "fused.f64"},
     )
@@ -155,8 +150,8 @@ def _cmd_predict(args):
     os.makedirs(args.out, exist_ok=True)
     gridmod.write_occg(os.path.join(args.out, "pred.occg"), fine_grid)
     gridmod.write_occg(os.path.join(args.out, "coarse.occg"), coarse_grid)
-    _write_json(os.path.join(args.out, "opcount.json"), report.to_json())
-    _write_json(
+    jsonio.write_json(os.path.join(args.out, "opcount.json"), report.to_json())
+    jsonio.write_json(
         os.path.join(args.out, "metrics.json"), evaluate(fine_grid, sample.gt_fine)
     )
     return 0
@@ -171,9 +166,7 @@ def _cmd_train(args):
     )
     if not sample_dirs:
         raise DataError(f"{root}: no sample_* directories")
-    cfg_path = args.config or os.path.join(root, "config.json")
-    with open(cfg_path) as fh:
-        cfg = PipelineConfig.from_json(json.load(fh))
+    cfg = _read_config(args.config or os.path.join(root, "config.json"))
     cfg.training = dataclasses.replace(
         cfg.training,
         epochs=args.epochs,
@@ -197,7 +190,7 @@ def _cmd_train(args):
 def _cmd_eval(args):
     pred = gridmod.read_occg(args.pred)
     gt = gridmod.read_occg(args.gt)
-    _write_json(args.out, evaluate(pred, gt))
+    jsonio.write_json(args.out, evaluate(pred, gt))
     return 0
 
 
@@ -217,7 +210,7 @@ def _cmd_bench(args):
         row = report.to_json()
         row["delta"] = delta
         rows.append(row)
-    _write_json(args.out, {"rows": rows})
+    jsonio.write_json(args.out, {"rows": rows})
     return 0
 
 
@@ -246,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--cloud", required=True,
                    help="OCFP binary or CSV (header x,y,z,intensity)")
-    p.add_argument("--tau", type=int, default=5)
-    p.add_argument("--theta", type=int, default=20)
-    p.add_argument("--fill-scope", choices=("all_voxels", "non_empty_only"),
-                   default="all_voxels")
+    # tau, theta and fill scope default to the config's preprocess block
+    p.add_argument("--tau", type=int)
+    p.add_argument("--theta", type=int)
+    p.add_argument("--fill-scope", choices=[s.value for s in FillScope])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_preprocess)
 

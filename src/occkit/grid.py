@@ -59,23 +59,6 @@ class GridConfig:
         if np.any(np.round(dims) < 1):
             raise ConfigError("coarse grid must have at least one voxel per axis")
 
-    def to_json(self) -> dict:
-        return {
-            "min_corner": list(self.min_corner),
-            "max_corner": list(self.max_corner),
-            "voxel_size": self.voxel_size,
-            "stride": self.stride,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GridConfig":
-        return cls(
-            min_corner=tuple(obj["min_corner"]),
-            max_corner=tuple(obj["max_corner"]),
-            voxel_size=float(obj["voxel_size"]),
-            stride=int(obj["stride"]),
-        )
-
     @property
     def lo(self) -> np.ndarray:
         return _as_vec3(self.min_corner)

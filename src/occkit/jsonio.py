@@ -1,0 +1,97 @@
+"""One JSON codec for every config, scene and checkpoint file.
+
+A dataclass is written as an object with exactly one key per field, and read
+back by converting each value with its field's annotation. A field whose
+metadata carries ``"json": (to_json, from_json)`` keeps a file format of its
+own. Every file is written with sorted keys and an indent of 2.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import typing
+from enum import Enum
+
+from .errors import ConfigError, DataError
+
+
+def encode(obj):
+    """JSON value of a dataclass (nested), Enum, tuple, list or scalar."""
+    if dataclasses.is_dataclass(obj):
+        return {
+            name: codec[0](getattr(obj, name)) if codec else encode(getattr(obj, name))
+            for name, _, codec in _fields(type(obj))
+        }
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (tuple, list)):
+        return [encode(v) for v in obj]
+    return obj
+
+
+def decode(cls, obj):
+    """Build ``cls`` from a JSON object with exactly its field keys; a value
+    that its annotation cannot convert or ``cls`` rejects raises DataError."""
+    try:
+        return _decode(cls, obj)
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
+        raise DataError(f"malformed {cls.__name__} JSON: {exc}") from exc
+
+
+@functools.cache
+def _fields(cls):
+    """(name, resolved annotation, own codec or None) of each field."""
+    hints = typing.get_type_hints(cls)
+    return [(f.name, hints[f.name], f.metadata.get("json")) for f in dataclasses.fields(cls)]
+
+
+def _decode(cls, obj):
+    if not isinstance(obj, dict):
+        raise TypeError(f"{cls.__name__} must be an object, not {type(obj).__name__}")
+    fields = _fields(cls)
+    names = {name for name, _, _ in fields}
+    if obj.keys() != names:
+        missing, unknown = sorted(names - obj.keys()), sorted(obj.keys() - names)
+        raise ValueError(f"{cls.__name__} keys: missing {missing}, unknown {unknown}")
+    return cls(**{
+        name: codec[1](obj[name]) if codec else _value(tp, obj[name])
+        for name, tp, codec in fields
+    })
+
+
+def _value(tp, v):
+    if dataclasses.is_dataclass(tp):
+        return _decode(tp, v)
+    if tp is tuple or typing.get_origin(tp) is list:
+        if not isinstance(v, list):
+            raise TypeError(f"expected a list, not {type(v).__name__}")
+        return tuple(v) if tp is tuple else [_value(typing.get_args(tp)[0], x) for x in v]
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return tp(v)
+    if tp in (int, float, str):
+        return tp(v)
+    raise TypeError(f"no JSON conversion for {tp!r}")
+
+
+def write_json(path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def read_json(path):
+    """Parsed contents of a JSON file; a file that cannot be read or is not
+    JSON (NaN and Infinity are not) raises DataError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_constant=_reject_constant)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc

@@ -9,7 +9,6 @@ JSON manifest plus one little-endian f64 blob per tensor.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .grid import GridConfig, OccupancyGrid, VoxelFeatureVolume, VoxelPoints, bin_points
-from .pointprep import FillScope, PreprocessConfig, preprocess
+from .pointprep import PreprocessConfig, preprocess
 from .cameras import project_all
 from .encoders import EncoderParams, encode_images, encode_lidar
 from .fusion import (
@@ -29,7 +28,7 @@ from .fusion import (
 )
 from .decoder import DecoderConfig, Heads, decode, iou_miou
 from .objectives import LossBreakdown, total_loss_logits
-from . import scenes
+from . import jsonio, scenes
 
 
 @dataclass(frozen=True)
@@ -85,76 +84,6 @@ class PipelineConfig:
             training=TrainingConfig(seed=seed),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "grid": self.grid.to_json(),
-            "preprocess": {
-                "tau": self.preprocess.tau,
-                "theta": self.preprocess.theta,
-                "seed": self.preprocess.seed,
-                "fill_scope": self.preprocess.fill_scope.value,
-            },
-            "fusion": {
-                "channels": self.fusion.channels,
-                "n_heads": self.fusion.n_heads,
-                "n_keys": self.fusion.n_keys,
-                "seed": self.fusion.seed,
-            },
-            "decoder": {
-                "delta": self.decoder.delta,
-                "split_factor": self.decoder.split_factor,
-                "n_class": self.decoder.n_class,
-                "rank_scope": self.decoder.rank_scope,
-            },
-            "training": {
-                "epochs": self.training.epochs,
-                "k_percent": self.training.k_percent,
-                "learning_rate": self.training.learning_rate,
-                "seed": self.training.seed,
-                "batch_size": self.training.batch_size,
-            },
-            "image_stride": self.image_stride,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PipelineConfig":
-        try:
-            p = obj["preprocess"]
-            f = obj["fusion"]
-            d = obj["decoder"]
-            t = obj["training"]
-            return cls(
-                grid=GridConfig.from_json(obj["grid"]),
-                preprocess=PreprocessConfig(
-                    tau=int(p["tau"]),
-                    theta=int(p["theta"]),
-                    seed=int(p["seed"]),
-                    fill_scope=FillScope(p.get("fill_scope", "all_voxels")),
-                ),
-                fusion=FusionConfig(
-                    channels=int(f["channels"]),
-                    n_heads=int(f["n_heads"]),
-                    n_keys=int(f["n_keys"]),
-                    seed=int(f["seed"]),
-                ),
-                decoder=DecoderConfig(
-                    delta=float(d["delta"]),
-                    split_factor=int(d["split_factor"]),
-                    n_class=int(d["n_class"]),
-                    rank_scope=d.get("rank_scope", "occupied"),
-                ),
-                training=TrainingConfig(
-                    epochs=int(t["epochs"]),
-                    k_percent=float(t["k_percent"]),
-                    learning_rate=float(t["learning_rate"]),
-                    seed=int(t["seed"]),
-                    batch_size=int(t["batch_size"]),
-                ),
-                image_stride=int(obj.get("image_stride", 1)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed pipeline config: {exc}") from exc
-
 
 @dataclass
 class OccModel:
@@ -195,15 +124,13 @@ class OccModel:
 def save_checkpoint(out_dir, model: OccModel, cfg: PipelineConfig) -> None:
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
-        "config": cfg.to_json(),
+        "config": jsonio.encode(cfg),
         "tensors": {
             name: {"shape": list(a.shape), "file": name.replace(".", "_") + ".f64"}
             for name, a in model.tensors().items()
         },
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    jsonio.write_json(os.path.join(out_dir, "manifest.json"), manifest)
     for name, a in model.tensors().items():
         path = os.path.join(out_dir, manifest["tensors"][name]["file"])
         with open(path, "wb") as fh:
@@ -221,9 +148,8 @@ def load_checkpoint(ckpt_dir):
     if not os.path.exists(manifest_path):
         raise DataError(f"no checkpoint manifest at {manifest_path}")
     try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-        cfg = PipelineConfig.from_json(manifest["config"])
+        manifest = jsonio.read_json(manifest_path)
+        cfg = jsonio.decode(PipelineConfig, manifest["config"])
         model = OccModel.create(cfg)
         files = {name: manifest["tensors"][name]["file"] for name in model.tensors()}
     except (KeyError, TypeError, ValueError, ConfigError) as exc:

@@ -7,16 +7,16 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .grid import GridConfig, OccupancyGrid
 from .cameras import CameraModel, look_at_extrinsics, rig_from_json, rig_to_json
+from . import jsonio
 
 
 @dataclass
@@ -49,8 +49,9 @@ class LidarSpec:
 class SceneSpec:
     seed: int
     grid: GridConfig
-    objects: list  # of Box
-    rig: list  # of CameraModel
+    objects: list[Box]
+    # list of CameraModel, stored in the rig file format of rig_to_json
+    rig: list = field(metadata={"json": (rig_to_json, rig_from_json)})
     lidar: LidarSpec
 
 
@@ -223,72 +224,19 @@ def read_ppm(path) -> np.ndarray:
 # --- scene (de)serialization -------------------------------------------------
 
 def scene_to_json(spec: SceneSpec) -> dict:
-    return {
-        "seed": spec.seed,
-        "grid": spec.grid.to_json(),
-        "objects": [
-            {
-                "class_id": b.class_id,
-                "center": list(b.center),
-                "size": list(b.size),
-                "yaw": b.yaw,
-                "albedo": list(b.albedo),
-            }
-            for b in spec.objects
-        ],
-        "rig": rig_to_json(spec.rig),
-        "lidar": {
-            "n_azimuth": spec.lidar.n_azimuth,
-            "n_elevation": spec.lidar.n_elevation,
-            "origin": list(spec.lidar.origin),
-            "noise_sigma": spec.lidar.noise_sigma,
-            "elevation_range": list(spec.lidar.elevation_range),
-        },
-    }
+    return jsonio.encode(spec)
 
 
 def scene_from_json(obj) -> SceneSpec:
-    try:
-        lid = obj["lidar"]
-        return SceneSpec(
-            seed=int(obj["seed"]),
-            grid=GridConfig.from_json(obj["grid"]),
-            objects=[
-                Box(
-                    class_id=int(b["class_id"]),
-                    center=tuple(b["center"]),
-                    size=tuple(b["size"]),
-                    yaw=float(b["yaw"]),
-                    albedo=tuple(b["albedo"]),
-                )
-                for b in obj["objects"]
-            ],
-            rig=rig_from_json(obj["rig"]),
-            lidar=LidarSpec(
-                n_azimuth=int(lid["n_azimuth"]),
-                n_elevation=int(lid["n_elevation"]),
-                origin=tuple(lid["origin"]),
-                noise_sigma=float(lid["noise_sigma"]),
-                elevation_range=tuple(lid["elevation_range"]),
-            ),
-        )
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise DataError(f"malformed scene JSON: {exc}") from exc
+    return jsonio.decode(SceneSpec, obj)
 
 
 def save_scene(path, spec: SceneSpec) -> None:
-    with open(path, "w") as fh:
-        json.dump(scene_to_json(spec), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    jsonio.write_json(path, scene_to_json(spec))
 
 
 def load_scene(path) -> SceneSpec:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    return scene_from_json(obj)
+    return scene_from_json(jsonio.read_json(path))
 
 
 # --- CI presets --------------------------------------------------------------

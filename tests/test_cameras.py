@@ -9,13 +9,14 @@ from occkit.cameras import (
     bilinear_batch,
     bilinear_corners,
     corner_patches,
-    load_rig,
     look_at_extrinsics,
     project,
     project_all,
-    save_rig,
+    rig_from_json,
+    rig_to_json,
 )
 from occkit.grid import GridConfig
+from occkit.jsonio import read_json, write_json
 from occkit.pointprep import FillScope, PreprocessConfig, preprocess
 
 
@@ -224,8 +225,8 @@ def test_rig_json_roundtrip(tmp_path):
         make_cam(cam_id="left", ext=look_at_extrinsics((1, 1, 1), (0, 0, 0))),
     ]
     path = tmp_path / "rig.json"
-    save_rig(path, cams)
-    back = load_rig(path)
+    write_json(path, rig_to_json(cams))
+    back = rig_from_json(read_json(path))
     assert [c.cam_id for c in back] == ["front", "left"]
     for a, b in zip(cams, back):
         np.testing.assert_allclose(a.intrinsics, b.intrinsics)

@@ -81,6 +81,25 @@ def test_preprocess_report(data_dir, tmp_path):
     assert rep["dropped_points"] == 0
 
 
+def test_preprocess_reads_config_block(data_dir, tmp_path):
+    cfg = read_json(data_dir / "config.json")
+    cfg["preprocess"].update(tau=2, theta=10, fill_scope="non_empty_only")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    cloud = str(data_dir / "sample_000" / "cloud.ocfp")
+    assert run("preprocess", "--config", str(tmp_path / "cfg.json"), "--cloud", cloud,
+               "--out", str(tmp_path / "from_config.json")) == 0
+    assert run("preprocess", "--cloud", cloud, "--tau", "2", "--theta", "10",
+               "--fill-scope", "non_empty_only", "--out", str(tmp_path / "from_flags.json")) == 0
+    rep = read_json(tmp_path / "from_config.json")
+    assert (rep["tau"], rep["theta"]) == (2, 10)
+    assert rep["processed_voxels"] < 8 ** 3  # empty voxels are not filled
+    assert rep == read_json(tmp_path / "from_flags.json")
+    # a flag given on the command line still wins over the config
+    assert run("preprocess", "--config", str(tmp_path / "cfg.json"), "--cloud", cloud,
+               "--theta", "12", "--out", str(tmp_path / "flag_wins.json")) == 0
+    assert read_json(tmp_path / "flag_wins.json")["theta"] == 12
+
+
 def test_predict_outputs_and_inprocess_match(data_dir, tmp_path):
     out = tmp_path / "pred"
     sample_dir = str(data_dir / "sample_000")
@@ -207,6 +226,48 @@ def test_corrupt_scene_exits_two(data_dir, tmp_path, capsys, corrupt):
                "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _edit_config(edit):
+    def corrupt(text):
+        cfg = json.loads(text)
+        edit(cfg)
+        return json.dumps(cfg)
+
+    return corrupt
+
+
+def _rename_fill_scope(cfg):
+    del cfg["preprocess"]["fill_scope"]
+    cfg["preprocess"]["fill_scop"] = "non_empty_only"
+
+
+MALFORMED_CONFIG = {
+    "not_json": lambda text: "{not json",
+    "tau_not_below_theta": _edit_config(lambda c: c["preprocess"].update(tau=20)),
+    "voxel_size_zero": _edit_config(lambda c: c["grid"].update(voxel_size=0)),
+    "rank_scope_top": _edit_config(lambda c: c["decoder"].update(rank_scope="top")),
+    "channels_zero": _edit_config(lambda c: c["fusion"].update(channels=0)),
+    "missing_key": _edit_config(lambda c: c.pop("image_stride")),
+    "json_list": lambda text: "[]",
+    "unknown_key": _edit_config(_rename_fill_scope),
+}
+
+
+@pytest.mark.parametrize("command", ["fuse", "train"])
+@pytest.mark.parametrize("corrupt", MALFORMED_CONFIG.values(), ids=MALFORMED_CONFIG.keys())
+def test_malformed_config_exits_two(data_dir, tmp_path, capsys, command, corrupt):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir / "sample_000", data / "sample_000")
+    config = data / "config.json"
+    config.write_text(corrupt((data_dir / "config.json").read_text()))
+    if command == "fuse":
+        argv = ["fuse", "--config", str(config), "--sample", str(data_dir / "sample_000")]
+    else:
+        argv = ["train", "--data", str(data)]
+    assert run(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_non_finite_cloud_exits_two(tmp_path, capsys):

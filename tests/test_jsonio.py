@@ -1,0 +1,145 @@
+import copy
+import dataclasses
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from occkit import jsonio
+from occkit.errors import DataError
+from occkit.pipeline import PipelineConfig
+from occkit.scenes import SceneSpec, preset, scene_from_json, scene_to_json
+
+CFG = PipelineConfig.for_preset("tiny", seed=0)
+CFG_JSON = jsonio.encode(CFG)
+SCENE_JSON = scene_to_json(preset("tiny", seed=0))
+
+
+def test_encode_nests_dataclasses_enums_and_tuples():
+    assert set(CFG_JSON) == {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert CFG_JSON["preprocess"]["fill_scope"] == "all_voxels"
+    assert CFG_JSON["grid"]["min_corner"] == [-0.8, -0.8, -0.4]
+    assert json.loads(json.dumps(CFG_JSON)) == CFG_JSON
+    assert SCENE_JSON["rig"]["cameras"][0]["id"] == "cam0"  # the rig's own format
+    assert set(SCENE_JSON["objects"][0]) == {"class_id", "center", "size", "yaw", "albedo"}
+
+
+def test_decode_converts_by_annotation():
+    obj = copy.deepcopy(CFG_JSON)
+    obj["preprocess"]["tau"] = 5.0
+    obj["decoder"]["delta"] = "0.3"
+    back = jsonio.decode(PipelineConfig, obj)
+    assert back == CFG
+    assert type(back.preprocess.tau) is int and type(back.decoder.delta) is float
+    spec = scene_from_json(SCENE_JSON)
+    assert isinstance(spec.objects[0].center, tuple)
+    assert scene_to_json(spec) == SCENE_JSON
+
+
+def _edited(edit):
+    obj = copy.deepcopy(CFG_JSON)
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [],
+        _edited(lambda c: c.pop("image_stride")),
+        _edited(lambda c: c["decoder"].pop("rank_scope")),
+        _edited(lambda c: c.update(extra=1)),
+        _edited(lambda c: c["preprocess"].update(fill_scop=c["preprocess"].pop("fill_scope"))),
+        _edited(lambda c: c["grid"].update(min_corner="abc")),
+        _edited(lambda c: c["preprocess"].update(fill_scope="some")),
+        _edited(lambda c: c["decoder"].update(delta=10**400)),
+        _edited(lambda c: c["fusion"].update(channels=None)),
+        _edited(lambda c: c["training"].update(k_percent=0)),
+    ],
+    ids=["list", "missing_key", "missing_nested_key", "unknown_key", "renamed_key",
+         "tuple_not_list", "bad_enum", "float_overflow", "int_of_null", "rejected_value"],
+)
+def test_decode_rejects_malformed_config(obj):
+    with pytest.raises(DataError):
+        jsonio.decode(PipelineConfig, obj)
+
+
+def test_write_json_layout_and_read_json_rejects_non_json(tmp_path):
+    path = tmp_path / "a.json"
+    jsonio.write_json(path, {"b": [1], "a": 0.5})
+    assert path.read_text() == '{\n  "a": 0.5,\n  "b": [\n    1\n  ]\n}\n'
+    assert jsonio.read_json(path) == {"a": 0.5, "b": [1]}
+    for text in ("{not json", '{"a": NaN}', "[Infinity]", ""):
+        path.write_text(text)
+        with pytest.raises(DataError):
+            jsonio.read_json(path)
+    with pytest.raises(DataError):
+        jsonio.read_json(tmp_path)
+
+
+# --- fuzzing -----------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=10,
+)
+FUZZ = settings(derandomize=True, max_examples=120, deadline=None, database=None)
+
+
+def _object_paths(node, path=()):
+    """Paths to every JSON object inside ``node``, the root included."""
+    if isinstance(node, dict):
+        yield path
+        for key, value in node.items():
+            yield from _object_paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _object_paths(value, path + (i,))
+
+
+@st.composite
+def one_key_changed(draw, valid):
+    """``valid`` with one key of one of its objects deleted, added or replaced."""
+    doc = copy.deepcopy(valid)
+    node = doc
+    for key in draw(st.sampled_from(list(_object_paths(doc)))):
+        node = node[key]
+    how = draw(st.sampled_from(["delete", "add", "replace"]))
+    if how == "add":
+        node[draw(st.text(max_size=6).filter(lambda k: k not in node))] = draw(JSON_VALUES)
+    else:
+        key = draw(st.sampled_from(sorted(node)))
+        if how == "delete":
+            del node[key]
+        else:
+            node[key] = draw(JSON_VALUES)
+    return doc
+
+
+def _valid_or_data_error(read, write, cls, obj):
+    try:
+        out = read(obj)
+    except DataError:
+        return
+    assert isinstance(out, cls)
+    text = json.dumps(write(out), sort_keys=True)
+    assert json.dumps(write(read(json.loads(text))), sort_keys=True) == text
+
+
+def _read_config(obj):
+    return jsonio.decode(PipelineConfig, obj)
+
+
+@FUZZ
+@given(st.one_of(JSON_VALUES, one_key_changed(CFG_JSON)))
+def test_fuzz_decode_config(obj):
+    _valid_or_data_error(_read_config, jsonio.encode, PipelineConfig, obj)
+
+
+@FUZZ
+@given(st.one_of(JSON_VALUES, one_key_changed(SCENE_JSON)))
+def test_fuzz_scene_from_json(obj):
+    _valid_or_data_error(scene_from_json, scene_to_json, SceneSpec, obj)

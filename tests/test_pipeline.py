@@ -3,7 +3,15 @@ import hashlib
 
 import numpy as np
 
-from occkit.pipeline import OccModel, PipelineConfig, forward_coarse, predict, prepare_sample
+from occkit.cli import run_command
+from occkit.pipeline import (
+    OccModel,
+    PipelineConfig,
+    forward_coarse,
+    predict,
+    prepare_sample,
+    save_checkpoint,
+)
 from occkit.pointprep import FillScope, PreprocessConfig
 from occkit.scenes import preset
 
@@ -14,6 +22,14 @@ TINY_SEED0_DIGEST = "bbb44123282e525dbca33cbac8013b570516cf42772c21d8490b5decef6
 # sha256 of predict's fine labels for the tiny preset at seed 0 and delta 0.3,
 # with a freshly created model. Fusion, the heads and decoding all feed it.
 TINY_SEED0_PREDICT_DIGEST = "8b002b09598a22bfda015c13b7aee0ac33c4c16c35dab4c6baabcaed3a6d4c94"
+# sha256 of the JSON files of the tiny preset at seed 0: synth's config.json
+# and scene.json, and the manifest of a fresh model's checkpoint. A new or
+# renamed config field changes them; update them only for an intended change.
+TINY_SEED0_JSON_DIGESTS = {
+    "config.json": "99ce182bb301e98beb11acfcb1a9414d4fde2b635b7655d87f7536017de60575",
+    "scene.json": "128c0ab4d61a32c70edee40a6cb4ad256d0db871da9534eac2aa2b1d6e154c75",
+    "manifest.json": "c43a3ec7bf005f2c83bd7e5af6664a25e0aa75a5b176e36f49d5b6e29be3a871",
+}
 
 
 def _digest(arrays):
@@ -49,6 +65,19 @@ def test_predict_golden_digest():
     sample = prepare_sample(preset("tiny", seed=0), cfg)
     _, fine, _, _ = predict(OccModel.create(cfg), sample, cfg)
     assert _digest([fine.labels]) == TINY_SEED0_PREDICT_DIGEST
+
+
+def test_json_files_golden_bytes(tmp_path):
+    assert run_command(["synth", "--preset", "tiny", "--seed", "0", "--out", str(tmp_path)]) == 0
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    save_checkpoint(tmp_path / "ckpt", OccModel.create(cfg), cfg)
+    paths = {
+        "config.json": tmp_path / "config.json",
+        "scene.json": tmp_path / "sample_000" / "scene.json",
+        "manifest.json": tmp_path / "ckpt" / "manifest.json",
+    }
+    digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
+    assert digests == TINY_SEED0_JSON_DIGESTS
 
 
 def _nbytes(obj):

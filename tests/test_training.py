@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from occkit import jsonio
 from occkit.decoder import DecoderConfig
 from occkit.errors import ConfigError, NumericalError
 from occkit.grid import OccupancyGrid
@@ -164,7 +165,7 @@ def test_checkpoint_roundtrip(tmp_path, cfg, dataset):
     save_checkpoint(out, model, cfg)
     back, cfg2 = load_checkpoint(out)
     assert back.param_hash() == model.param_hash()
-    assert cfg2.to_json() == cfg.to_json()
+    assert jsonio.encode(cfg2) == jsonio.encode(cfg)
 
 
 def test_load_checkpoint_missing(tmp_path):
@@ -186,8 +187,8 @@ def test_predict_and_evaluate_shapes(cfg, dataset):
 
 
 def test_config_json_roundtrip(cfg):
-    back = PipelineConfig.from_json(cfg.to_json())
-    assert back.to_json() == cfg.to_json()
+    back = jsonio.decode(PipelineConfig, jsonio.encode(cfg))
+    assert jsonio.encode(back) == jsonio.encode(cfg)
 
 
 def test_sample_loss_matches_gradient_breakdown(cfg, dataset):
