@@ -104,14 +104,6 @@ class ProjectedReference:
     valid: np.ndarray  # (n_cam, P) bool
     pixels: np.ndarray  # (n_cam, P, 2)
 
-    def projections_of(self, flat_point: int):
-        """(cam_id, pixel) pairs for one flat point row, in rig order."""
-        return [
-            (self.cam_ids[c], self.pixels[c, flat_point].copy())
-            for c in range(len(self.cam_ids))
-            if self.valid[c, flat_point]
-        ]
-
 
 def project_batch(points: np.ndarray, cam: CameraModel, feat_size=None):
     """Project world points into one camera.
@@ -138,12 +130,6 @@ def project_batch(points: np.ndarray, cam: CameraModel, feat_size=None):
         & (px[:, 1] <= hc - 1.0)
     )
     return valid, px
-
-
-def project(point, cam: CameraModel, feat_size=None):
-    """Project one world point; returns the pixel or None when invisible."""
-    valid, px = project_batch(np.asarray(point).reshape(1, 3), cam, feat_size)
-    return px[0] if valid[0] else None
 
 
 def project_all(refs: VoxelPoints, rig, feat_sizes=None) -> ProjectedReference:
@@ -198,9 +184,9 @@ def bilinear_corners(shape, pixels: np.ndarray, slopes: bool = False):
     ``pixels`` is (..., 2) in (x, y). Returns (idx, wts): the flat index of
     each sample's top-left corner (x0, y0), a row of ``corner_patches``, and
     the (..., 4) interpolation weights of the corners (x0, y0), (x1, y0),
-    (x0, y1), (x1, y1). With ``slopes`` it also returns the weights'
-    (..., 4, 2) derivatives with respect to x and y, using the clamp
-    subgradient: zero outside the map, the inner cell's slope on its border.
+    (x0, y1), (x1, y1). With ``slopes`` it also returns (fx, fy, gx, gy, in_x,
+    in_y): the weights' slopes are (-gy, gy, -fy, fy) in x where ``in_x``,
+    (-gx, -fx, gx, fx) in y where ``in_y``, and 0 off the map (clamp subgradient).
     """
     h, w = shape
     x = np.clip(pixels[..., 0], 0.0, w - 1.0)
@@ -210,14 +196,14 @@ def bilinear_corners(shape, pixels: np.ndarray, slopes: bool = False):
     y0 = np.minimum(y.astype(np.int64), max(h - 2, 0))
     fx, fy = x - x0, y - y0
     gx, gy = 1 - fx, 1 - fy
-    wts = np.stack([gx * gy, fx * gy, gx * fy, fx * fy], axis=-1)
+    wts = np.empty(x.shape + (4,))
+    for j, (a, b) in enumerate([(gx, gy), (fx, gy), (gx, fy), (fx, fy)]):
+        np.multiply(a, b, out=wts[..., j])
     if not slopes:
         return y0 * w + x0, wts
-    in_x = ((pixels[..., 0] >= 0.0) & (pixels[..., 0] <= w - 1.0))[..., None]
-    in_y = ((pixels[..., 1] >= 0.0) & (pixels[..., 1] <= h - 1.0))[..., None]
-    dx = np.stack([-gy, gy, -fy, fy], axis=-1) * in_x
-    dy = np.stack([-gx, -fx, gx, fx], axis=-1) * in_y
-    return y0 * w + x0, wts, np.stack([dx, dy], axis=-1)
+    in_x = (pixels[..., 0] >= 0.0) & (pixels[..., 0] <= w - 1.0)
+    in_y = (pixels[..., 1] >= 0.0) & (pixels[..., 1] <= h - 1.0)
+    return y0 * w + x0, wts, (fx, fy, gx, gy, in_x, in_y)
 
 
 def rig_to_json(rig) -> dict:

@@ -23,7 +23,7 @@ from .cameras import (
     bilinear_corners,
     corner_patches,
 )
-from .objectives import softmax
+from .objectives import slice_sum, softmax
 
 _BLOCK = 1024  # query rows per attention block; its (block, m, k, 4) temporaries stay in cache
 
@@ -147,29 +147,24 @@ def _sampling(q: np.ndarray, pix: np.ndarray, shape, params: AttentionParams, sl
     """Softmax attention (n, m, k) and the bilinear corners of every sample.
 
     Offsets and logits come from one matmul with the stacked generators;
-    the corners are ``bilinear_corners`` of the offset sampling locations,
-    with each head's top-left indices moved to its rows of ``_head_tables``.
+    the corners are ``bilinear_corners`` of the offset sampling locations.
+    Head ``i``'s rows of ``_head_tables`` are ``idx + i * h * w``.
     """
     m, k = params.n_heads, params.n_keys
     gen = q @ np.concatenate([params.offset_gen, params.weight_gen]).T
     off = gen[:, : m * k * 2].reshape(-1, m, k, 2)
     attn = softmax(gen[:, m * k * 2 :].reshape(-1, m, k), axis=2)
-    idx, *geometry = bilinear_corners(shape, pix[:, None, None, :] + off, slopes)
-    return (attn, idx + np.arange(m)[:, None] * (shape[0] * shape[1]), *geometry)
+    return (attn, *bilinear_corners(shape, pix[:, None, None, :] + off, slopes))
 
 
-def _head_tables(data: np.ndarray, params: AttentionParams, raw: bool = False) -> np.ndarray:
-    """Every head's corner-patch table, stacked: (m * h * w, 4C), or 8C with ``raw``.
-
-    Head ``i``'s table patches ``T_i = flat @ (w_out[i] @ w_val[i]).T``, the
-    map with both of the head's projections folded in; with ``raw`` it
-    patches ``[flat | T_i]``. Head ``i``'s rows start at ``i * h * w``.
-    """
+def _head_tables(data: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """Every head's corner-patch table, stacked: (m * h * w, 4C). From row
+    ``i * h * w`` it patches ``T_i = flat @ (w_out[i] @ w_val[i]).T``, the map
+    with both of head ``i``'s projections folded in."""
     h, w, c = data.shape
     flat = data.reshape(-1, c)
     folded = [flat @ (w_out @ w_val).T for w_out, w_val in zip(params.w_out, params.w_val)]
-    tables = [corner_patches(np.hstack([flat, t]) if raw else t, h, w) for t in folded]
-    return np.concatenate(tables)
+    return np.concatenate([corner_patches(t, h, w) for t in folded])
 
 
 def _attn_forward(q: np.ndarray, pix: np.ndarray, data: np.ndarray, params: AttentionParams):
@@ -183,35 +178,44 @@ def _attn_forward(q: np.ndarray, pix: np.ndarray, data: np.ndarray, params: Atte
     """
     h, w, c = data.shape
     table = _head_tables(data, params)
+    heads = np.arange(params.n_heads)[:, None] * (h * w)
     out = np.empty((len(q), c))
     for s in range(0, len(q), _BLOCK):
         blk = slice(s, s + _BLOCK)
         attn, idx, wts = _sampling(q[blk], pix[blk], (h, w), params)
-        patches = np.take(table, idx, axis=0).reshape(*idx.shape, 4, c)
+        patches = np.take(table, idx + heads, axis=0).reshape(*idx.shape, 4, c)
         np.einsum("nikj,nikjc->nc", attn[..., None] * wts, patches, out=out[blk])
     return out, (q, pix, data)
 
 
 def _attn_backward(g: np.ndarray, cache, params: AttentionParams, grads: AttentionParams):
-    """Accumulate parameter gradients for one batched attention call."""
+    """Accumulate parameter gradients for one batched attention call. Each
+    block gathers its corners from the raw map's ``corner_patches``, shared
+    by every head, and from the forward's ``_head_tables``."""
     q, pix, data = cache
     h, w, c = data.shape
-    table = _head_tables(data, params, raw=True)
+    raw_table = corner_patches(data.reshape(-1, c), h, w)
+    table = _head_tables(data, params)
+    heads = np.arange(params.n_heads)[:, None] * (h * w)
     for s in range(0, len(q), _BLOCK):
         blk = slice(s, s + _BLOCK)
         qb, gb = q[blk], g[blk]
-        attn, idx, wts, slope = _sampling(qb, pix[blk], (h, w), params, slopes=True)
-        patches = np.take(table, idx, axis=0).reshape(*idx.shape, 4, 2 * c)
-        # raw map samples per head
-        raw = np.einsum("nikj,nikjc->nic", attn[..., None] * wts, patches[..., :c])
+        attn, idx, wts, clamp = _sampling(qb, pix[blk], (h, w), params, slopes=True)
+        fx, fy, gx, gy, in_x, in_y = clamp
+        patches = np.take(raw_table, idx, axis=0).reshape(*idx.shape, 4, c)
+        raw = np.einsum("nikj,nikjc->nic", attn[..., None] * wts, patches)
         for i in range(params.n_heads):
             grads.w_val[i] += (gb @ params.w_out[i]).T @ raw[:, i]
             grads.w_out[i] += gb.T @ (raw[:, i] @ params.w_val[i].T)
-        dots = np.einsum("nikjc,nc->nikj", patches[..., c:], gb)  # gradient in each corner weight
+        patches = np.take(table, idx + heads, axis=0).reshape(*idx.shape, 4, c)
+        dots = np.einsum("nikjc,nc->nikj", patches, gb)  # gradient in each corner weight
         g_attn = np.einsum("nikj,nikj->nik", wts, dots)
-        g_logits = attn * (g_attn - (attn * g_attn).sum(axis=2, keepdims=True))
+        g_logits = attn * (g_attn - slice_sum(attn * g_attn, 2))
         grads.weight_gen += g_logits.reshape(len(qb), -1).T @ qb
-        g_loc = attn[..., None] * np.einsum("nikj,nikjx->nikx", dots, slope)
+        d0, d1, d2, d3 = np.moveaxis(dots, 3, 0)  # per corner, added in corner order
+        g_loc = np.empty(attn.shape + (2,))
+        np.multiply(attn, (-d0 * gy + d1 * gy - d2 * fy + d3 * fy) * in_x, out=g_loc[..., 0])
+        np.multiply(attn, (-d0 * gx - d1 * fx + d2 * gx + d3 * fx) * in_y, out=g_loc[..., 1])
         grads.offset_gen += g_loc.reshape(len(qb), -1).T @ qb
 
 

@@ -70,7 +70,9 @@ def _value(tp, v):
         return tuple(v) if tp is tuple else [_value(typing.get_args(tp)[0], x) for x in v]
     if isinstance(tp, type) and issubclass(tp, Enum):
         return tp(v)
-    if tp in (int, float, str):
+    if tp in (int, float, str):  # a float field takes a JSON integer; a bool is no number
+        if isinstance(v, bool) or not isinstance(v, (int, float) if tp is float else tp):
+            raise TypeError(f"expected {tp.__name__}, not {type(v).__name__}")
         return tp(v)
     raise TypeError(f"no JSON conversion for {tp!r}")
 

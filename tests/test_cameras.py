@@ -9,15 +9,31 @@ from occkit.cameras import (
     bilinear_batch,
     bilinear_corners,
     corner_patches,
+    ProjectedReference,
     look_at_extrinsics,
-    project,
     project_all,
+    project_batch,
     rig_from_json,
     rig_to_json,
 )
 from occkit.grid import GridConfig
 from occkit.jsonio import read_json, write_json
 from occkit.pointprep import FillScope, PreprocessConfig, preprocess
+
+
+def project(point, cam: CameraModel, feat_size=None):
+    """Project one world point; returns the pixel or None when invisible."""
+    valid, px = project_batch(np.asarray(point).reshape(1, 3), cam, feat_size)
+    return px[0] if valid[0] else None
+
+
+def projections_of(self: ProjectedReference, flat_point: int):
+    """(cam_id, pixel) pairs for one flat point row, in rig order."""
+    return [
+        (self.cam_ids[c], self.pixels[c, flat_point].copy())
+        for c in range(len(self.cam_ids))
+        if self.valid[c, flat_point]
+    ]
 
 
 def make_cam(cam_id="cam", fx=100.0, fy=100.0, cx=50.0, cy=50.0, ext=None, size=(101, 101)):
@@ -125,7 +141,7 @@ def test_project_all_duplicate_camera():
     refs = _refs_for(np.array([[0.1, 0.1, 0.1], [-0.4, 0.2, -0.3]]))
     table = project_all(refs, [cam, twin])
     for p in range(table.valid.shape[1]):
-        projs = table.projections_of(p)
+        projs = projections_of(table, p)
         assert len(projs) == 2
         np.testing.assert_allclose(projs[0][1], projs[1][1])
 
@@ -135,7 +151,7 @@ def test_project_all_invisible_point():
     cam = make_cam(ext=ext, size=(201, 201), cx=100.0, cy=100.0)
     refs = _refs_for(np.array([[0.0, 0.0, 0.0]]))
     table = project_all(refs, [cam])
-    assert table.projections_of(0) == []
+    assert projections_of(table, 0) == []
 
 
 def test_project_all_stereo_overlap():
@@ -156,7 +172,7 @@ def test_project_all_stereo_overlap():
     )
     refs = _refs_for(np.array([[0.0, 0.0, 0.05]]))
     table = project_all(refs, [left, right])
-    assert len(table.projections_of(0)) == 2
+    assert len(projections_of(table, 0)) == 2
 
 
 def test_bilinear_integer_and_center():

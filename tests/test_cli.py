@@ -1,4 +1,3 @@
-import filecmp
 import json
 import os
 import shutil
@@ -251,6 +250,9 @@ MALFORMED_CONFIG = {
     "missing_key": _edit_config(lambda c: c.pop("image_stride")),
     "json_list": lambda text: "[]",
     "unknown_key": _edit_config(_rename_fill_scope),
+    "tau_real": _edit_config(lambda c: c["preprocess"].update(tau=5.7)),
+    "theta_string": _edit_config(lambda c: c["preprocess"].update(theta="20")),
+    "image_stride_bool": _edit_config(lambda c: c.update(image_stride=True)),
 }
 
 

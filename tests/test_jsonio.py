@@ -26,11 +26,10 @@ def test_encode_nests_dataclasses_enums_and_tuples():
 
 def test_decode_converts_by_annotation():
     obj = copy.deepcopy(CFG_JSON)
-    obj["preprocess"]["tau"] = 5.0
-    obj["decoder"]["delta"] = "0.3"
+    obj["training"]["k_percent"] = 70  # a JSON integer is a float field's value too
     back = jsonio.decode(PipelineConfig, obj)
     assert back == CFG
-    assert type(back.preprocess.tau) is int and type(back.decoder.delta) is float
+    assert type(back.preprocess.tau) is int and type(back.training.k_percent) is float
     spec = scene_from_json(SCENE_JSON)
     assert isinstance(spec.objects[0].center, tuple)
     assert scene_to_json(spec) == SCENE_JSON
@@ -55,9 +54,15 @@ def _edited(edit):
         _edited(lambda c: c["decoder"].update(delta=10**400)),
         _edited(lambda c: c["fusion"].update(channels=None)),
         _edited(lambda c: c["training"].update(k_percent=0)),
+        _edited(lambda c: c["preprocess"].update(tau=5.0)),
+        _edited(lambda c: c["preprocess"].update(theta="20")),
+        _edited(lambda c: c.update(image_stride=True)),
+        _edited(lambda c: c["decoder"].update(delta="0.3")),
+        _edited(lambda c: c["training"].update(k_percent=True)),
     ],
     ids=["list", "missing_key", "missing_nested_key", "unknown_key", "renamed_key",
-         "tuple_not_list", "bad_enum", "float_overflow", "int_of_null", "rejected_value"],
+         "tuple_not_list", "bad_enum", "float_overflow", "int_of_null", "rejected_value",
+         "int_of_real", "int_of_string", "int_of_bool", "float_of_string", "float_of_bool"],
 )
 def test_decode_rejects_malformed_config(obj):
     with pytest.raises(DataError):

@@ -21,6 +21,24 @@ def one_hot(labels, n_class):
     return out
 
 
+def _max_exp_sum_softmax(logits, axis):
+    """Softmax by NumPy reductions: the oracle the slice loop matches bit for bit."""
+    z = logits - logits.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_softmax_bit_equal_to_max_exp_sum(n):
+    rng = np.random.default_rng(n)
+    for axis in (0, 1, 2, -1):
+        shape = [6, 5, 3]
+        shape[axis] = n
+        logits = rng.normal(scale=20.0, size=shape)
+        for a in (logits, logits.transpose(2, 0, 1)):  # contiguous and strided
+            np.testing.assert_array_equal(softmax(a, axis=axis), _max_exp_sum_softmax(a, axis))
+
+
 def test_input_validation():
     with pytest.raises(ConfigError):
         cross_entropy(np.full((2, 3), 1 / 3), [0, 3])  # label out of range

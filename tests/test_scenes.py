@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from occkit.cameras import look_at_extrinsics
 from occkit.errors import ConfigError, DataError
 from occkit.grid import GridConfig
 from occkit.scenes import (
