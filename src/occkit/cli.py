@@ -60,7 +60,7 @@ def _load_sample(sample_dir, cfg):
         raise DataError(f"{sample_dir}: missing scene.json")
     spec = scenes.load_scene(scene_path)
     cloud = pointprep.read_cloud(os.path.join(sample_dir, "cloud.ocfp"))
-    gt = gridmod.read_occg(os.path.join(sample_dir, "gt.occg"))
+    gt = gridmod.read_occg(os.path.join(sample_dir, "gt.occg"), cfg.decoder.n_class)
     images = [
         scenes.read_ppm(os.path.join(sample_dir, f"cam_{cam.cam_id}.ppm"))
         for cam in spec.rig
@@ -188,8 +188,9 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    pred = gridmod.read_occg(args.pred)
-    gt = gridmod.read_occg(args.gt)
+    n_class = _load_config(args).decoder.n_class
+    pred = gridmod.read_occg(args.pred, n_class)
+    gt = gridmod.read_occg(args.gt, n_class)
     jsonio.write_json(args.out, evaluate(pred, gt))
     return 0
 

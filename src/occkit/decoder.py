@@ -120,11 +120,6 @@ class OpCountReport:
         }
 
 
-def classify(feature, head: LinearHead) -> np.ndarray:
-    """Softmax class distribution for one feature vector."""
-    return softmax(head.logits(np.asarray(feature, dtype=np.float64)))
-
-
 def entropy(probs) -> float:
     """Shannon entropy in nats, with 0 log 0 = 0."""
     return float(entropy_batch(np.asarray(probs, dtype=np.float64).reshape(1, -1))[0])

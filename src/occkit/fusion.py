@@ -16,13 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .grid import GridConfig, VoxelFeatureVolume, VoxelPoints
-from .cameras import (
-    FeatureMap,
-    FeatureMapSet,
-    ProjectedReference,
-    bilinear_corners,
-    corner_patches,
-)
+from .cameras import FeatureMapSet, ProjectedReference, bilinear_corners, corner_patches
 from .objectives import slice_sum, softmax
 
 _BLOCK = 1024  # query rows per attention block; its (block, m, k, 4) temporaries stay in cache
@@ -135,14 +129,6 @@ def unflatten_into(tensors: dict, vec) -> None:
         pos += a.size
 
 
-def build_query(voxel_feature, point, grid: GridConfig) -> np.ndarray:
-    """Concatenate a voxel feature with the point's grid-normalized coords."""
-    feat = np.asarray(voxel_feature, dtype=np.float64).ravel()
-    p = np.asarray(point, dtype=np.float64).reshape(3)
-    norm = (p - grid.lo) / (grid.hi - grid.lo)
-    return np.concatenate([feat, norm])
-
-
 def _sampling(q: np.ndarray, pix: np.ndarray, shape, params: AttentionParams, slopes=False):
     """Softmax attention (n, m, k) and the bilinear corners of every sample.
 
@@ -217,16 +203,6 @@ def _attn_backward(g: np.ndarray, cache, params: AttentionParams, grads: Attenti
         np.multiply(attn, (-d0 * gy + d1 * gy - d2 * fy + d3 * fy) * in_x, out=g_loc[..., 0])
         np.multiply(attn, (-d0 * gx - d1 * fx + d2 * gx + d3 * fx) * in_y, out=g_loc[..., 1])
         grads.offset_gen += g_loc.reshape(len(qb), -1).T @ qb
-
-
-def deform_attn(query, pixel, fmap: FeatureMap, params: AttentionParams) -> np.ndarray:
-    """Deformable attention for a single query at one reference pixel."""
-    q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-    if q.shape[1] != params.channels + 3:
-        raise ConfigError("query length must be channels + 3")
-    pix = np.asarray(pixel, dtype=np.float64).reshape(1, 2)
-    out, _ = _attn_forward(q, pix, fmap.data, params)
-    return out[0]
 
 
 @dataclass

@@ -232,14 +232,6 @@ def voxel_indices(points: np.ndarray, cfg: GridConfig):
     return idx, inside
 
 
-def voxel_index(point, cfg: GridConfig):
-    """Coarse voxel containing ``point``, or None when outside the grid."""
-    idx, inside = voxel_indices(np.asarray(point).reshape(1, 3), cfg)
-    if not inside[0]:
-        return None
-    return tuple(int(v) for v in idx[0])
-
-
 def bin_points(cloud, cfg: GridConfig):
     """Assign points to coarse voxels.
 
@@ -268,16 +260,12 @@ def bin_points(cloud, cfg: GridConfig):
     return points, len(pts) - len(src)
 
 
-def trilinear_sample(vol: VoxelFeatureVolume, pos) -> np.ndarray:
-    """Trilinearly interpolate a feature volume at voxel-center coordinates.
-
-    ``pos`` is (x, y, z) with 0 at the center of voxel (0, 0, 0); values
-    outside the center lattice are clamped.
-    """
-    return trilinear_sample_batch(vol, np.asarray(pos).reshape(1, 3))[0]
-
-
 def trilinear_sample_batch(vol: VoxelFeatureVolume, pos: np.ndarray) -> np.ndarray:
+    """Trilinearly interpolate a feature volume at (n, 3) voxel-center coordinates.
+
+    Each row of ``pos`` is (x, y, z) with 0 at the center of voxel (0, 0, 0);
+    values outside the center lattice are clamped.
+    """
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 3)
     nx, ny, nz = vol.dims
     dims = np.array([nx, ny, nz], dtype=np.float64)
@@ -340,7 +328,10 @@ def write_occg(path, grid: OccupancyGrid) -> None:
         fh.write(np.ascontiguousarray(grid.labels, dtype=np.uint8).tobytes())
 
 
-def read_occg(path) -> OccupancyGrid:
+def read_occg(path, n_class: int | None = None) -> OccupancyGrid:
+    """Read an OCCG grid. A header that describes no grid, a body of the
+    wrong size and, when ``n_class`` is given, a label of ``n_class`` or more
+    raise DataError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _OCCG_MAGIC:
@@ -353,9 +344,17 @@ def read_occg(path) -> OccupancyGrid:
     nx, ny, nz = struct.unpack_from("<3I", raw, 8)
     (voxel_size,) = struct.unpack_from("<f", raw, 20)
     min_corner = struct.unpack_from("<3f", raw, 24)
+    if not (np.isfinite(voxel_size) and voxel_size > 0):
+        raise DataError(f"{path}: OCCG voxel size {voxel_size} is not positive and finite")
+    if not np.all(np.isfinite(min_corner)):
+        raise DataError(f"{path}: OCCG min corner {min_corner} is not finite")
+    if 0 in (nx, ny, nz):
+        raise DataError(f"{path}: OCCG dimensions {nx}x{ny}x{nz} hold no voxel")
     body = raw[36:]
     expect = nx * ny * nz
     if len(body) != expect:
         raise DataError(f"{path}: expected {expect} label bytes, got {len(body)}")
     labels = np.frombuffer(body, dtype=np.uint8).reshape(nz, ny, nx).copy()
+    if n_class is not None and labels.max() >= n_class:
+        raise DataError(f"{path}: label {labels.max()} is not a class below n_class {n_class}")
     return OccupancyGrid(labels=labels, voxel_size=float(voxel_size), min_corner=min_corner)

@@ -212,6 +212,8 @@ def read_ppm(path) -> np.ndarray:
     head = _PPM_HEADER.match(raw)
     if head is None:
         raise DataError(f"{path}: not a binary PPM file with a well-formed header")
+    if max(len(f) for f in head.groups()) > 9:  # int() refuses over 4300 digits
+        raise DataError(f"{path}: PPM header field longer than 9 digits")
     w, h, maxval = (int(f) for f in head.groups())
     if w < 1 or h < 1 or not 1 <= maxval <= 255:
         raise DataError(f"{path}: PPM size {w}x{h} or maxval {maxval} out of range")

@@ -1,0 +1,141 @@
+"""Scalar reference implementations the tests compare the batched code against.
+
+The pipeline runs none of these: each is a one-item or per-voxel form of a
+batched function in ``occkit``, kept here as an oracle.
+"""
+
+import numpy as np
+
+from occkit.cameras import FeatureMap
+from occkit.decoder import LinearHead
+from occkit.errors import ConfigError, DataError
+from occkit.fusion import AttentionParams, _attn_forward
+from occkit.grid import (
+    SOURCE_RAW,
+    SOURCE_SYNTHETIC,
+    GridConfig,
+    VoxelFeatureVolume,
+    VoxelPoints,
+    cloud_xyz,
+    trilinear_sample_batch,
+    voxel_indices,
+)
+from occkit.objectives import softmax
+from occkit.pointprep import FillScope, PreprocessConfig, voxel_rng
+
+
+def build_query(voxel_feature, point, grid: GridConfig) -> np.ndarray:
+    """Concatenate a voxel feature with the point's grid-normalized coords."""
+    feat = np.asarray(voxel_feature, dtype=np.float64).ravel()
+    p = np.asarray(point, dtype=np.float64).reshape(3)
+    norm = (p - grid.lo) / (grid.hi - grid.lo)
+    return np.concatenate([feat, norm])
+
+def deform_attn(query, pixel, fmap: FeatureMap, params: AttentionParams) -> np.ndarray:
+    """Deformable attention for a single query at one reference pixel."""
+    q = np.asarray(query, dtype=np.float64).reshape(1, -1)
+    if q.shape[1] != params.channels + 3:
+        raise ConfigError("query length must be channels + 3")
+    pix = np.asarray(pixel, dtype=np.float64).reshape(1, 2)
+    out, _ = _attn_forward(q, pix, fmap.data, params)
+    return out[0]
+
+def voxel_index(point, cfg: GridConfig):
+    """Coarse voxel containing ``point``, or None when outside the grid."""
+    idx, inside = voxel_indices(np.asarray(point).reshape(1, 3), cfg)
+    if not inside[0]:
+        return None
+    return tuple(int(v) for v in idx[0])
+
+def trilinear_sample(vol: VoxelFeatureVolume, pos) -> np.ndarray:
+    """Trilinearly interpolate a feature volume at voxel-center coordinates.
+
+    ``pos`` is (x, y, z) with 0 at the center of voxel (0, 0, 0); values
+    outside the center lattice are clamped.
+    """
+    return trilinear_sample_batch(vol, np.asarray(pos).reshape(1, 3))[0]
+
+def classify(feature, head: LinearHead) -> np.ndarray:
+    """Softmax class distribution for one feature vector."""
+    return softmax(head.logits(np.asarray(feature, dtype=np.float64)))
+
+def uniform_fill(lo, hi, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``count`` i.i.d. uniform points inside the half-open box [lo, hi)."""
+    if count < 0:
+        raise ConfigError("count must be >= 0")
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    return lo + rng.random((count, 3)) * (hi - lo)
+
+
+def fps(points, k: int, start_index: int) -> np.ndarray:
+    """Greedy farthest point sampling.
+
+    Starting from ``start_index``, repeatedly add the point maximizing the
+    minimum Euclidean distance to the selected set; distance ties are broken
+    by the lowest point index. Returns min(k, n) indices sorted ascending.
+    Uses an O(n k) cached-distance implementation whose output matches the
+    naive greedy selection exactly, including tie-breaks.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = len(pts)
+    if n == 0:
+        raise DataError("farthest point sampling requires a non-empty cloud")
+    if k < 1:
+        raise ConfigError("k must be >= 1")
+    if not (0 <= start_index < n):
+        raise ConfigError("start_index out of range")
+    k = min(k, n)
+    selected = np.empty(k, dtype=np.int64)
+    selected[0] = start_index
+    d2 = ((pts - pts[start_index]) ** 2).sum(axis=1)
+    d2[start_index] = -1.0  # excludes selected points from argmax
+    for i in range(1, k):
+        nxt = int(np.argmax(d2))  # first occurrence = lowest index on ties
+        selected[i] = nxt
+        d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
+        d2[nxt] = -1.0
+    return np.sort(selected)
+
+
+def preprocess_per_voxel(
+    bins: VoxelPoints, cloud, cfg: PreprocessConfig, grid: GridConfig
+) -> VoxelPoints:
+    """``preprocess`` as a loop over voxels: one ``fps`` call per dense voxel
+    and one ``voxel_rng`` stream per padded one."""
+    pts = cloud_xyz(cloud)
+    n_raw = bins.counts
+    if cfg.fill_scope is FillScope.ALL_VOXELS:
+        keys = grid.all_coarse_indices()
+        _, ny, nz = grid.coarse_dims
+        row = (bins.keys[:, 0] * ny + bins.keys[:, 1]) * nz + bins.keys[:, 2]
+        n = np.zeros(len(keys), dtype=np.int64)
+        n[row] = n_raw
+    else:
+        keys, row, n = bins.keys, np.arange(len(bins.keys)), n_raw
+    # Padded and reduced voxels hold theta points, the rest keep their own.
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.where((n <= cfg.tau) | (n > cfg.theta), cfg.theta, n), out=offsets[1:])
+    raw_index = np.full(offsets[-1], -1, dtype=np.int64)
+
+    # Voxels with at most theta raw points keep all of them, in source order.
+    owner = bins.point_voxel
+    rank = np.arange(len(owner)) - bins.offsets[owner]
+    keep = n_raw[owner] <= cfg.theta
+    raw_index[offsets[row[owner[keep]]] + rank[keep]] = bins.raw_index[keep]
+    for b in np.flatnonzero(n_raw > cfg.theta):
+        v = row[b]
+        idx = bins.raw_index[bins.offsets[b] : bins.offsets[b + 1]]
+        start = int(voxel_rng(cfg.seed, keys[v]).integers(len(idx)))
+        raw_index[offsets[v] : offsets[v + 1]] = idx[fps(pts[idx], cfg.theta, start)]
+
+    raw = raw_index >= 0
+    positions = np.empty((len(raw_index), 3))
+    positions[raw] = pts[raw_index[raw]]
+    lo = grid.lo + keys * grid.coarse_cell
+    hi = lo + grid.coarse_cell
+    for v in np.flatnonzero(n <= cfg.tau):
+        a, b = offsets[v] + n[v], offsets[v + 1]
+        positions[a:b] = uniform_fill(lo[v], hi[v], b - a, voxel_rng(cfg.seed, keys[v]))
+    source = np.where(raw, SOURCE_RAW, SOURCE_SYNTHETIC).astype(np.uint8)
+    return VoxelPoints(keys, offsets, positions, source, raw_index)

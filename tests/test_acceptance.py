@@ -32,8 +32,6 @@ from occkit.fusion import (
     AttentionParams,
     _attn_backward,
     _attn_forward,
-    build_query,
-    deform_attn,
     fusion_backward,
     occ_fuse,
 )
@@ -67,11 +65,11 @@ from occkit.pointprep import (
     SOURCE_SYNTHETIC,
     FillScope,
     PreprocessConfig,
-    fps,
     preprocess,
 )
 from occkit.scenes import N_CLASS, preset
 from occkit.training import active_train, score_samples, select_topk, train_epoch
+from oracles import build_query, deform_attn, fps
 
 
 # --- shared helpers ----------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -298,8 +299,9 @@ def test_malformed_cloud_exits_two(tmp_path, capsys, name, raw):
 
 @pytest.mark.parametrize(
     "raw",
-    [b"", b"P6\n4 3\n", b"P6 4 x 255\n", b"P6 0 3 255\n", b"P6 4 3 0\n" + bytes(36)],
-    ids=["empty", "short_header", "not_integer", "zero_width", "maxval_zero"],
+    [b"", b"P6\n4 3\n", b"P6 4 x 255\n", b"P6 0 3 255\n", b"P6 4 3 0\n" + bytes(36),
+     b"P6 " + b"9" * 5000 + b" 3 255\n"],
+    ids=["empty", "short_header", "not_integer", "zero_width", "maxval_zero", "huge_width"],
 )
 def test_malformed_image_exits_two(data_dir, tmp_path, capsys, raw):
     sample = tmp_path / "sample"
@@ -318,6 +320,55 @@ def test_short_occg_exits_two(data_dir, tmp_path, capsys):
                "--out", str(tmp_path / "e.json")) == 2
     err = capsys.readouterr().err
     assert "truncated OCCG header" in err and "Traceback" not in err
+
+
+def _patch_occg(raw, offset, fmt, *values):
+    raw = bytearray(raw)
+    struct.pack_into(fmt, raw, offset, *values)
+    return bytes(raw)
+
+
+BAD_OCCG_HEADER = {
+    "voxel_size_nan": lambda raw: _patch_occg(raw, 20, "<f", float("nan")),
+    "voxel_size_negative": lambda raw: _patch_occg(raw, 20, "<f", -0.5),
+    "voxel_size_zero": lambda raw: _patch_occg(raw, 20, "<f", 0.0),
+    "voxel_size_inf": lambda raw: _patch_occg(raw, 20, "<f", float("inf")),
+    "min_corner_nan": lambda raw: _patch_occg(raw, 28, "<f", float("nan")),
+    "min_corner_inf": lambda raw: _patch_occg(raw, 24, "<f", float("-inf")),
+    "zero_dimension": lambda raw: _patch_occg(raw[:36], 12, "<I", 0),
+}
+
+
+@pytest.mark.parametrize("corrupt", BAD_OCCG_HEADER.values(), ids=BAD_OCCG_HEADER.keys())
+def test_bad_occg_header_exits_two(data_dir, tmp_path, capsys, corrupt):
+    good = data_dir / "sample_000" / "gt.occg"
+    data = tmp_path / "data"
+    shutil.copytree(data_dir / "sample_000", data / "sample_000")
+    shutil.copy(data_dir / "config.json", data / "config.json")
+    bad = data / "sample_000" / "gt.occg"
+    bad.write_bytes(corrupt(good.read_bytes()))
+    assert run("eval", "--pred", str(bad), "--gt", str(good), "--out", str(tmp_path / "e.json")) == 2
+    assert run("eval", "--pred", str(good), "--gt", str(bad), "--out", str(tmp_path / "e.json")) == 2
+    assert run("train", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "t")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("error: ") and "OCCG" in line for line in err)
+
+
+def test_label_out_of_range_exits_two(data_dir, tmp_path, capsys):
+    good = data_dir / "sample_000" / "gt.occg"
+    data = tmp_path / "data"
+    shutil.copytree(data_dir / "sample_000", data / "sample_000")
+    shutil.copy(data_dir / "config.json", data / "config.json")
+    raw = good.read_bytes()
+    bad = data / "sample_000" / "gt.occg"
+    bad.write_bytes(raw[:36] + bytes([9]) * (len(raw) - 36))  # n_class is 5
+    assert run("train", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "t")) == 2
+    assert run("predict", "--sample", str(data / "sample_000"), "--out", str(tmp_path / "p")) == 2
+    assert run("eval", "--pred", str(good), "--gt", str(bad), "--out", str(tmp_path / "e.json")) == 2
+    assert run("eval", "--pred", str(bad), "--gt", str(good), "--out", str(tmp_path / "e.json")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all("label 9 is not a class below n_class 5" in line for line in err)
+    assert not (tmp_path / "e.json").exists()
 
 
 def _drop_tensor_entry(ckpt):

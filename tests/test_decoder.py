@@ -9,7 +9,6 @@ from occkit.decoder import (
     Heads,
     LinearHead,
     OpCountReport,
-    classify,
     decode,
     entropy,
     entropy_batch,
@@ -27,6 +26,7 @@ from occkit.grid import (
 )
 from occkit.objectives import softmax
 from occkit.scenes import preset
+from oracles import classify
 
 
 def test_config_validation():

@@ -8,12 +8,11 @@ from occkit.fusion import (
     AttentionParams,
     _attn_backward,
     _attn_forward,
-    build_query,
-    deform_attn,
     fusion_backward,
     occ_fuse,
 )
 from occkit.grid import GridConfig, VoxelFeatureVolume, VoxelPoints
+from oracles import build_query, deform_attn
 
 C = 4
 

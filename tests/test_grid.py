@@ -11,11 +11,10 @@ from occkit.grid import (
     bin_points,
     read_occg,
     split_voxel,
-    trilinear_sample,
-    voxel_index,
     voxel_indices,
     write_occg,
 )
+from oracles import trilinear_sample, voxel_index
 
 
 @pytest.fixture

@@ -20,6 +20,10 @@ from occkit.scenes import preset
 # binning, preprocessing (including the per-voxel random streams), encoding or
 # projection changes it; update it only for an intended change of outputs.
 TINY_SEED0_DIGEST = "bbb44123282e525dbca33cbac8013b570516cf42772c21d8490b5decef69e749"
+# The same arrays for the small preset at seed 1 with a LiDAR fan 4x denser on
+# each axis: 81,707 reference points, 80,173 of them synthetic, and 57 voxels
+# reduced by farthest point sampling, where TINY_SEED0_DIGEST covers 3.
+SMALL_FAN4_SEED1_DIGEST = "d9a98e6593be623b3b1d612ab9a8e09288229883a64ff70df48d6fd90d886ef2"
 # sha256 of predict's fine labels for the tiny preset at seed 0 and delta 0.3,
 # with a freshly created model. Fusion, the heads and decoding all feed it.
 TINY_SEED0_PREDICT_DIGEST = "8b002b09598a22bfda015c13b7aee0ac33c4c16c35dab4c6baabcaed3a6d4c94"
@@ -64,6 +68,17 @@ def test_prepare_sample_golden_digest():
     cfg = PipelineConfig.for_preset("tiny", seed=0)
     sample = prepare_sample(preset("tiny", seed=0), cfg)
     assert _digest(_sample_arrays(sample)) == TINY_SEED0_DIGEST
+
+
+def test_prepare_sample_golden_digest_dense_fan():
+    spec = preset("small", seed=1)
+    lidar = dataclasses.replace(
+        spec.lidar, n_azimuth=4 * spec.lidar.n_azimuth, n_elevation=4 * spec.lidar.n_elevation
+    )
+    sample = prepare_sample(
+        dataclasses.replace(spec, lidar=lidar), PipelineConfig.for_preset("small", seed=1)
+    )
+    assert _digest(_sample_arrays(sample)) == SMALL_FAN4_SEED1_DIGEST
 
 
 def test_predict_golden_digest():

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from occkit import pointprep
 from occkit.errors import ConfigError, DataError
 from occkit.grid import GridConfig, bin_points
 from occkit.pointprep import (
@@ -8,14 +11,16 @@ from occkit.pointprep import (
     SOURCE_SYNTHETIC,
     FillScope,
     PreprocessConfig,
-    fps,
+    fps_segments,
     preprocess,
     read_cloud,
     read_ocfp,
-    uniform_fill,
     voxel_rng,
+    voxel_uniforms,
     write_ocfp,
 )
+from occkit.scenes import cast_lidar, preset
+from oracles import fps, preprocess_per_voxel, uniform_fill
 
 
 def fps_naive(points, k, start_index):
@@ -108,6 +113,100 @@ def test_fps_greedy_certificate():
         d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
         d2[nxt] = -1.0
     assert sorted(set(chosen)) == sorted(chosen)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**64 - 1, -1])
+def test_voxel_uniforms_match_voxel_rng(seed):
+    # (15, 15, 15) is the largest small-preset key; a coordinate of 2**32 or
+    # more takes two entropy words.
+    keys = np.array([
+        [0, 0, 0], [15, 15, 15], [1, 0, 0], [0, 0, 1], [3, 9, 4],
+        [2**32 + 3, 1, 0], [5, 2**40, 2**33 - 1], [0, 2**32, 0],
+    ])
+    n = 7
+    draws = np.stack(list(voxel_uniforms(seed, keys, 3 * n)), axis=1)
+    for key, row in zip(keys, draws):
+        np.testing.assert_array_equal(row.reshape(n, 3), voxel_rng(seed, key).random((n, 3)))
+
+
+def test_fps_segments_match_scalar_oracles():
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 5, 9):
+        counts = rng.integers(k, 24, 30)
+        counts[0] = k  # a segment exactly k long selects all of it
+        segments = []
+        for trial, n in enumerate(counts):
+            if trial % 3 == 0:  # integer lattice: many exactly tied distances
+                pts = rng.integers(0, 3, (n, 3)).astype(float)
+            else:
+                pts = rng.normal(size=(n, 3))
+            if n >= 6 and trial % 2 == 0:
+                pts[1] = pts[0]  # exact duplicates force tie-break decisions
+                pts[5] = pts[2]
+            segments.append(pts)
+        starts = [int(rng.integers(n)) for n in counts]
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        got = fps_segments(np.concatenate(segments), offsets, k, starts)
+        for s, pts in enumerate(segments):
+            local = got[s] - offsets[s]
+            np.testing.assert_array_equal(local, fps(pts, k, starts[s]))
+            np.testing.assert_array_equal(local, fps_naive(pts, k, starts[s]))
+
+
+def test_fps_segments_rejects_bad_input():
+    pts = np.zeros((5, 3))
+    assert fps_segments(pts[:0], [0], 3, []).shape == (0, 3)
+    with pytest.raises(ConfigError):
+        fps_segments(pts, [0, 2, 5], 3, [0, 0])  # a segment shorter than k
+    with pytest.raises(ConfigError):
+        fps_segments(pts, [0, 5], 3, [5])
+    with pytest.raises(ConfigError):
+        fps_segments(pts, [0, 5], 0, [0])
+
+
+def _fan4_small(seed):
+    """A small-preset scene with a LiDAR fan 4x denser on each axis."""
+    spec = preset("small", seed=seed)
+    lidar = dataclasses.replace(
+        spec.lidar, n_azimuth=4 * spec.lidar.n_azimuth, n_elevation=4 * spec.lidar.n_elevation
+    )
+    spec = dataclasses.replace(spec, lidar=lidar)
+    return spec, cast_lidar(spec)
+
+
+@pytest.mark.parametrize("scene_seed", [1, 2**33 + 4885])
+def test_preprocess_matches_per_voxel_loop(scene_seed):
+    spec, cloud = _fan4_small(scene_seed % 1000)
+    bins, _ = bin_points(cloud, spec.grid)
+    fps_voxels = 0
+    for scope in FillScope:
+        for tau, theta in [(5, 20), (0, 4), (3, 7)]:
+            cfg = PreprocessConfig(tau=tau, theta=theta, seed=scene_seed, fill_scope=scope)
+            got = preprocess(bins, cloud, cfg, spec.grid)
+            want = preprocess_per_voxel(bins, cloud, cfg, spec.grid)
+            for name in ("keys", "offsets", "positions", "source", "raw_index"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                np.testing.assert_array_equal(a, b, err_msg=f"{name} {scope} {tau} {theta}")
+            fps_voxels += int((bins.counts > theta).sum())
+    assert fps_voxels > 100  # the reduce path ran on many voxels
+
+
+def test_preprocess_one_stream_per_dense_voxel(monkeypatch):
+    spec, cloud = _fan4_small(0)
+    bins, _ = bin_points(cloud, spec.grid)
+    cfg = PreprocessConfig(tau=5, theta=20, seed=0)
+    calls = []
+
+    def counted(seed, index):
+        calls.append(tuple(index))
+        return voxel_rng(seed, index)
+
+    monkeypatch.setattr(pointprep, "voxel_rng", counted)
+    refs = preprocess(bins, cloud, cfg, spec.grid)
+    dense = int((bins.counts > cfg.theta).sum())
+    assert 0 < dense and len(calls) <= dense
+    assert len(refs.keys) == 16**3 and (refs.source == SOURCE_SYNTHETIC).any()
 
 
 def _prep(cloud, grid, **kw):
