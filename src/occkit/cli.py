@@ -54,13 +54,30 @@ def _load_config(args, default_preset="tiny"):
     return PipelineConfig.for_preset(preset, seed=args.seed)
 
 
+def _given(args, *names) -> dict:
+    """The flags among ``names`` given on the command line, by name."""
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
+def _check_frame(grid, path, frame, what):
+    """DataError unless an OCCG grid has ``frame``, its (dims, voxel size,
+    min corner), compared as the float32 values OCCG stores."""
+    got = (grid.dims, grid.voxel_size, grid.min_corner)
+    for name, a, b in zip(("dims", "voxel size", "min corner"), got, frame):
+        if not np.array_equal(np.float32(a), np.float32(b)):
+            raise DataError(f"{path}: grid {name} {a} != {b} of {what}")
+
+
 def _load_sample(sample_dir, cfg):
     scene_path = os.path.join(sample_dir, "scene.json")
     if not os.path.exists(scene_path):
         raise DataError(f"{sample_dir}: missing scene.json")
     spec = scenes.load_scene(scene_path)
     cloud = pointprep.read_cloud(os.path.join(sample_dir, "cloud.ocfp"))
-    gt = gridmod.read_occg(os.path.join(sample_dir, "gt.occg"), cfg.decoder.n_class)
+    gt_path = os.path.join(sample_dir, "gt.occg")
+    gt = gridmod.read_occg(gt_path, cfg.decoder.n_class)
+    g = cfg.grid
+    _check_frame(gt, gt_path, (g.fine_dims, g.voxel_size, g.min_corner), "the config's fine grid")
     images = [
         scenes.read_ppm(os.path.join(sample_dir, f"cam_{cam.cam_id}.ppm"))
         for cam in spec.rig
@@ -70,8 +87,7 @@ def _load_sample(sample_dir, cfg):
 
 def _model_for(args, cfg):
     if getattr(args, "ckpt", None):
-        model, ckpt_cfg = load_checkpoint(args.ckpt)
-        return model, ckpt_cfg
+        return load_checkpoint(args.ckpt)
     return OccModel.create(cfg), cfg
 
 
@@ -96,7 +112,7 @@ def _cmd_synth(args):
 
 def _cmd_preprocess(args):
     cfg = _load_config(args)
-    given = {k: getattr(args, k) for k in ("tau", "theta") if getattr(args, k) is not None}
+    given = _given(args, "tau", "theta")
     if args.fill_scope is not None:
         given["fill_scope"] = FillScope(args.fill_scope)
     pp = dataclasses.replace(cfg.preprocess, **given)
@@ -167,19 +183,13 @@ def _cmd_train(args):
     if not sample_dirs:
         raise DataError(f"{root}: no sample_* directories")
     cfg = _read_config(args.config or os.path.join(root, "config.json"))
-    cfg.training = dataclasses.replace(
-        cfg.training,
-        epochs=args.epochs,
-        k_percent=args.k_percent,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-        batch_size=args.batch_size,
-    )
+    given = _given(args, "epochs", "k_percent", "learning_rate", "batch_size", "seed")
+    cfg.training = dataclasses.replace(cfg.training, **given)
     dataset = [_load_sample(d, cfg) for d in sample_dirs]
     model = OccModel.create(cfg)
     model, history = active_train(model, dataset, cfg)
     os.makedirs(args.out, exist_ok=True)
-    save_checkpoint(os.path.join(args.out, "checkpoint"), model, cfg)
+    save_checkpoint(os.path.join(args.out, "checkpoint.json"), model, cfg)
     with open(os.path.join(args.out, "history.jsonl"), "w") as fh:
         for rec in history:
             fh.write(json.dumps(rec.to_json(), sort_keys=True))
@@ -191,6 +201,7 @@ def _cmd_eval(args):
     n_class = _load_config(args).decoder.n_class
     pred = gridmod.read_occg(args.pred, n_class)
     gt = gridmod.read_occg(args.gt, n_class)
+    _check_frame(pred, args.pred, (gt.dims, gt.voxel_size, gt.min_corner), args.gt)
     jsonio.write_json(args.out, evaluate(pred, gt))
     return 0
 
@@ -250,14 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="compute the fused voxel volume")
     common(p)
     p.add_argument("--sample", required=True)
-    p.add_argument("--ckpt")
+    p.add_argument("--ckpt", help="checkpoint.json written by train")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("predict", help="fine occupancy prediction + metrics")
     common(p)
     p.add_argument("--sample", required=True)
-    p.add_argument("--ckpt")
+    p.add_argument("--ckpt", help="checkpoint.json written by train")
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
@@ -265,12 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="active training on a dataset directory")
     common(p, preset=False)
     p.add_argument("--data", required=True)
-    p.add_argument("--epochs", type=int, default=2)
-    p.add_argument("--k-percent", type=float, default=70.0)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=4)
+    # these flags and --seed default to the config's training block
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--k-percent", type=float)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--batch-size", type=int)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, seed=None)
 
     p = sub.add_parser("eval", help="compare two OCCG grids")
     common(p, preset=False)
@@ -282,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="sweep the refinement fraction")
     common(p)
     p.add_argument("--sample", required=True)
-    p.add_argument("--ckpt")
+    p.add_argument("--ckpt", help="checkpoint.json written by train")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
 

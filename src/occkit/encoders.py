@@ -24,7 +24,6 @@ class EncoderParams:
     point_embed: np.ndarray  # (C, 4): relative xyz + intensity
     voxel_mix: np.ndarray  # (C, C)
     pixel_embed: np.ndarray  # (C, 3): rgb
-    seed: int = 0
 
     def __post_init__(self):
         self.point_embed = np.asarray(self.point_embed, dtype=np.float64)
@@ -52,7 +51,6 @@ class EncoderParams:
             point_embed=rng.uniform(-1.0, 1.0, (channels, 4)),
             voxel_mix=rng.uniform(-0.5, 0.5, (channels, channels)),
             pixel_embed=rng.uniform(-1.0, 1.0, (channels, 3)),
-            seed=seed,
         )
 
 

@@ -39,7 +39,6 @@ class AttentionParams:
     offset_gen: np.ndarray  # (m * k * 2, C + 3)
     weight_gen: np.ndarray  # (m * k, C + 3)
     w_fallback: np.ndarray  # (C, C)
-    seed: int = 0
 
     def __post_init__(self):
         m, k, c = self.n_heads, self.n_keys, self.channels
@@ -76,7 +75,6 @@ class AttentionParams:
             offset_gen=np.zeros((n_heads * n_keys * 2, channels + 3)),
             weight_gen=np.zeros((n_heads * n_keys, channels + 3)),
             w_fallback=rng.uniform(-0.1, 0.1, (channels, channels)),
-            seed=seed,
         )
 
     @classmethod
@@ -90,7 +88,6 @@ class AttentionParams:
             offset_gen=np.zeros_like(other.offset_gen),
             weight_gen=np.zeros_like(other.weight_gen),
             w_fallback=np.zeros_like(other.w_fallback),
-            seed=other.seed,
         )
 
     def tensors(self) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import typing
 from enum import Enum
 
@@ -78,9 +79,17 @@ def _value(tp, v):
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    """Write ``obj`` to a sibling temporary file, then move it into place: a
+    write that fails leaves no partial file and any old file unchanged."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(obj, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _reject_constant(name):

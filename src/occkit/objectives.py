@@ -30,15 +30,6 @@ class LossBreakdown:
     def total(self) -> float:
         return self.ce + self.lovasz + self.scal_geo + self.scal_sem
 
-    def to_json(self) -> dict:
-        return {
-            "ce": self.ce,
-            "lovasz": self.lovasz,
-            "scal_geo": self.scal_geo,
-            "scal_sem": self.scal_sem,
-            "total": self.total,
-        }
-
 
 def slice_sum(a: np.ndarray, axis: int) -> np.ndarray:
     """``a.sum(axis, keepdims=True)`` by an in-order loop over the axis' slices:

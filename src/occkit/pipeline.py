@@ -2,14 +2,13 @@
 
 A ``Sample`` bundles everything derived deterministically from a scene
 (binned cloud, reference points, projections, encoded features, coarse
-labels); the ``OccModel`` holds all learnable parameters. Checkpoints are a
-JSON manifest plus one little-endian f64 blob per tensor.
+labels); the ``OccModel`` holds all learnable parameters. A checkpoint is
+one JSON file holding the config and the model's parameter vector.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,56 +120,30 @@ class OccModel:
         return digest.hexdigest()
 
 
-def save_checkpoint(out_dir, model: OccModel, cfg: PipelineConfig) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = {
-        "config": jsonio.encode(cfg),
-        "tensors": {
-            name: {"shape": list(a.shape), "file": name.replace(".", "_") + ".f64"}
-            for name, a in model.tensors().items()
-        },
-    }
-    jsonio.write_json(os.path.join(out_dir, "manifest.json"), manifest)
-    for name, a in model.tensors().items():
-        path = os.path.join(out_dir, manifest["tensors"][name]["file"])
-        with open(path, "wb") as fh:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+@dataclass
+class Checkpoint:
+    """A checkpoint file: the config and ``OccModel.to_vector()`` of a model."""
+
+    config: PipelineConfig
+    params: list[float]
 
 
-def load_checkpoint(ckpt_dir):
-    """Returns (model, config) from a checkpoint directory.
+def save_checkpoint(path, model: OccModel, cfg: PipelineConfig) -> None:
+    jsonio.write_json(path, jsonio.encode(Checkpoint(cfg, model.to_vector().tolist())))
 
-    A manifest or tensor file that does not describe a model of its own
-    config raises DataError, as does a tensor file named by anything but a
-    plain file name inside ``ckpt_dir``.
-    """
-    manifest_path = os.path.join(ckpt_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        raise DataError(f"no checkpoint manifest at {manifest_path}")
-    try:
-        manifest = jsonio.read_json(manifest_path)
-        cfg = jsonio.decode(PipelineConfig, manifest["config"])
-        model = OccModel.create(cfg)
-        files = {name: manifest["tensors"][name]["file"] for name in model.tensors()}
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise DataError(f"{manifest_path}: malformed checkpoint manifest: {exc!r}") from exc
-    for name, a in model.tensors().items():
-        file = files[name]
-        plain = isinstance(file, str) and os.path.basename(file) == file and "\0" not in file
-        if not plain or file in ("", ".", ".."):
-            raise DataError(f"tensor {name}: {file!r} is not a file name in the checkpoint")
-        path = os.path.join(ckpt_dir, file)
-        try:
-            with open(path, "rb") as fh:
-                vals = np.frombuffer(fh.read(), dtype="<f8")
-        except OSError as exc:
-            raise DataError(f"tensor {name}: cannot read {path}: {exc}") from exc
-        if vals.size != a.size:
-            raise DataError(f"tensor {name}: expected {a.size} values, got {vals.size}")
-        if not np.all(np.isfinite(vals)):
-            raise DataError(f"tensor {name}: values are not finite")
-        a[...] = vals.reshape(a.shape)
-    return model, cfg
+
+def load_checkpoint(path):
+    """Returns (model, config) from a checkpoint file; a file that does not
+    hold finite parameters of a model of its own config raises DataError."""
+    ckpt = jsonio.decode(Checkpoint, jsonio.read_json(path))
+    model = OccModel.create(ckpt.config)
+    params = np.array(ckpt.params, dtype=np.float64)
+    if params.size != model.to_vector().size:
+        raise DataError(f"{path}: {params.size} parameters, not {model.to_vector().size}")
+    if not np.all(np.isfinite(params)):
+        raise DataError(f"{path}: parameters are not finite")
+    model.apply_vector(params)
+    return model, ckpt.config
 
 
 @dataclass

@@ -55,11 +55,10 @@ class SceneSpec:
     lidar: LidarSpec
 
 
-def _box_frame(box: Box, points: np.ndarray) -> np.ndarray:
-    """World points expressed in the box's local frame."""
+def _box_rotation(box: Box) -> np.ndarray:
+    """World-to-box rotation: the inverse of the box's yaw about +z."""
     c, s = math.cos(box.yaw), math.sin(box.yaw)
-    rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    return (points - np.asarray(box.center)) @ rot.T
+    return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def rasterize_gt(spec: SceneSpec) -> OccupancyGrid:
@@ -73,7 +72,7 @@ def rasterize_gt(spec: SceneSpec) -> OccupancyGrid:
     ) * spec.grid.voxel_size
     labels = np.zeros(nx * ny * nz, dtype=np.uint8)
     for box in spec.objects:  # later boxes overwrite earlier ones
-        local = _box_frame(box, centers)
+        local = (centers - np.asarray(box.center)) @ _box_rotation(box).T
         half = np.asarray(box.size) / 2.0
         inside = np.all(np.abs(local) <= half, axis=1)
         labels[inside] = box.class_id
@@ -85,8 +84,7 @@ def rasterize_gt(spec: SceneSpec) -> OccupancyGrid:
 
 def _ray_box_hits(origins: np.ndarray, dirs: np.ndarray, box: Box):
     """Slab-test ray/box intersection; returns (hit mask, entry distance)."""
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    rot = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    rot = _box_rotation(box)
     o = (origins - np.asarray(box.center)) @ rot.T
     d = dirs @ rot.T
     half = np.asarray(box.size) / 2.0
@@ -103,6 +101,20 @@ def _ray_box_hits(origins: np.ndarray, dirs: np.ndarray, box: Box):
     hit = (t_enter <= t_exit) & (t_exit > 1e-9) & ~parallel_miss.any(axis=1)
     t_hit = np.where(t_enter > 1e-9, t_enter, t_exit)  # origin inside: exit face
     return hit, np.where(hit, t_hit, np.inf)
+
+
+def _nearest_hits(origin: np.ndarray, dirs: np.ndarray, boxes):
+    """Per ray from ``origin``, the distance to and index of the nearest box
+    it hits (inf and -1 for a ray that hits none)."""
+    origins = np.broadcast_to(origin, dirs.shape)
+    best_t = np.full(len(dirs), np.inf)
+    best_box = np.full(len(dirs), -1, dtype=np.int64)
+    for bi, box in enumerate(boxes):
+        hit, t = _ray_box_hits(origins, dirs, box)
+        closer = hit & (t < best_t)
+        best_t[closer] = t[closer]
+        best_box[closer] = bi
+    return best_t, best_box
 
 
 def _luminance(rgb) -> float:
@@ -129,15 +141,8 @@ def cast_lidar(spec: SceneSpec) -> np.ndarray:
         axis=1,
     )
     origin = np.asarray(lid.origin, dtype=np.float64)
-    origins = np.broadcast_to(origin, dirs.shape)
     n_rays = len(dirs)
-    best_t = np.full(n_rays, np.inf)
-    best_box = np.full(n_rays, -1, dtype=np.int64)
-    for bi, box in enumerate(spec.objects):
-        hit, t = _ray_box_hits(origins, dirs, box)
-        closer = hit & (t < best_t)
-        best_t[closer] = t[closer]
-        best_box[closer] = bi
+    best_t, best_box = _nearest_hits(origin, dirs, spec.objects)
     hit_mask = best_box >= 0
     if not hit_mask.any():
         return np.zeros((0, 4))
@@ -173,14 +178,7 @@ def render_views(spec: SceneSpec) -> list:
         rot = cam.extrinsics[:3, :3]
         eye = -rot.T @ cam.extrinsics[:3, 3]
         dirs = dir_cam @ rot
-        origins = np.broadcast_to(eye, dirs.shape)
-        best_t = np.full(len(dirs), np.inf)
-        best_box = np.full(len(dirs), -1, dtype=np.int64)
-        for bi, box in enumerate(spec.objects):
-            hit, t = _ray_box_hits(origins, dirs, box)
-            closer = hit & (t < best_t)
-            best_t[closer] = t[closer]
-            best_box[closer] = bi
+        best_t, best_box = _nearest_hits(eye, dirs, spec.objects)
         img = np.zeros((w * h, 3))
         hitm = best_box >= 0
         if hitm.any():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -10,6 +11,7 @@ from occkit.cli import run_command
 from occkit.pipeline import OccModel, PipelineConfig, evaluate, predict, save_checkpoint
 from occkit.pointprep import write_ocfp
 from occkit import cli as climod
+from occkit import grid as gridmod
 
 
 def run(*argv):
@@ -176,7 +178,7 @@ def test_train_and_reuse_checkpoint(data_dir, tmp_path):
     assert run("train", "--data", str(data_dir), "--epochs", "1",
                "--k-percent", "100", "--learning-rate", "0.05",
                "--batch-size", "2", "--seed", "0", "--out", str(out)) == 0
-    assert (out / "checkpoint" / "manifest.json").exists()
+    assert sorted(os.listdir(out)) == ["checkpoint.json", "history.jsonl"]
     lines = (out / "history.jsonl").read_text().strip().splitlines()
     assert len(lines) == 1
     rec = json.loads(lines[0])
@@ -188,9 +190,26 @@ def test_train_and_reuse_checkpoint(data_dir, tmp_path):
     assert dir_bytes(out) == dir_bytes(out2)
     pred_out = tmp_path / "pred_ckpt"
     assert run("predict", "--sample", str(data_dir / "sample_000"),
-               "--ckpt", str(out / "checkpoint"), "--seed", "0",
+               "--ckpt", str(out / "checkpoint.json"), "--seed", "0",
                "--out", str(pred_out)) == 0
     assert (pred_out / "metrics.json").exists()
+
+
+def test_train_flags_override_only_when_given(data_dir, tmp_path):
+    data = tmp_path / "data"
+    for name in ("sample_000", "sample_001"):
+        shutil.copytree(data_dir / name, data / name)
+    cfg = read_json(data_dir / "config.json")
+    training = {"epochs": 3, "k_percent": 50.0, "learning_rate": 0.5, "batch_size": 1, "seed": 7}
+    cfg["training"] = training
+    (data / "config.json").write_text(json.dumps(cfg))
+    assert run("train", "--data", str(data), "--out", str(tmp_path / "a")) == 0
+    assert read_json(tmp_path / "a" / "checkpoint.json")["config"]["training"] == training
+    assert len((tmp_path / "a" / "history.jsonl").read_text().splitlines()) == 3
+    assert run("train", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "b")) == 0
+    saved = read_json(tmp_path / "b" / "checkpoint.json")["config"]["training"]
+    assert saved == dict(training, epochs=1)
+    assert len((tmp_path / "b" / "history.jsonl").read_text().splitlines()) == 1
 
 
 def test_missing_inputs_exit_two(tmp_path, capsys):
@@ -371,48 +390,74 @@ def test_label_out_of_range_exits_two(data_dir, tmp_path, capsys):
     assert not (tmp_path / "e.json").exists()
 
 
-def _drop_tensor_entry(ckpt):
-    manifest = read_json(ckpt / "manifest.json")
-    del manifest["tensors"]["heads.fine_bias"]
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+OFF_GRID = {
+    "dims": dict(labels=np.zeros((8, 8, 8), dtype=np.uint8)),
+    "voxel_size": dict(voxel_size=0.2),
+    "min_corner": dict(min_corner=(5.0, 5.0, 5.0)),
+}
 
 
-def _tensor_path_is_dir(ckpt):
-    manifest = read_json(ckpt / "manifest.json")
-    manifest["tensors"]["heads.fine_bias"]["file"] = "."
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+@pytest.mark.parametrize("command", ["predict", "train"])
+@pytest.mark.parametrize("what", OFF_GRID)
+def test_ground_truth_off_the_config_grid_exits_two(data_dir, tmp_path, capsys, command, what):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir / "sample_000", data / "sample_000")
+    shutil.copy(data_dir / "config.json", data / "config.json")
+    gt = data / "sample_000" / "gt.occg"
+    gridmod.write_occg(gt, dataclasses.replace(gridmod.read_occg(gt), **OFF_GRID[what]))
+    if command == "predict":
+        argv = ["predict", "--sample", str(data / "sample_000")]
+    else:
+        argv = ["train", "--data", str(data), "--epochs", "1"]
+    assert run(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gt}: grid {what.replace('_', ' ')} ")
+    assert err.endswith("of the config's fine grid\n")
 
 
-def _tensor_file_is_subdir(ckpt):
-    (ckpt / "blobs").mkdir()
-    manifest = read_json(ckpt / "manifest.json")
-    manifest["tensors"]["heads.fine_bias"]["file"] = "blobs"
-    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+def test_eval_of_grids_on_different_frames_exits_two(data_dir, tmp_path, capsys):
+    gt = data_dir / "sample_000" / "gt.occg"
+    moved = tmp_path / "moved.occg"
+    grid = gridmod.read_occg(gt)
+    gridmod.write_occg(moved, dataclasses.replace(grid, voxel_size=0.2, min_corner=(5, 5, 5)))
+    assert run("eval", "--pred", str(moved), "--gt", str(gt), "--out", str(tmp_path / "e.json")) == 2
+    gridmod.write_occg(moved, dataclasses.replace(grid, min_corner=(5, 5, 5)))
+    assert run("eval", "--pred", str(gt), "--gt", str(moved), "--out", str(tmp_path / "e.json")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"error: {moved}: grid voxel size ") and err[0].endswith(str(gt))
+    assert err[1].startswith(f"error: {gt}: grid min corner ") and err[1].endswith(str(moved))
+    assert not (tmp_path / "e.json").exists()
 
 
-def _truncate_tensor(ckpt):
-    path = ckpt / "attention_w_out.f64"
-    path.write_bytes(path.read_bytes()[:-8])
+def _edit_checkpoint(edit):
+    def corrupt(ckpt):
+        obj = read_json(ckpt)
+        edit(obj)
+        # JSON has no infinity; the number 1e999 overflows to one when parsed
+        ckpt.write_text(json.dumps(obj).replace('"inf"', "1e999"))
+
+    return corrupt
 
 
-def _nan_tensor(ckpt):
-    path = ckpt / "heads_coarse_bias.f64"
-    path.write_bytes(np.full(path.stat().st_size // 8, np.nan).astype("<f8").tobytes())
+def _old_checkpoint_dir(ckpt):
+    ckpt.unlink()
+    ckpt.mkdir()
+    (ckpt / "manifest.json").write_text("{}")
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda ckpt: (ckpt / "manifest.json").write_text("{not json"),
-        lambda ckpt: (ckpt / "manifest.json").write_text("{}"),
-        _drop_tensor_entry,
-        _tensor_path_is_dir,
-        _tensor_file_is_subdir,
-        _truncate_tensor,
-        _nan_tensor,
+        lambda ckpt: ckpt.write_text("{not json"),
+        lambda ckpt: ckpt.write_text("{}"),
+        lambda ckpt: ckpt.unlink(),
+        _old_checkpoint_dir,
+        _edit_checkpoint(lambda c: c["params"].pop()),
+        _edit_checkpoint(lambda c: c["params"].__setitem__(3, "inf")),
+        _edit_checkpoint(lambda c: c["params"].__setitem__(3, "0.5")),
     ],
-    ids=["not_json", "empty_object", "missing_tensor", "tensor_path_is_dir",
-         "tensor_file_is_subdir", "size_mismatch", "non_finite"],
+    ids=["not_json", "empty_object", "missing_file", "old_directory", "size_mismatch",
+         "non_finite", "string_element"],
 )
 def test_corrupt_checkpoint_exits_two(data_dir, tmp_path, capsys, corrupt):
     cfg = PipelineConfig.for_preset("tiny", seed=0)
@@ -423,39 +468,6 @@ def test_corrupt_checkpoint_exits_two(data_dir, tmp_path, capsys, corrupt):
                "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
-
-
-def _tensor_file(name):
-    def corrupt(ckpt):
-        manifest = read_json(ckpt / "manifest.json")
-        manifest["tensors"]["attention.w_out"]["file"] = name(ckpt)
-        (ckpt / "manifest.json").write_text(json.dumps(manifest))
-
-    return corrupt
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [
-        _tensor_file(lambda ckpt: str(ckpt / "attention_w_out.f64")),
-        _tensor_file(lambda ckpt: "../ckpt/attention_w_out.f64"),
-        _tensor_file(lambda ckpt: ".."),
-        _tensor_file(lambda ckpt: "attention\0w_out.f64"),
-        _tensor_file(lambda ckpt: 3),
-    ],
-    ids=["absolute", "parent_dir", "dot_dot", "nul_byte", "not_a_string"],
-)
-def test_checkpoint_tensor_outside_dir_exits_two(data_dir, tmp_path, capsys, corrupt):
-    """A tensor file is a plain name inside the checkpoint directory; an
-    absolute or ``..`` path is refused even when it names a valid blob."""
-    cfg = PipelineConfig.for_preset("tiny", seed=0)
-    ckpt = tmp_path / "ckpt"
-    save_checkpoint(ckpt, OccModel.create(cfg), cfg)
-    corrupt(ckpt)
-    assert run("predict", "--sample", str(data_dir / "sample_000"), "--ckpt", str(ckpt),
-               "--out", str(tmp_path / "o")) == 2
-    err = capsys.readouterr().err
-    assert "is not a file name in the checkpoint" in err and "Traceback" not in err
 
 
 def test_console_script_installed():

@@ -1,18 +1,20 @@
 import copy
 import dataclasses
 import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from occkit import jsonio
 from occkit.errors import DataError
-from occkit.pipeline import PipelineConfig
+from occkit.pipeline import Checkpoint, OccModel, PipelineConfig, load_checkpoint
 from occkit.scenes import SceneSpec, preset, scene_from_json, scene_to_json
 
 CFG = PipelineConfig.for_preset("tiny", seed=0)
 CFG_JSON = jsonio.encode(CFG)
 SCENE_JSON = scene_to_json(preset("tiny", seed=0))
+CKPT_JSON = jsonio.encode(Checkpoint(CFG, OccModel.create(CFG).to_vector().tolist()))
 
 
 def test_encode_nests_dataclasses_enums_and_tuples():
@@ -82,6 +84,16 @@ def test_write_json_layout_and_read_json_rejects_non_json(tmp_path):
         jsonio.read_json(tmp_path)
 
 
+def test_failed_write_json_keeps_the_old_file(tmp_path):
+    path = tmp_path / "a.json"
+    jsonio.write_json(path, {"a": 1})
+    old = path.read_bytes()
+    with pytest.raises(TypeError):
+        jsonio.write_json(path, {"a": object()})
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["a.json"]
+
+
 # --- fuzzing -----------------------------------------------------------------
 
 JSON_VALUES = st.recursive(
@@ -106,11 +118,13 @@ def _object_paths(node, path=()):
 
 
 @st.composite
-def one_key_changed(draw, valid):
-    """``valid`` with one key of one of its objects deleted, added or replaced."""
+def one_key_changed(draw, valid, at=None):
+    """``valid`` with one key deleted, added or replaced in one of its objects,
+    or in the object at path ``at`` when given."""
     doc = copy.deepcopy(valid)
     node = doc
-    for key in draw(st.sampled_from(list(_object_paths(doc)))):
+    path = draw(st.sampled_from(list(_object_paths(doc)))) if at is None else at
+    for key in path:
         node = node[key]
     how = draw(st.sampled_from(["delete", "add", "replace"]))
     if how == "add":
@@ -148,3 +162,48 @@ def test_fuzz_decode_config(obj):
 @given(st.one_of(JSON_VALUES, one_key_changed(SCENE_JSON)))
 def test_fuzz_scene_from_json(obj):
     _valid_or_data_error(scene_from_json, scene_to_json, SceneSpec, obj)
+
+
+@st.composite
+def one_param_changed(draw, valid):
+    """``valid`` with one element of ``params`` replaced, or ``params``
+    truncated or extended."""
+    doc = copy.deepcopy(valid)
+    params = doc["params"]
+    how = draw(st.sampled_from(["replace", "truncate", "extend"]))
+    if how == "replace":
+        params[draw(st.integers(0, len(params) - 1))] = draw(st.floats() | JSON_VALUES)
+    elif how == "truncate":
+        del params[draw(st.integers(0, len(params))):]
+    else:
+        params.extend(draw(st.lists(JSON_VALUES, min_size=1, max_size=3)))
+    return doc
+
+
+def _checkpoint_json(loaded):
+    model, cfg = loaded
+    return jsonio.encode(Checkpoint(cfg, model.to_vector().tolist()))
+
+
+def _model_or_data_error(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "fuzz_checkpoint.json"
+
+    def read(obj):
+        path.write_text(json.dumps(obj))
+        return load_checkpoint(path)
+
+    _valid_or_data_error(read, _checkpoint_json, tuple, obj)
+
+
+# Edits stay out of "config": test_fuzz_decode_config covers it, and a valid
+# config with huge sizes would allocate that model.
+@FUZZ
+@given(st.one_of(JSON_VALUES, one_key_changed(CKPT_JSON, at=())))
+def test_fuzz_load_checkpoint(tmp_path_factory, obj):
+    _model_or_data_error(tmp_path_factory, obj)
+
+
+@FUZZ
+@given(one_param_changed(CKPT_JSON))
+def test_fuzz_load_checkpoint_params(tmp_path_factory, obj):
+    _model_or_data_error(tmp_path_factory, obj)

@@ -28,12 +28,12 @@ SMALL_FAN4_SEED1_DIGEST = "d9a98e6593be623b3b1d612ab9a8e09288229883a64ff70df48d6
 # with a freshly created model. Fusion, the heads and decoding all feed it.
 TINY_SEED0_PREDICT_DIGEST = "8b002b09598a22bfda015c13b7aee0ac33c4c16c35dab4c6baabcaed3a6d4c94"
 # sha256 of the JSON files of the tiny preset at seed 0: synth's config.json
-# and scene.json, and the manifest of a fresh model's checkpoint. A new or
-# renamed config field changes them; update them only for an intended change.
+# and scene.json, and a fresh model's checkpoint.json. A new or renamed config
+# field changes them; update them only for an intended change.
 TINY_SEED0_JSON_DIGESTS = {
     "config.json": "99ce182bb301e98beb11acfcb1a9414d4fde2b635b7655d87f7536017de60575",
     "scene.json": "128c0ab4d61a32c70edee40a6cb4ad256d0db871da9534eac2aa2b1d6e154c75",
-    "manifest.json": "c43a3ec7bf005f2c83bd7e5af6664a25e0aa75a5b176e36f49d5b6e29be3a871",
+    "checkpoint.json": "088f6ac251501ee6b3e5ece5eae23bb95c955a7890552fe2f1de2646eb902301",
 }
 # sha256 of sample_gradients' vector for the tiny preset at seed 0, with seeded
 # non-zero offset and weight generators: the keys of a head differ and about
@@ -103,11 +103,11 @@ def test_gradient_golden_digest():
 def test_json_files_golden_bytes(tmp_path):
     assert run_command(["synth", "--preset", "tiny", "--seed", "0", "--out", str(tmp_path)]) == 0
     cfg = PipelineConfig.for_preset("tiny", seed=0)
-    save_checkpoint(tmp_path / "ckpt", OccModel.create(cfg), cfg)
+    save_checkpoint(tmp_path / "checkpoint.json", OccModel.create(cfg), cfg)
     paths = {
         "config.json": tmp_path / "config.json",
         "scene.json": tmp_path / "sample_000" / "scene.json",
-        "manifest.json": tmp_path / "ckpt" / "manifest.json",
+        "checkpoint.json": tmp_path / "checkpoint.json",
     }
     digests = {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
     assert digests == TINY_SEED0_JSON_DIGESTS

@@ -161,7 +161,7 @@ def test_k100_equals_standard_training(dataset):
 def test_checkpoint_roundtrip(tmp_path, cfg, dataset):
     model = OccModel.create(cfg)
     train_epoch(model, dataset, [0], cfg, epoch=0)
-    out = tmp_path / "ckpt"
+    out = tmp_path / "checkpoint.json"
     save_checkpoint(out, model, cfg)
     back, cfg2 = load_checkpoint(out)
     assert back.param_hash() == model.param_hash()
