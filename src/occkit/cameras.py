@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .grid import VoxelPoints
 
 NEAR_PLANE = 1e-3  # meters; points closer than this are treated as invisible
@@ -14,16 +14,19 @@ NEAR_PLANE = 1e-3  # meters; points closer than this are treated as invisible
 
 @dataclass
 class CameraModel:
-    """Pinhole camera: 3x3 intrinsics plus a 4x4 world-to-camera transform."""
+    """Pinhole camera: 3x3 intrinsics plus a 4x4 world-to-camera transform.
+
+    The matrices are held as float64 arrays; JSON stores them as nested lists.
+    """
 
     cam_id: str
-    intrinsics: np.ndarray  # 3x3, (fx, 0, cx; 0, fy, cy; 0, 0, 1)
-    extrinsics: np.ndarray  # 4x4 rigid world -> camera
-    image_size: tuple  # (width, height) pixels
+    intrinsics: list[list[float]]  # 3x3, (fx, 0, cx; 0, fy, cy; 0, 0, 1)
+    extrinsics: list[list[float]]  # 4x4 rigid world -> camera
+    image_size: tuple[int, int]  # (width, height) pixels
 
     def __post_init__(self):
-        self.intrinsics = np.asarray(self.intrinsics, dtype=np.float64).reshape(3, 3)
-        self.extrinsics = np.asarray(self.extrinsics, dtype=np.float64).reshape(4, 4)
+        self.intrinsics = _matrix(self.intrinsics, 3)
+        self.extrinsics = _matrix(self.extrinsics, 4)
         self.image_size = (int(self.image_size[0]), int(self.image_size[1]))
         if self.intrinsics[0, 0] <= 0 or self.intrinsics[1, 1] <= 0:
             raise ConfigError("focal lengths must be positive")
@@ -48,6 +51,13 @@ class CameraModel:
     @property
     def cy(self):
         return self.intrinsics[1, 2]
+
+
+def _matrix(m, n) -> np.ndarray:
+    a = np.asarray(m, dtype=np.float64)
+    if a.shape != (n, n) or not np.all(np.isfinite(a)):
+        raise ConfigError(f"camera matrix must be {n}x{n} and finite, not {a.shape}")
+    return a
 
 
 @dataclass
@@ -204,36 +214,6 @@ def bilinear_corners(shape, pixels: np.ndarray, slopes: bool = False):
     in_x = (pixels[..., 0] >= 0.0) & (pixels[..., 0] <= w - 1.0)
     in_y = (pixels[..., 1] >= 0.0) & (pixels[..., 1] <= h - 1.0)
     return y0 * w + x0, wts, (fx, fy, gx, gy, in_x, in_y)
-
-
-def rig_to_json(rig) -> dict:
-    return {
-        "cameras": [
-            {
-                "id": cam.cam_id,
-                "width": cam.image_size[0],
-                "height": cam.image_size[1],
-                "intrinsics": [float(v) for v in cam.intrinsics.ravel()],
-                "extrinsics": [float(v) for v in cam.extrinsics.ravel()],
-            }
-            for cam in rig
-        ]
-    }
-
-
-def rig_from_json(obj) -> list:
-    try:
-        return [
-            CameraModel(
-                cam_id=str(c["id"]),
-                intrinsics=np.asarray(c["intrinsics"]).reshape(3, 3),
-                extrinsics=np.asarray(c["extrinsics"]).reshape(4, 4),
-                image_size=(c["width"], c["height"]),
-            )
-            for c in obj["cameras"]
-        ]
-    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
-        raise DataError(f"malformed camera rig JSON: {exc}") from exc
 
 
 def look_at_extrinsics(eye, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:

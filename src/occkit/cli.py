@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .errors import DataError, NumericalError, OcckitError
+from .errors import ConfigError, DataError, NumericalError, OcckitError
 from . import grid as gridmod
 from . import jsonio, pointprep, scenes
 from .pointprep import FillScope
@@ -47,11 +47,10 @@ def _read_config(path) -> PipelineConfig:
     return jsonio.decode(PipelineConfig, jsonio.read_json(path))
 
 
-def _load_config(args, default_preset="tiny"):
-    if getattr(args, "config", None):
+def _load_config(args):
+    if args.config:
         return _read_config(args.config)
-    preset = getattr(args, "preset", None) or default_preset
-    return PipelineConfig.for_preset(preset, seed=args.seed)
+    return PipelineConfig.for_preset(getattr(args, "preset", None) or "tiny", seed=args.seed or 0)
 
 
 def _given(args, *names) -> dict:
@@ -85,14 +84,24 @@ def _load_sample(sample_dir, cfg):
     return prepare_sample(spec, cfg, cloud=cloud, images=images, gt=gt)
 
 
-def _model_for(args, cfg):
-    if getattr(args, "ckpt", None):
-        return load_checkpoint(args.ckpt)
-    return OccModel.create(cfg), cfg
+def _model_for(args):
+    """(model, config): the checkpoint's, which carries its own config, or a
+    fresh model of the config that --config, --preset and --seed give."""
+    if args.ckpt is None:
+        cfg = _load_config(args)
+        return OccModel.create(cfg), cfg
+    clash = _given(args, "config", "preset", "seed")
+    if clash:
+        flags = ", ".join(f"--{name}" for name in clash)
+        raise ConfigError(f"--ckpt carries its own config; drop {flags}")
+    return load_checkpoint(args.ckpt)
 
 
 def _cmd_synth(args):
-    cfg = _load_config(args, default_preset=args.preset)
+    cfg = _load_config(args)
+    grid = scenes.preset(args.preset).grid
+    if cfg.grid != grid:
+        raise DataError(f"{args.config}: grid differs from the {args.preset} scenes' {grid}")
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         spec = scenes.preset(args.preset, seed=args.seed + i)
@@ -136,8 +145,7 @@ def _cmd_preprocess(args):
 
 
 def _cmd_fuse(args):
-    cfg = _load_config(args)
-    model, cfg = _model_for(args, cfg)
+    model, cfg = _model_for(args)
     sample = _load_sample(args.sample, cfg)
     from .fusion import occ_fuse
 
@@ -157,8 +165,7 @@ def _cmd_fuse(args):
 
 
 def _cmd_predict(args):
-    cfg = _load_config(args)
-    model, cfg = _model_for(args, cfg)
+    model, cfg = _model_for(args)
     if args.delta is not None:
         cfg.decoder = dataclasses.replace(cfg.decoder, delta=args.delta)
     sample = _load_sample(args.sample, cfg)
@@ -207,8 +214,7 @@ def _cmd_eval(args):
 
 
 def _cmd_bench(args):
-    cfg = _load_config(args)
-    model, cfg = _model_for(args, cfg)
+    model, cfg = _model_for(args)
     sample = _load_sample(args.sample, cfg)
     from .decoder import decode
     from .pipeline import forward_coarse
@@ -233,13 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset=True):
+    def common(p, preset=True, ckpt=False):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1,
                        help="worker cap; results are independent of this")
         p.add_argument("--config", help="pipeline config JSON path")
         if preset:
             p.add_argument("--preset", choices=("tiny", "small"), default="tiny")
+        if ckpt:
+            p.add_argument("--ckpt", help="checkpoint.json written by train; it carries "
+                           "its own config, so --config, --preset and --seed are refused")
+            p.set_defaults(seed=None, preset=None)  # None: not given
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)
@@ -259,16 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("fuse", help="compute the fused voxel volume")
-    common(p)
+    common(p, ckpt=True)
     p.add_argument("--sample", required=True)
-    p.add_argument("--ckpt", help="checkpoint.json written by train")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("predict", help="fine occupancy prediction + metrics")
-    common(p)
+    common(p, ckpt=True)
     p.add_argument("--sample", required=True)
-    p.add_argument("--ckpt", help="checkpoint.json written by train")
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_predict)
@@ -292,9 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="sweep the refinement fraction")
-    common(p)
+    common(p, ckpt=True)
     p.add_argument("--sample", required=True)
-    p.add_argument("--ckpt", help="checkpoint.json written by train")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)
 
@@ -310,7 +317,7 @@ def run_command(argv) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

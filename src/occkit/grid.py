@@ -34,8 +34,8 @@ class GridConfig:
     multiple of ``voxel_size * stride``.
     """
 
-    min_corner: tuple
-    max_corner: tuple
+    min_corner: tuple[float, float, float]
+    max_corner: tuple[float, float, float]
     voxel_size: float
     stride: int = 1
 

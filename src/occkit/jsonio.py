@@ -1,9 +1,9 @@
 """One JSON codec for every config, scene and checkpoint file.
 
 A dataclass is written as an object with exactly one key per field, and read
-back by converting each value with its field's annotation. A field whose
-metadata carries ``"json": (to_json, from_json)`` keeps a file format of its
-own. Every file is written with sorted keys and an indent of 2.
+back by converting each value with its field's annotation: a ``tuple[...]``
+takes a list of exactly its length, element by element. Every file is written
+with sorted keys and an indent of 2.
 """
 
 from __future__ import annotations
@@ -15,20 +15,21 @@ import os
 import typing
 from enum import Enum
 
+import numpy as np
+
 from .errors import ConfigError, DataError
 
 
 def encode(obj):
-    """JSON value of a dataclass (nested), Enum, tuple, list or scalar."""
+    """JSON value of a dataclass (nested), Enum, tuple, list, ndarray or scalar."""
     if dataclasses.is_dataclass(obj):
-        return {
-            name: codec[0](getattr(obj, name)) if codec else encode(getattr(obj, name))
-            for name, _, codec in _fields(type(obj))
-        }
+        return {name: encode(getattr(obj, name)) for name, _ in _fields(type(obj))}
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, (tuple, list)):
         return [encode(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     return obj
 
 
@@ -43,37 +44,39 @@ def decode(cls, obj):
 
 @functools.cache
 def _fields(cls):
-    """(name, resolved annotation, own codec or None) of each field."""
+    """(name, resolved annotation) of each field."""
     hints = typing.get_type_hints(cls)
-    return [(f.name, hints[f.name], f.metadata.get("json")) for f in dataclasses.fields(cls)]
+    return [(f.name, hints[f.name]) for f in dataclasses.fields(cls)]
 
 
 def _decode(cls, obj):
     if not isinstance(obj, dict):
         raise TypeError(f"{cls.__name__} must be an object, not {type(obj).__name__}")
     fields = _fields(cls)
-    names = {name for name, _, _ in fields}
+    names = {name for name, _ in fields}
     if obj.keys() != names:
         missing, unknown = sorted(names - obj.keys()), sorted(obj.keys() - names)
         raise ValueError(f"{cls.__name__} keys: missing {missing}, unknown {unknown}")
-    return cls(**{
-        name: codec[1](obj[name]) if codec else _value(tp, obj[name])
-        for name, tp, codec in fields
-    })
+    return cls(**{name: _value(tp, obj[name]) for name, tp in fields})
 
 
 def _value(tp, v):
-    if dataclasses.is_dataclass(tp):
-        return _decode(tp, v)
-    if tp is tuple or typing.get_origin(tp) is list:
-        if not isinstance(v, list):
-            raise TypeError(f"expected a list, not {type(v).__name__}")
-        return tuple(v) if tp is tuple else [_value(typing.get_args(tp)[0], x) for x in v]
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return tp(v)
     if tp in (int, float, str):  # a float field takes a JSON integer; a bool is no number
         if isinstance(v, bool) or not isinstance(v, (int, float) if tp is float else tp):
             raise TypeError(f"expected {tp.__name__}, not {type(v).__name__}")
+        return tp(v)
+    if dataclasses.is_dataclass(tp):
+        return _decode(tp, v)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (list, tuple):
+        if not isinstance(v, list):
+            raise TypeError(f"expected a list, not {type(v).__name__}")
+        if origin is list:
+            return [_value(args[0], x) for x in v]
+        if len(v) != len(args):
+            raise ValueError(f"expected {len(args)} values, not {len(v)}")
+        return tuple(_value(t, x) for t, x in zip(args, v))
+    if isinstance(tp, type) and issubclass(tp, Enum):
         return tp(v)
     raise TypeError(f"no JSON conversion for {tp!r}")
 

@@ -9,23 +9,23 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .grid import GridConfig, OccupancyGrid
-from .cameras import CameraModel, look_at_extrinsics, rig_from_json, rig_to_json
+from .cameras import CameraModel, look_at_extrinsics
 from . import jsonio
 
 
 @dataclass
 class Box:
     class_id: int
-    center: tuple
-    size: tuple  # full extents (sx, sy, sz)
+    center: tuple[float, float, float]
+    size: tuple[float, float, float]  # full extents (sx, sy, sz)
     yaw: float  # rotation about +z, radians
-    albedo: tuple  # rgb in [0, 1]
+    albedo: tuple[float, float, float]  # rgb in [0, 1]
 
     def __post_init__(self):
         if self.class_id < 1:
@@ -36,9 +36,9 @@ class Box:
 class LidarSpec:
     n_azimuth: int
     n_elevation: int
-    origin: tuple
+    origin: tuple[float, float, float]
     noise_sigma: float = 0.0
-    elevation_range: tuple = (-0.45, 0.35)  # radians
+    elevation_range: tuple[float, float] = (-0.45, 0.35)  # radians
 
     def __post_init__(self):
         if self.noise_sigma < 0:
@@ -50,8 +50,7 @@ class SceneSpec:
     seed: int
     grid: GridConfig
     objects: list[Box]
-    # list of CameraModel, stored in the rig file format of rig_to_json
-    rig: list = field(metadata={"json": (rig_to_json, rig_from_json)})
+    rig: list[CameraModel]
     lidar: LidarSpec
 
 

@@ -13,11 +13,8 @@ from occkit.cameras import (
     look_at_extrinsics,
     project_all,
     project_batch,
-    rig_from_json,
-    rig_to_json,
 )
 from occkit.grid import GridConfig
-from occkit.jsonio import read_json, write_json
 from occkit.pointprep import FillScope, PreprocessConfig, preprocess
 
 
@@ -233,18 +230,3 @@ def test_bilinear_batch_is_a_plain_four_row_gather(shape):
     np.testing.assert_array_equal(
         bilinear_batch(data, pixels), np.einsum("nj,njc->nc", wts, rows)
     )
-
-
-def test_rig_json_roundtrip(tmp_path):
-    cams = [
-        make_cam(cam_id="front"),
-        make_cam(cam_id="left", ext=look_at_extrinsics((1, 1, 1), (0, 0, 0))),
-    ]
-    path = tmp_path / "rig.json"
-    write_json(path, rig_to_json(cams))
-    back = rig_from_json(read_json(path))
-    assert [c.cam_id for c in back] == ["front", "left"]
-    for a, b in zip(cams, back):
-        np.testing.assert_allclose(a.intrinsics, b.intrinsics)
-        np.testing.assert_allclose(a.extrinsics, b.extrinsics)
-        assert a.image_size == b.image_size

@@ -12,6 +12,7 @@ from occkit.pipeline import OccModel, PipelineConfig, evaluate, predict, save_ch
 from occkit.pointprep import write_ocfp
 from occkit import cli as climod
 from occkit import grid as gridmod
+from occkit import jsonio
 
 
 def run(*argv):
@@ -190,8 +191,7 @@ def test_train_and_reuse_checkpoint(data_dir, tmp_path):
     assert dir_bytes(out) == dir_bytes(out2)
     pred_out = tmp_path / "pred_ckpt"
     assert run("predict", "--sample", str(data_dir / "sample_000"),
-               "--ckpt", str(out / "checkpoint.json"), "--seed", "0",
-               "--out", str(pred_out)) == 0
+               "--ckpt", str(out / "checkpoint.json"), "--out", str(pred_out)) == 0
     assert (pred_out / "metrics.json").exists()
 
 
@@ -212,6 +212,46 @@ def test_train_flags_override_only_when_given(data_dir, tmp_path):
     assert len((tmp_path / "b" / "history.jsonl").read_text().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["fuse", "predict", "bench"])
+@pytest.mark.parametrize("flag", ["--config", "--preset", "--seed"])
+def test_ckpt_refuses_config_flags(data_dir, tmp_path, capsys, command, flag):
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, OccModel.create(cfg), cfg)
+    value = {"--config": str(data_dir / "config.json"), "--preset": "tiny", "--seed": "0"}[flag]
+    assert run(command, "--sample", str(data_dir / "sample_000"), "--ckpt", str(ckpt),
+               flag, value, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: --ckpt carries its own config; drop {flag}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_synth_config_off_the_preset_grid_exits_two(tmp_path, capsys):
+    for name in ("tiny", "small"):
+        cfg = jsonio.encode(PipelineConfig.for_preset(name))
+        jsonio.write_json(tmp_path / f"{name}.json", cfg)
+    assert run("synth", "--preset", "tiny", "--config", str(tmp_path / "tiny.json"),
+               "--out", str(tmp_path / "ok")) == 0
+    assert run("synth", "--preset", "tiny", "--config", str(tmp_path / "small.json"),
+               "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'small.json'}: grid differs from the tiny scenes' ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_of_the_wrong_kind_exits_two(data_dir, tmp_path, capsys):
+    a_dir, a_file = tmp_path / "a_dir", tmp_path / "a_file"
+    a_dir.mkdir()
+    a_file.write_text("kept")
+    assert run("preprocess", "--cloud", str(data_dir / "sample_000" / "cloud.ocfp"),
+               "--out", str(a_dir)) == 2
+    assert run("fuse", "--sample", str(data_dir / "sample_000"), "--out", str(a_file)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+    assert "Is a directory" in err[0] and "File exists" in err[1]
+    assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file"] and not os.listdir(a_dir)
+    assert a_file.read_text() == "kept"
+
+
 def test_missing_inputs_exit_two(tmp_path, capsys):
     assert run("predict", "--preset", "tiny", "--sample", str(tmp_path / "nope"),
                "--out", str(tmp_path / "o")) == 2
@@ -222,10 +262,10 @@ def test_missing_inputs_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _set_class_id(value):
+def _edit_scene(edit):
     def corrupt(text):
         scene = json.loads(text)
-        scene["objects"][0]["class_id"] = value
+        edit(scene)
         return json.dumps(scene)
 
     return corrupt
@@ -233,8 +273,13 @@ def _set_class_id(value):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [lambda text: "{not json", _set_class_id("x"), _set_class_id(0)],
-    ids=["not_json", "class_id_not_int", "class_id_zero"],
+    [
+        lambda text: "{not json",
+        _edit_scene(lambda s: s["objects"][0].update(class_id="x")),
+        _edit_scene(lambda s: s["objects"][0].update(class_id=0)),
+        _edit_scene(lambda s: s["rig"][0].update(image_size=[True, 24])),
+    ],
+    ids=["not_json", "class_id_not_int", "class_id_zero", "image_size_bool"],
 )
 def test_corrupt_scene_exits_two(data_dir, tmp_path, capsys, corrupt):
     sample = tmp_path / "sample"

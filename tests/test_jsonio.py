@@ -22,7 +22,9 @@ def test_encode_nests_dataclasses_enums_and_tuples():
     assert CFG_JSON["preprocess"]["fill_scope"] == "all_voxels"
     assert CFG_JSON["grid"]["min_corner"] == [-0.8, -0.8, -0.4]
     assert json.loads(json.dumps(CFG_JSON)) == CFG_JSON
-    assert SCENE_JSON["rig"]["cameras"][0]["id"] == "cam0"  # the rig's own format
+    assert SCENE_JSON["rig"][0]["cam_id"] == "cam0"
+    assert SCENE_JSON["rig"][0]["image_size"] == [32, 24]
+    assert SCENE_JSON["rig"][0]["intrinsics"][2] == [0.0, 0.0, 1.0]  # nested rows
     assert set(SCENE_JSON["objects"][0]) == {"class_id", "center", "size", "yaw", "albedo"}
 
 
@@ -37,8 +39,8 @@ def test_decode_converts_by_annotation():
     assert scene_to_json(spec) == SCENE_JSON
 
 
-def _edited(edit):
-    obj = copy.deepcopy(CFG_JSON)
+def _edited(edit, valid=CFG_JSON):
+    obj = copy.deepcopy(valid)
     edit(obj)
     return obj
 
@@ -61,14 +63,47 @@ def _edited(edit):
         _edited(lambda c: c.update(image_stride=True)),
         _edited(lambda c: c["decoder"].update(delta="0.3")),
         _edited(lambda c: c["training"].update(k_percent=True)),
+        _edited(lambda c: c["grid"].update(min_corner=["-0.8", "-0.8", "-0.4"])),
     ],
     ids=["list", "missing_key", "missing_nested_key", "unknown_key", "renamed_key",
          "tuple_not_list", "bad_enum", "float_overflow", "int_of_null", "rejected_value",
-         "int_of_real", "int_of_string", "int_of_bool", "float_of_string", "float_of_bool"],
+         "int_of_real", "int_of_string", "int_of_bool", "float_of_string", "float_of_bool",
+         "tuple_of_strings"],
 )
 def test_decode_rejects_malformed_config(obj):
     with pytest.raises(DataError):
         jsonio.decode(PipelineConfig, obj)
+
+
+def _camera(edit):
+    return _edited(lambda s: edit(s["rig"][0]), SCENE_JSON)
+
+
+MALFORMED_SCENE = {
+    "width_bool": _camera(lambda c: c.update(image_size=[True, 24])),
+    "width_real": _camera(lambda c: c.update(image_size=[32.7, 24])),
+    "size_of_three": _camera(lambda c: c.update(image_size=[32, 24, 1])),
+    "id_int": _camera(lambda c: c.update(cam_id=5)),
+    "intrinsics_string": _camera(lambda c: c["intrinsics"][0].__setitem__(0, "28.0")),
+    "intrinsics_bool": _camera(lambda c: c["intrinsics"][2].__setitem__(2, True)),
+    "intrinsics_2x2": _camera(lambda c: c.update(intrinsics=[[28.0, 0.0], [0.0, 28.0]])),
+    "intrinsics_ragged": _camera(lambda c: c["intrinsics"][1].pop()),
+    "intrinsics_flat": _camera(lambda c: c.update(intrinsics=sum(c["intrinsics"], []))),
+    "extrinsics_inf": _camera(lambda c: c["extrinsics"][0].__setitem__(3, float("inf"))),
+    "unknown_camera_key": _camera(lambda c: c.update(lens="wide")),
+    "rig_object": _edited(lambda s: s.update(rig={"cameras": s["rig"], "extra": 1}), SCENE_JSON),
+    "center_strings": _edited(
+        lambda s: s["objects"][0].update(center=["0.1", "0.2", "0.3"]), SCENE_JSON
+    ),
+    "size_two_values": _edited(lambda s: s["objects"][0].update(size=[0.3, 0.3]), SCENE_JSON),
+    "origin_null": _edited(lambda s: s["lidar"].update(origin=[0.0, 0.0, None]), SCENE_JSON),
+}
+
+
+@pytest.mark.parametrize("obj", MALFORMED_SCENE.values(), ids=MALFORMED_SCENE.keys())
+def test_scene_from_json_rejects_malformed_scene(obj):
+    with pytest.raises(DataError):
+        scene_from_json(obj)
 
 
 def test_write_json_layout_and_read_json_rejects_non_json(tmp_path):

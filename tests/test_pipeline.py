@@ -32,7 +32,7 @@ TINY_SEED0_PREDICT_DIGEST = "8b002b09598a22bfda015c13b7aee0ac33c4c16c35dab4c6baa
 # field changes them; update them only for an intended change.
 TINY_SEED0_JSON_DIGESTS = {
     "config.json": "99ce182bb301e98beb11acfcb1a9414d4fde2b635b7655d87f7536017de60575",
-    "scene.json": "128c0ab4d61a32c70edee40a6cb4ad256d0db871da9534eac2aa2b1d6e154c75",
+    "scene.json": "a05d8693b03f02471eb2f89b457563dcbebfbec3014af7304b7b45f0963b8c40",
     "checkpoint.json": "088f6ac251501ee6b3e5ece5eae23bb95c955a7890552fe2f1de2646eb902301",
 }
 # sha256 of sample_gradients' vector for the tiny preset at seed 0, with seeded

@@ -262,6 +262,7 @@ def test_scene_json_roundtrip():
         assert a.yaw == pytest.approx(b.yaw)
     for a, b in zip(back.rig, spec.rig):
         assert a.cam_id == b.cam_id
+        assert a.image_size == b.image_size
         np.testing.assert_allclose(a.intrinsics, b.intrinsics)
         np.testing.assert_allclose(a.extrinsics, b.extrinsics)
     np.testing.assert_array_equal(
