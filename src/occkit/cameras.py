@@ -115,15 +115,14 @@ class ProjectedReference:
     pixels: np.ndarray  # (n_cam, P, 2)
 
 
-def project_batch(points: np.ndarray, cam: CameraModel, feat_size=None):
+def project_batch(points: np.ndarray, cam: CameraModel, feat_size):
     """Project world points into one camera.
 
     ``feat_size`` is the (width, height) of the sampled feature map; image
-    coordinates are rescaled accordingly. Defaults to full image resolution.
-    Returns (valid (n,) bool, pixels (n, 2)).
+    coordinates are rescaled accordingly. Returns (valid (n,) bool, pixels (n, 2)).
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    wc, hc = feat_size if feat_size is not None else cam.image_size
+    wc, hc = feat_size
     cam_pts = pts @ cam.extrinsics[:3, :3].T + cam.extrinsics[:3, 3]
     z = cam_pts[:, 2]
     valid = z > NEAR_PLANE
@@ -142,19 +141,17 @@ def project_batch(points: np.ndarray, cam: CameraModel, feat_size=None):
     return valid, px
 
 
-def project_all(refs: VoxelPoints, rig, feat_sizes=None) -> ProjectedReference:
+def project_all(refs: VoxelPoints, rig, feat_sizes) -> ProjectedReference:
     """Project every reference point into every camera of the rig.
 
-    ``feat_sizes`` is an optional list of (width, height) per camera, e.g.
-    the shapes of the encoded feature maps.
+    ``feat_sizes`` lists the (width, height) of each camera's feature map.
     """
     if not rig:
         raise ConfigError("camera rig must not be empty")
     n_pts = len(refs.positions)
     valid = np.zeros((len(rig), n_pts), dtype=bool)
     pixels = np.zeros((len(rig), n_pts, 2), dtype=np.float64)
-    for c, cam in enumerate(rig):
-        fs = feat_sizes[c] if feat_sizes is not None else None
+    for c, (cam, fs) in enumerate(zip(rig, feat_sizes)):
         valid[c], pixels[c] = project_batch(refs.positions, cam, fs)
     return ProjectedReference(
         cam_ids=[cam.cam_id for cam in rig],
@@ -163,12 +160,8 @@ def project_all(refs: VoxelPoints, rig, feat_sizes=None) -> ProjectedReference:
     )
 
 
-def bilinear(fmap: FeatureMap, pixel) -> np.ndarray:
-    """Sample a feature map with 4-neighbor bilinear interpolation (clamped)."""
-    return bilinear_batch(fmap.data, np.asarray(pixel).reshape(1, 2))[0]
-
-
 def bilinear_batch(data: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """Clamped 4-neighbor bilinear samples (n, C) of a (h, w, C) map at (n, 2) pixels."""
     h, w, c = data.shape
     idx, wts = bilinear_corners((h, w), np.asarray(pixels, dtype=np.float64).reshape(-1, 2))
     patches = np.take(corner_patches(data.reshape(-1, c), h, w), idx, axis=0)

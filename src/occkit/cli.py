@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import logging
 import os
 import sys
 
@@ -32,15 +30,7 @@ from .pipeline import (
 )
 from .training import active_train
 
-log = logging.getLogger("occkit")
-
 BENCH_DELTAS = (0.1, 0.2, 0.3, 1.0)
-
-
-def _setup_logging():
-    level = os.environ.get("OCCKIT_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.ERROR))
 
 
 def _read_config(path) -> PipelineConfig:
@@ -50,7 +40,8 @@ def _read_config(path) -> PipelineConfig:
 def _load_config(args):
     if args.config:
         return _read_config(args.config)
-    return PipelineConfig.for_preset(getattr(args, "preset", None) or "tiny", seed=args.seed or 0)
+    preset, seed = getattr(args, "preset", None), getattr(args, "seed", None)  # eval has neither
+    return PipelineConfig.for_preset(preset or "tiny", seed=seed or 0)
 
 
 def _given(args, *names) -> dict:
@@ -115,7 +106,6 @@ def _cmd_synth(args):
             scenes.write_ppm(os.path.join(sdir, f"cam_{cam.cam_id}.ppm"), img)
         jsonio.write_json(os.path.join(sdir, "config.json"), jsonio.encode(cfg))
     jsonio.write_json(os.path.join(args.out, "config.json"), jsonio.encode(cfg))
-    log.info("wrote %d samples to %s", args.count, args.out)
     return 0
 
 
@@ -173,7 +163,7 @@ def _cmd_predict(args):
     os.makedirs(args.out, exist_ok=True)
     gridmod.write_occg(os.path.join(args.out, "pred.occg"), fine_grid)
     gridmod.write_occg(os.path.join(args.out, "coarse.occg"), coarse_grid)
-    jsonio.write_json(os.path.join(args.out, "opcount.json"), report.to_json())
+    jsonio.write_json(os.path.join(args.out, "opcount.json"), jsonio.encode(report))
     jsonio.write_json(
         os.path.join(args.out, "metrics.json"), evaluate(fine_grid, sample.gt_fine)
     )
@@ -197,10 +187,7 @@ def _cmd_train(args):
     model, history = active_train(model, dataset, cfg)
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "checkpoint.json"), model, cfg)
-    with open(os.path.join(args.out, "history.jsonl"), "w") as fh:
-        for rec in history:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True))
-            fh.write("\n")
+    jsonio.write_json(os.path.join(args.out, "history.json"), jsonio.encode(history))
     return 0
 
 
@@ -225,9 +212,7 @@ def _cmd_bench(args):
     for delta in BENCH_DELTAS:
         dec = dataclasses.replace(cfg.decoder, delta=delta)
         _, report, _ = decode(fused, sample.maps, sample.scene.rig, model.heads, dec, cfg.grid)
-        row = report.to_json()
-        row["delta"] = delta
-        rows.append(row)
+        rows.append(dict(jsonio.encode(report), delta=delta))
     jsonio.write_json(args.out, {"rows": rows})
     return 0
 
@@ -239,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset=True, ckpt=False):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, preset=True, ckpt=False, seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1,
                        help="worker cap; results are independent of this")
         p.add_argument("--config", help="pipeline config JSON path")
@@ -293,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train, seed=None)
 
     p = sub.add_parser("eval", help="compare two OCCG grids")
-    common(p, preset=False)
+    common(p, preset=False, seed=False)
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)
@@ -309,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -103,29 +103,13 @@ class OpCountReport:
 
     fine_ops: int
     full_ops: int
+    ratio: float  # fine_ops / full_ops, 0 when there is no candidate
     selected_voxels: int
     candidate_voxels: int
 
-    @property
-    def ratio(self) -> float:
-        return self.fine_ops / self.full_ops if self.full_ops else 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "fine_ops": self.fine_ops,
-            "full_ops": self.full_ops,
-            "ratio": self.ratio,
-            "selected_voxels": self.selected_voxels,
-            "candidate_voxels": self.candidate_voxels,
-        }
-
-
-def entropy(probs) -> float:
-    """Shannon entropy in nats, with 0 log 0 = 0."""
-    return float(entropy_batch(np.asarray(probs, dtype=np.float64).reshape(1, -1))[0])
-
 
 def entropy_batch(probs: np.ndarray) -> np.ndarray:
+    """Shannon entropy in nats of each row, with 0 log 0 = 0."""
     p = np.asarray(probs, dtype=np.float64)
     terms = np.where(p > 0, -p * np.log(np.where(p > 0, p, 1.0)), 0.0)
     return terms.sum(axis=-1)
@@ -136,21 +120,16 @@ def refine_count(delta: float, m: int) -> int:
     return int(math.ceil(delta * m - 1e-9)) if m else 0
 
 
-def select_refine(dists: np.ndarray, delta: float, candidates=None) -> np.ndarray:
-    """Indices of the ceil(delta * M) highest-entropy voxels.
+def select_refine(dists: np.ndarray, delta: float, candidates: np.ndarray) -> np.ndarray:
+    """Indices of the ceil(delta * M) highest-entropy voxels among the M rows
+    of ``dists`` (n, n_class) that the boolean mask ``candidates`` (n,) marks.
 
-    ``dists`` is (n, n_class); ``candidates`` optionally restricts the pool
-    (boolean mask or index array). Entropy ties break toward the lower voxel
-    index. Returns ascending indices into ``dists``.
+    Entropy ties break toward the lower voxel index. Returns ascending
+    indices into ``dists``.
     """
     dists = np.asarray(dists, dtype=np.float64)
-    if candidates is None:
-        pool = np.arange(len(dists))
-    else:
-        candidates = np.asarray(candidates)
-        pool = np.nonzero(candidates)[0] if candidates.dtype == bool else candidates
-    m = len(pool)
-    k = refine_count(delta, m)
+    pool = np.flatnonzero(candidates)
+    k = refine_count(delta, len(pool))
     if k == 0:
         return np.zeros(0, dtype=np.int64)
     ent = entropy_batch(dists[pool])
@@ -206,11 +185,13 @@ def decode(
     child_logits = heads.fine.logits(np.concatenate([vol_feat, img_feat], axis=1))
     fine_labels[fine_idx[:, 2], fine_idx[:, 1], fine_idx[:, 0]] = child_logits.argmax(axis=-1)
 
+    n_cand = int(candidates.sum())
     report = OpCountReport(
         fine_ops=len(selected) * f**3,
-        full_ops=int(candidates.sum()) * f**3,
+        full_ops=n_cand * f**3,
+        ratio=len(selected) / n_cand if n_cand else 0.0,
         selected_voxels=len(selected),
-        candidate_voxels=int(candidates.sum()),
+        candidate_voxels=n_cand,
     )
     fine_grid = OccupancyGrid(
         labels=fine_labels,

@@ -103,11 +103,6 @@ class AttentionParams:
     def to_vector(self) -> np.ndarray:
         return flatten_tensors(self.tensors())
 
-    def from_vector(self, vec: np.ndarray) -> "AttentionParams":
-        out = AttentionParams.zeros_like(self)
-        unflatten_into(out.tensors(), vec)
-        return out
-
 
 def flatten_tensors(tensors: dict) -> np.ndarray:
     """One flat vector of named tensors, in the dict's order."""
@@ -287,7 +282,7 @@ def occ_fuse(
     return fused, cache
 
 
-def fusion_backward(grad_volume, cache: FusionCache) -> AttentionParams:
+def fusion_backward(grad_volume: np.ndarray, cache: FusionCache) -> AttentionParams:
     """Gradients of the fused volume wrt every attention parameter.
 
     ``grad_volume`` is the upstream gradient, shaped like the fused volume's
@@ -295,10 +290,7 @@ def fusion_backward(grad_volume, cache: FusionCache) -> AttentionParams:
     """
     if cache is None:
         raise DataError("fusion backward requires the forward cache")
-    g = np.asarray(
-        grad_volume.data if isinstance(grad_volume, VoxelFeatureVolume) else grad_volume,
-        dtype=np.float64,
-    )
+    g = np.asarray(grad_volume, dtype=np.float64)
     if g.shape != cache.lidar.shape:
         raise ConfigError("upstream gradient shape mismatch")
     grads = AttentionParams.zeros_like(cache.params)

@@ -21,8 +21,7 @@ _OCCG_VERSION = 1
 
 
 def _as_vec3(v) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64).reshape(3)
-    return a
+    return np.asarray(v, dtype=np.float64).reshape(3)
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,8 @@ class GridConfig:
         hi = _as_vec3(self.max_corner)
         object.__setattr__(self, "min_corner", tuple(lo.tolist()))
         object.__setattr__(self, "max_corner", tuple(hi.tolist()))
+        if not np.all(np.isfinite(lo) & np.isfinite(hi)):
+            raise ConfigError("min_corner and max_corner must be finite")
         if not np.all(hi > lo):
             raise ConfigError("max_corner must exceed min_corner componentwise")
         if self.voxel_size <= 0:
@@ -84,16 +85,9 @@ class GridConfig:
         return tuple(d.tolist())
 
     def voxel_center(self, index) -> np.ndarray:
-        """World-space center of a coarse voxel."""
+        """(n, 3) world-space centers of (n, 3) coarse voxel indices."""
         idx = np.asarray(index, dtype=np.float64).reshape(-1, 3)
-        c = self.lo + (idx + 0.5) * self.coarse_cell
-        return c[0] if np.asarray(index).ndim == 1 else c
-
-    def voxel_bounds(self, index):
-        """(lo, hi) world bounds of a coarse voxel, half-open."""
-        idx = _as_vec3(index)
-        lo = self.lo + idx * self.coarse_cell
-        return lo, lo + self.coarse_cell
+        return self.lo + (idx + 0.5) * self.coarse_cell
 
     def all_coarse_indices(self) -> np.ndarray:
         """All coarse voxel indices, sorted lexicographically by (x, y, z)."""
@@ -185,10 +179,6 @@ class VoxelFeatureVolume:
     @property
     def channels(self) -> int:
         return self.data.shape[3]
-
-    def at(self, index) -> np.ndarray:
-        ix, iy, iz = index
-        return self.data[iz, iy, ix]
 
 
 @dataclass

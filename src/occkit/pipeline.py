@@ -167,12 +167,10 @@ def coarse_labels_from_fine(gt: OccupancyGrid, grid: GridConfig) -> np.ndarray:
     nz, ny, nx = gt.labels.shape
     cz, cy, cx = nz // s, ny // s, nx // s
     blocks = gt.labels.reshape(cz, s, cy, s, cx, s).transpose(0, 2, 4, 1, 3, 5)
-    blocks = blocks.reshape(cz, cy, cx, s**3)
     n_class = int(blocks.max()) + 1
-    counts = np.zeros((cz, cy, cx, max(n_class, 1)), dtype=np.int64)
-    for c in range(n_class):
-        counts[..., c] = (blocks == c).sum(axis=-1)
-    return counts.argmax(axis=-1)  # argmax takes the lowest class on ties
+    voxel = np.arange(cz * cy * cx).repeat(s**3)
+    counts = np.bincount(voxel * n_class + blocks.ravel(), minlength=cz * cy * cx * n_class)
+    return counts.reshape(cz, cy, cx, n_class).argmax(axis=-1)  # the lowest class on ties
 
 
 def prepare_sample(

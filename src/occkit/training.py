@@ -16,17 +16,9 @@ from .pipeline import OccModel, PipelineConfig, sample_gradients, sample_loss
 class EpochRecord:
     epoch: int
     mean_loss: float
-    active_ids: list
-    score_quantiles: list  # (min, q25, median, q75, max) over the full set
-    scores: list = None  # full per-sample scores; kept in memory, not serialized
-
-    def to_json(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "mean_loss": self.mean_loss,
-            "active_ids": self.active_ids,
-            "score_quantiles": self.score_quantiles,
-        }
+    active_ids: list[int]
+    score_quantiles: list[float]  # (min, q25, median, q75, max) over the full set
+    scores: list[float]  # every sample's score, by sample id
 
 
 def score_samples(model: OccModel, dataset, cfg: PipelineConfig) -> list:

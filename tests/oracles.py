@@ -6,10 +6,10 @@ batched function in ``occkit``, kept here as an oracle.
 
 import numpy as np
 
-from occkit.cameras import FeatureMap
-from occkit.decoder import LinearHead
+from occkit.cameras import FeatureMap, bilinear_batch
+from occkit.decoder import LinearHead, entropy_batch
 from occkit.errors import ConfigError, DataError
-from occkit.fusion import AttentionParams, _attn_forward
+from occkit.fusion import AttentionParams, _attn_forward, unflatten_into
 from occkit.grid import (
     SOURCE_RAW,
     SOURCE_SYNTHETIC,
@@ -40,6 +40,22 @@ def deform_attn(query, pixel, fmap: FeatureMap, params: AttentionParams) -> np.n
     out, _ = _attn_forward(q, pix, fmap.data, params)
     return out[0]
 
+def from_vector(params: AttentionParams, vec) -> AttentionParams:
+    """A copy of ``params`` holding the flat parameter vector ``vec``."""
+    out = AttentionParams.zeros_like(params)
+    unflatten_into(out.tensors(), vec)
+    return out
+
+def bilinear(fmap: FeatureMap, pixel) -> np.ndarray:
+    """Sample a feature map at one pixel with clamped 4-neighbor bilinear
+    interpolation."""
+    return bilinear_batch(fmap.data, np.asarray(pixel).reshape(1, 2))[0]
+
+def voxel_bounds(grid: GridConfig, index):
+    """(lo, hi) world bounds of one coarse voxel, half-open."""
+    lo = grid.lo + np.asarray(index, dtype=np.float64).reshape(3) * grid.coarse_cell
+    return lo, lo + grid.coarse_cell
+
 def voxel_index(point, cfg: GridConfig):
     """Coarse voxel containing ``point``, or None when outside the grid."""
     idx, inside = voxel_indices(np.asarray(point).reshape(1, 3), cfg)
@@ -58,6 +74,10 @@ def trilinear_sample(vol: VoxelFeatureVolume, pos) -> np.ndarray:
 def classify(feature, head: LinearHead) -> np.ndarray:
     """Softmax class distribution for one feature vector."""
     return softmax(head.logits(np.asarray(feature, dtype=np.float64)))
+
+def entropy(probs) -> float:
+    """Shannon entropy in nats of one distribution, with 0 log 0 = 0."""
+    return float(entropy_batch(np.asarray(probs, dtype=np.float64).reshape(1, -1))[0])
 
 def uniform_fill(lo, hi, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. uniform points inside the half-open box [lo, hi)."""

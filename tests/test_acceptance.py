@@ -18,13 +18,11 @@ from occkit.cameras import (
     FeatureMap,
     FeatureMapSet,
     ProjectedReference,
-    bilinear,
     project_all,
 )
 from occkit.cli import run_command
 from occkit.decoder import (
     DecoderConfig,
-    entropy,
     refine_count,
     select_refine,
 )
@@ -69,7 +67,7 @@ from occkit.pointprep import (
 )
 from occkit.scenes import N_CLASS, preset
 from occkit.training import active_train, score_samples, select_topk, train_epoch
-from oracles import build_query, deform_attn, fps
+from oracles import bilinear, build_query, deform_attn, entropy, fps, from_vector, voxel_bounds
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -153,7 +151,7 @@ def test_criterion_01_reference_count_law():
     counts = {(1, 1, 1): 5, (2, 1, 1): 6, (3, 1, 1): 20, (4, 1, 1): 21, (5, 1, 1): 500}
     parts = []
     for key, n in counts.items():
-        lo, hi = grid.voxel_bounds(key)
+        lo, hi = voxel_bounds(grid, key)
         parts.append(np.random.default_rng(hash(key) & 0xFFFF).uniform(lo, hi, (n, 3)))
     cloud = np.concatenate(parts)
     bins, _ = bin_points(cloud, grid)
@@ -264,7 +262,7 @@ def test_criterion_03_attention_identity_and_gradients():
             for sgn in (1, -1):
                 v2 = vec.copy()
                 v2[i] += sgn * h
-                out2, _ = _attn_forward(q, pix, data, params.from_vector(v2))
+                out2, _ = _attn_forward(q, pix, data, from_vector(params, v2))
                 vals.append((out2 * g_up).sum())
             fd = (vals[0] - vals[1]) / (2 * h)
             assert rel_close(gvec[i], fd), (inst, i, gvec[i], fd)
@@ -277,7 +275,7 @@ def test_criterion_03_attention_identity_and_gradients():
         keys = np.array([[0, 0, 0], [1, 1, 0], [0, 1, 1]])
         point_voxel = np.repeat(np.arange(3), 3)
         positions = np.array(
-            [grid.voxel_center(tuple(keys[v])) + r.uniform(-0.4, 0.4, 3) for v in point_voxel]
+            [grid.voxel_center(keys[v])[0] + r.uniform(-0.4, 0.4, 3) for v in point_voxel]
         )
         refs = raw_points(keys, [3, 3, 3], positions)
         proj = ProjectedReference(
@@ -298,7 +296,7 @@ def test_criterion_03_attention_identity_and_gradients():
             for sgn in (1, -1):
                 v2 = vec.copy()
                 v2[i] += sgn * h
-                fused2, _ = occ_fuse(f_l, maps, refs, proj, params.from_vector(v2), grid)
+                fused2, _ = occ_fuse(f_l, maps, refs, proj, from_vector(params, v2), grid)
                 vals.append((fused2.data * g_up).sum())
             fd = (vals[0] - vals[1]) / (2 * h)
             assert rel_close(gvec[i], fd), (inst, i, gvec[i], fd)
@@ -373,7 +371,7 @@ def test_criterion_04_averaging_laws():
     sample = prepare_sample(spec, cfg)
     params = AttentionParams.create(cfg.fusion.channels, seed=3)
     pr = np.random.default_rng(12)
-    params = params.from_vector(pr.normal(scale=0.1, size=params.to_vector().size))
+    params = from_vector(params, pr.normal(scale=0.1, size=params.to_vector().size))
     feat_sizes = [(m.width, m.height) for m in sample.maps.maps]
 
     # permutation invariance after re-canonicalization: bit-identical
@@ -410,8 +408,8 @@ def test_criterion_04_averaging_laws():
     rng = np.random.default_rng(4)
     grid = GridConfig(min_corner=(0, 0, 0), max_corner=(2, 2, 2), voxel_size=1.0)
     small_params = AttentionParams.create(c, seed=9)
-    small_params = small_params.from_vector(
-        rng.normal(scale=0.15, size=small_params.to_vector().size)
+    small_params = from_vector(
+        small_params, rng.normal(scale=0.15, size=small_params.to_vector().size)
     )
     keys = np.array([[0, 0, 0]])
     positions = np.array([[0.4, 0.6, 0.5], [0.6, 0.4, 0.5]])
@@ -486,7 +484,7 @@ def test_criterion_06_entropy_and_selection():
         num = int(rng.integers(0, 1001))
         delta = num / 1000.0
         dists = rng.dirichlet(np.ones(4), size=m)
-        sel = select_refine(dists, delta)
+        sel = select_refine(dists, delta, np.ones(m, dtype=bool))
         expect = -((-num * m) // 1000)  # exact ceil(num/1000 * m)
         assert len(sel) == expect == refine_count(delta, m)
 

@@ -5,7 +5,6 @@ from occkit.errors import ConfigError
 from occkit.cameras import (
     CameraModel,
     FeatureMap,
-    bilinear,
     bilinear_batch,
     bilinear_corners,
     corner_patches,
@@ -16,11 +15,13 @@ from occkit.cameras import (
 )
 from occkit.grid import GridConfig
 from occkit.pointprep import FillScope, PreprocessConfig, preprocess
+from oracles import bilinear
 
 
 def project(point, cam: CameraModel, feat_size=None):
-    """Project one world point; returns the pixel or None when invisible."""
-    valid, px = project_batch(np.asarray(point).reshape(1, 3), cam, feat_size)
+    """Project one world point at ``feat_size`` (default: the image size);
+    returns the pixel or None when invisible."""
+    valid, px = project_batch(np.asarray(point).reshape(1, 3), cam, feat_size or cam.image_size)
     return px[0] if valid[0] else None
 
 
@@ -136,7 +137,7 @@ def test_project_all_duplicate_camera():
     cam = make_cam(cam_id="a", ext=ext, size=(201, 201), cx=100.0, cy=100.0)
     twin = make_cam(cam_id="b", ext=ext, size=(201, 201), cx=100.0, cy=100.0)
     refs = _refs_for(np.array([[0.1, 0.1, 0.1], [-0.4, 0.2, -0.3]]))
-    table = project_all(refs, [cam, twin])
+    table = project_all(refs, [cam, twin], [cam.image_size, twin.image_size])
     for p in range(table.valid.shape[1]):
         projs = projections_of(table, p)
         assert len(projs) == 2
@@ -147,7 +148,7 @@ def test_project_all_invisible_point():
     ext = look_at_extrinsics((0.0, -3.0, 0.0), (0.0, -4.0, 0.0))  # faces away
     cam = make_cam(ext=ext, size=(201, 201), cx=100.0, cy=100.0)
     refs = _refs_for(np.array([[0.0, 0.0, 0.0]]))
-    table = project_all(refs, [cam])
+    table = project_all(refs, [cam], [cam.image_size])
     assert projections_of(table, 0) == []
 
 
@@ -168,7 +169,7 @@ def test_project_all_stereo_overlap():
         cy=100.0,
     )
     refs = _refs_for(np.array([[0.0, 0.0, 0.05]]))
-    table = project_all(refs, [left, right])
+    table = project_all(refs, [left, right], [left.image_size, right.image_size])
     assert len(projections_of(table, 0)) == 2
 
 

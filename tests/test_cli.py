@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_predict_outputs_and_inprocess_match(data_dir, tmp_path):
     assert read_json(out / "metrics.json") == json.loads(
         json.dumps(evaluate(fine, sample.gt_fine))
     )
-    assert read_json(out / "opcount.json") == json.loads(json.dumps(report.to_json()))
+    assert read_json(out / "opcount.json") == json.loads(json.dumps(jsonio.encode(report)))
 
 
 def test_predict_byte_identical_and_thread_invariant(data_dir, tmp_path):
@@ -148,6 +149,14 @@ def test_eval_self_is_perfect(data_dir, tmp_path):
                "--out", str(rep2_path)) == 0
     rep2 = read_json(rep2_path)
     assert 0.0 <= rep2["iou"] <= 1.0
+
+
+def test_eval_refuses_seed(data_dir, tmp_path, capsys):
+    gt = str(data_dir / "sample_000" / "gt.occg")
+    assert run("eval", "--seed", "7", "--pred", gt, "--gt", gt,
+               "--out", str(tmp_path / "e.json")) == 1
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_fuse_blob_shape(data_dir, tmp_path):
@@ -179,11 +188,12 @@ def test_train_and_reuse_checkpoint(data_dir, tmp_path):
     assert run("train", "--data", str(data_dir), "--epochs", "1",
                "--k-percent", "100", "--learning-rate", "0.05",
                "--batch-size", "2", "--seed", "0", "--out", str(out)) == 0
-    assert sorted(os.listdir(out)) == ["checkpoint.json", "history.jsonl"]
-    lines = (out / "history.jsonl").read_text().strip().splitlines()
-    assert len(lines) == 1
-    rec = json.loads(lines[0])
-    assert rec["active_ids"] == [0, 1]
+    assert sorted(os.listdir(out)) == ["checkpoint.json", "history.json"]
+    history = read_json(out / "history.json")
+    assert len(history) == 1
+    rec = history[0]
+    assert set(rec) == {"epoch", "mean_loss", "active_ids", "score_quantiles", "scores"}
+    assert rec["active_ids"] == [0, 1] and len(rec["scores"]) == 2
     out2 = tmp_path / "run2"
     assert run("train", "--data", str(data_dir), "--epochs", "1",
                "--k-percent", "100", "--learning-rate", "0.05",
@@ -205,11 +215,11 @@ def test_train_flags_override_only_when_given(data_dir, tmp_path):
     (data / "config.json").write_text(json.dumps(cfg))
     assert run("train", "--data", str(data), "--out", str(tmp_path / "a")) == 0
     assert read_json(tmp_path / "a" / "checkpoint.json")["config"]["training"] == training
-    assert len((tmp_path / "a" / "history.jsonl").read_text().splitlines()) == 3
+    assert len(read_json(tmp_path / "a" / "history.json")) == 3
     assert run("train", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "b")) == 0
     saved = read_json(tmp_path / "b" / "checkpoint.json")["config"]["training"]
     assert saved == dict(training, epochs=1)
-    assert len((tmp_path / "b" / "history.jsonl").read_text().splitlines()) == 1
+    assert len(read_json(tmp_path / "b" / "history.json")) == 1
 
 
 @pytest.mark.parametrize("command", ["fuse", "predict", "bench"])
@@ -250,6 +260,20 @@ def test_out_of_the_wrong_kind_exits_two(data_dir, tmp_path, capsys):
     assert "Is a directory" in err[0] and "File exists" in err[1]
     assert sorted(os.listdir(tmp_path)) == ["a_dir", "a_file"] and not os.listdir(a_dir)
     assert a_file.read_text() == "kept"
+
+
+def test_non_finite_grid_corner_exits_two(data_dir, tmp_path, capsys):
+    cfg = read_json(data_dir / "config.json")
+    cfg["grid"]["min_corner"][0] = "x"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg).replace('"x"', "-1e999"))  # parses as -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("predict", "--config", str(config), "--sample", str(data_dir / "sample_000"),
+                   "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed PipelineConfig JSON: ") and "finite" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_inputs_exit_two(tmp_path, capsys):

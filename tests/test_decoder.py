@@ -10,7 +10,6 @@ from occkit.decoder import (
     LinearHead,
     OpCountReport,
     decode,
-    entropy,
     entropy_batch,
     iou_miou,
     refine_count,
@@ -26,7 +25,7 @@ from occkit.grid import (
 )
 from occkit.objectives import softmax
 from occkit.scenes import preset
-from oracles import classify
+from oracles import classify, entropy
 
 
 def test_config_validation():
@@ -88,7 +87,7 @@ def test_select_refine_cardinality_and_order():
         n = int(rng.integers(1, 40))
         dists = rng.dirichlet(np.ones(4), size=n)
         delta = float(rng.uniform(0, 1))
-        sel = select_refine(dists, delta)
+        sel = select_refine(dists, delta, np.ones(n, dtype=bool))
         assert len(sel) == refine_count(delta, n)
         assert np.all(np.diff(sel) > 0)
         # selected entropies dominate the unselected ones
@@ -100,7 +99,7 @@ def test_select_refine_cardinality_and_order():
 
 def test_select_refine_tie_breaks_low_index():
     dists = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [1.0, 0.0]])
-    np.testing.assert_array_equal(select_refine(dists, 0.5), [0, 1])
+    np.testing.assert_array_equal(select_refine(dists, 0.5, np.ones(4, dtype=bool)), [0, 1])
 
 
 def test_select_refine_candidate_mask():
@@ -108,7 +107,7 @@ def test_select_refine_candidate_mask():
     mask = np.array([False, True, False, True])
     sel = select_refine(dists, 1.0, candidates=mask)
     np.testing.assert_array_equal(sel, [1, 3])
-    sel2 = select_refine(dists, 0.5, candidates=np.array([1, 3]))
+    sel2 = select_refine(dists, 0.5, candidates=mask)
     np.testing.assert_array_equal(sel2, [1])
 
 
@@ -162,7 +161,7 @@ def test_decode_gate_only_touches_selected():
     assert report.selected_voxels == 2
     # recover the selected flats by re-ranking
     probs = softmax(heads.coarse.logits(fused.data.reshape(-1, 4)), axis=-1)
-    sel = set(int(s) for s in select_refine(probs, 0.25))
+    sel = set(int(s) for s in select_refine(probs, 0.25, np.ones(8, dtype=bool)))
     nz, ny, nx = 2, 2, 2
     for flat in range(8):
         if flat in sel:
@@ -230,6 +229,7 @@ def decode_oracle(fused, maps, rig, heads, cfg, grid):
     report = OpCountReport(
         fine_ops=len(selected) * f**3,
         full_ops=int(candidates.sum()) * f**3,
+        ratio=len(selected) / candidates.sum() if candidates.any() else 0.0,
         selected_voxels=len(selected),
         candidate_voxels=int(candidates.sum()),
     )

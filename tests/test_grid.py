@@ -14,7 +14,7 @@ from occkit.grid import (
     voxel_indices,
     write_occg,
 )
-from oracles import trilinear_sample, voxel_index
+from oracles import trilinear_sample, voxel_bounds, voxel_index
 
 
 @pytest.fixture
@@ -30,6 +30,28 @@ def test_grid_config_validation():
         GridConfig(min_corner=(0, 0, 0), max_corner=(1, 1, 1), voxel_size=0.3)
     with pytest.raises(ConfigError):
         GridConfig(min_corner=(0, 0, 0), max_corner=(1, 1, 1), voxel_size=0.5, stride=0)
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("corners", [
+    ((-INF, -0.8, -0.4), (0.8, 0.8, 1.2)),
+    ((INF, -0.8, -0.4), (0.8, 0.8, 1.2)),
+    ((-0.8, -0.8, -0.4), (0.8, 0.8, INF)),
+    ((-0.8, -0.8, -0.4), (0.8, 0.8, -INF)),
+], ids=["min_minus_inf", "min_plus_inf", "max_plus_inf", "max_minus_inf"])
+def test_grid_config_rejects_non_finite_corners(corners):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="finite"):
+            GridConfig(min_corner=corners[0], max_corner=corners[1], voxel_size=0.1, stride=2)
+
+
+@pytest.mark.parametrize("voxel_size", [INF, float("nan")])
+def test_grid_config_rejects_non_finite_voxel_size(voxel_size):
+    with pytest.raises(ConfigError):
+        GridConfig(min_corner=(0, 0, 0), max_corner=(1, 1, 1), voxel_size=voxel_size)
 
 
 def test_street_scale_grid_dims():
@@ -50,7 +72,7 @@ def test_voxel_index_boundaries(unit_grid):
 
 def test_voxel_index_center_roundtrip(unit_grid):
     for idx in [(0, 0, 0), (3, 2, 1), (1, 3, 3)]:
-        center = unit_grid.voxel_center(idx)
+        center = unit_grid.voxel_center([idx])[0]
         assert voxel_index(center, unit_grid) == idx
 
 
@@ -93,11 +115,17 @@ def test_bin_points_partition_property(unit_grid):
         assert len(set(bins.raw_index.tolist())) == bins.count
         assert [tuple(k) for k in bins.keys.tolist()] == sorted(map(tuple, bins.keys.tolist()))
         for v, key in enumerate(bins.keys):
-            lo, hi = unit_grid.voxel_bounds(key)
+            lo, hi = voxel_bounds(unit_grid, key)
             rows = bins.raw_index[bins.offsets[v] : bins.offsets[v + 1]]
             assert np.all(np.diff(rows) > 0)
             pts = cloud[rows]
             assert np.all(pts >= lo) and np.all(pts < hi)
+
+
+def at(vol: VoxelFeatureVolume, index) -> np.ndarray:
+    """The feature of one voxel (x, y, z)."""
+    ix, iy, iz = index
+    return vol.data[iz, iy, ix]
 
 
 def _volume(dims, channels, rng):
@@ -110,7 +138,7 @@ def test_trilinear_exact_at_centers():
     vol = _volume((3, 4, 5), 2, rng)
     for idx in [(0, 0, 0), (2, 3, 4), (1, 2, 2)]:
         np.testing.assert_allclose(
-            trilinear_sample(vol, idx), vol.at(idx), rtol=0, atol=0
+            trilinear_sample(vol, idx), at(vol, idx), rtol=0, atol=0
         )
 
 
@@ -118,7 +146,7 @@ def test_trilinear_midpoint_and_constant():
     rng = np.random.default_rng(1)
     vol = _volume((3, 3, 3), 4, rng)
     mid = trilinear_sample(vol, (0.5, 0, 0))
-    np.testing.assert_allclose(mid, 0.5 * (vol.at((0, 0, 0)) + vol.at((1, 0, 0))))
+    np.testing.assert_allclose(mid, 0.5 * (at(vol, (0, 0, 0)) + at(vol, (1, 0, 0))))
     const = VoxelFeatureVolume(data=np.full((2, 2, 2, 3), 1.25))
     np.testing.assert_allclose(trilinear_sample(const, (0.3, 0.7, 1.1)), 1.25)
 
@@ -150,12 +178,12 @@ def test_split_voxel_counts(unit_grid):
     assert len(fine) == 8 and len(centers) == 8
     fine1, centers1 = split_voxel((1, 2, 3), 1, unit_grid)
     assert len(fine1) == 1
-    np.testing.assert_allclose(centers1[0], unit_grid.voxel_center((1, 2, 3)))
+    np.testing.assert_allclose(centers1[0], unit_grid.voxel_center([(1, 2, 3)])[0])
 
 
 def test_split_voxel_child_centers(unit_grid):
     _, centers = split_voxel((0, 0, 0), 2, unit_grid)
-    parent = unit_grid.voxel_center((0, 0, 0))
+    parent = unit_grid.voxel_center([(0, 0, 0)])[0]
     rel = np.sort(np.unique(np.round(centers - parent, 12).ravel()))
     np.testing.assert_allclose(rel, [-0.25, 0.25])
 

@@ -20,7 +20,7 @@ from occkit.pointprep import (
     write_ocfp,
 )
 from occkit.scenes import cast_lidar, preset
-from oracles import fps, preprocess_per_voxel, uniform_fill
+from oracles import fps, preprocess_per_voxel, uniform_fill, voxel_bounds
 
 
 def fps_naive(points, k, start_index):
@@ -231,7 +231,7 @@ def test_preprocess_pads_sparse_voxel(grid):
     # raw first, synthetic after; synthetic never carry a raw index
     assert v.raw_index[0] == 0
     assert np.all(v.raw_index[1:] == -1)
-    lo, hi = grid.voxel_bounds((0, 0, 0))
+    lo, hi = voxel_bounds(grid, (0, 0, 0))
     assert np.all(v.positions >= lo) and np.all(v.positions < hi)
 
 

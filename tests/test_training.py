@@ -143,8 +143,8 @@ def test_active_train_mechanics(dataset):
     expect_next = select_topk(history[0].scores, 50.0)
     assert history[1].active_ids == expect_next
     assert len(expect_next) == 2  # ceil(0.5 * 3)
-    rec = history[0].to_json()
-    assert set(rec) == {"epoch", "mean_loss", "active_ids", "score_quantiles"}
+    rec = jsonio.encode(history[0])
+    assert set(rec) == {"epoch", "mean_loss", "active_ids", "score_quantiles", "scores"}
     assert len(history[0].score_quantiles) == 5
 
 
