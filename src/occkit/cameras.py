@@ -146,8 +146,6 @@ def project_all(refs: VoxelPoints, rig, feat_sizes) -> ProjectedReference:
 
     ``feat_sizes`` lists the (width, height) of each camera's feature map.
     """
-    if not rig:
-        raise ConfigError("camera rig must not be empty")
     n_pts = len(refs.positions)
     valid = np.zeros((len(rig), n_pts), dtype=bool)
     pixels = np.zeros((len(rig), n_pts, 2), dtype=np.float64)

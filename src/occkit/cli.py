@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError, OcckitError
 from . import grid as gridmod
 from . import jsonio, pointprep, scenes
-from .pointprep import FillScope
 from .pipeline import (
     OccModel,
     PipelineConfig,
@@ -111,10 +110,7 @@ def _cmd_synth(args):
 
 def _cmd_preprocess(args):
     cfg = _load_config(args)
-    given = _given(args, "tau", "theta")
-    if args.fill_scope is not None:
-        given["fill_scope"] = FillScope(args.fill_scope)
-    pp = dataclasses.replace(cfg.preprocess, **given)
+    pp = dataclasses.replace(cfg.preprocess, **_given(args, "tau", "theta", "empty_fill"))
     cloud = pointprep.read_cloud(args.cloud)
     bins, dropped = gridmod.bin_points(cloud, cfg.grid)
     refs = pointprep.preprocess(bins, cloud, pp, cfg.grid)
@@ -247,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--cloud", required=True,
                    help="OCFP binary or CSV (header x,y,z,intensity)")
-    # tau, theta and fill scope default to the config's preprocess block
+    # tau, theta and empty fill default to the config's preprocess block
     p.add_argument("--tau", type=int)
     p.add_argument("--theta", type=int)
-    p.add_argument("--fill-scope", choices=[s.value for s in FillScope])
+    p.add_argument("--empty-fill", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_preprocess)
 

@@ -89,14 +89,6 @@ class GridConfig:
         idx = np.asarray(index, dtype=np.float64).reshape(-1, 3)
         return self.lo + (idx + 0.5) * self.coarse_cell
 
-    def all_coarse_indices(self) -> np.ndarray:
-        """All coarse voxel indices, sorted lexicographically by (x, y, z)."""
-        nx, ny, nz = self.coarse_dims
-        gx, gy, gz = np.meshgrid(
-            np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-        )
-        return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-
 
 SOURCE_RAW = 0
 SOURCE_SYNTHETIC = 1

@@ -13,19 +13,16 @@ import functools
 import json
 import os
 import typing
-from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 
 
 def encode(obj):
-    """JSON value of a dataclass (nested), Enum, tuple, list, ndarray or scalar."""
+    """JSON value of a dataclass (nested), tuple, list, ndarray or scalar."""
     if dataclasses.is_dataclass(obj):
         return {name: encode(getattr(obj, name)) for name, _ in _fields(type(obj))}
-    if isinstance(obj, Enum):
-        return obj.value
     if isinstance(obj, (tuple, list)):
         return [encode(v) for v in obj]
     if isinstance(obj, np.ndarray):
@@ -76,19 +73,21 @@ def _value(tp, v):
         if len(v) != len(args):
             raise ValueError(f"expected {len(args)} values, not {len(v)}")
         return tuple(_value(t, x) for t, x in zip(args, v))
-    if isinstance(tp, type) and issubclass(tp, Enum):
-        return tp(v)
     raise TypeError(f"no JSON conversion for {tp!r}")
 
 
 def write_json(path, obj) -> None:
     """Write ``obj`` to a sibling temporary file, then move it into place: a
-    write that fails leaves no partial file and any old file unchanged."""
+    write that fails leaves no partial file and any old file unchanged; a NaN
+    or infinity, which JSON cannot hold, raises NumericalError and writes nothing."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"{path}: {exc}") from exc
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -55,8 +55,8 @@ class TrainingConfig:
             raise ConfigError("k_percent must lie in (0, 100]")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
 
@@ -70,12 +70,16 @@ class PipelineConfig:
     training: TrainingConfig
     image_stride: int = 1
 
+    def __post_init__(self):
+        if self.decoder.split_factor != self.grid.stride:
+            raise ConfigError("decoder split_factor must equal the grid stride")
+
     @classmethod
     def for_preset(cls, name: str, seed: int = 0, delta: float = 0.3) -> "PipelineConfig":
         spec = scenes.preset(name, seed=seed)
         return cls(
             grid=spec.grid,
-            preprocess=PreprocessConfig(tau=5, theta=20, seed=seed),
+            preprocess=PreprocessConfig(tau=5, theta=20, empty_fill=20, seed=seed),
             fusion=FusionConfig(seed=seed),
             decoder=DecoderConfig(
                 delta=delta, split_factor=spec.grid.stride, n_class=scenes.N_CLASS

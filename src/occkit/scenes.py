@@ -53,6 +53,11 @@ class SceneSpec:
     rig: list[CameraModel]
     lidar: LidarSpec
 
+    def __post_init__(self):
+        ids = [cam.cam_id for cam in self.rig]
+        if not ids or len(set(ids)) != len(ids):
+            raise ConfigError("camera rig must be non-empty with distinct cam_ids")
+
 
 def _box_rotation(box: Box) -> np.ndarray:
     """World-to-box rotation: the inverse of the box's yaw about +z."""

@@ -23,7 +23,10 @@ class EpochRecord:
 
 def score_samples(model: OccModel, dataset, cfg: PipelineConfig) -> list:
     """Forward-only total loss per sample; never mutates parameters."""
-    return [sample_loss(model, s, cfg).total for s in dataset]
+    scores = [sample_loss(model, s, cfg).total for s in dataset]
+    if not np.all(np.isfinite(scores)):
+        raise NumericalError(f"non-finite score on sample {np.argmin(np.isfinite(scores))}")
+    return scores
 
 
 def select_topk(scores, k_percent: float) -> list:

@@ -21,7 +21,7 @@ from occkit.grid import (
     voxel_indices,
 )
 from occkit.objectives import softmax
-from occkit.pointprep import FillScope, PreprocessConfig, voxel_rng
+from occkit.pointprep import PreprocessConfig, voxel_rng
 
 
 def build_query(voxel_feature, point, grid: GridConfig) -> np.ndarray:
@@ -121,41 +121,36 @@ def fps(points, k: int, start_index: int) -> np.ndarray:
 def preprocess_per_voxel(
     bins: VoxelPoints, cloud, cfg: PreprocessConfig, grid: GridConfig
 ) -> VoxelPoints:
-    """``preprocess`` as a loop over voxels: one ``fps`` call per dense voxel
-    and one ``voxel_rng`` stream per padded one."""
+    """``preprocess`` as a loop over every coarse voxel in (x, y, z) order:
+    one ``fps`` call per dense voxel and one ``voxel_rng`` stream per padded
+    one."""
     pts = cloud_xyz(cloud)
-    n_raw = bins.counts
-    if cfg.fill_scope is FillScope.ALL_VOXELS:
-        keys = grid.all_coarse_indices()
-        _, ny, nz = grid.coarse_dims
-        row = (bins.keys[:, 0] * ny + bins.keys[:, 1]) * nz + bins.keys[:, 2]
-        n = np.zeros(len(keys), dtype=np.int64)
-        n[row] = n_raw
-    else:
-        keys, row, n = bins.keys, np.arange(len(bins.keys)), n_raw
-    # Padded and reduced voxels hold theta points, the rest keep their own.
-    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum(np.where((n <= cfg.tau) | (n > cfg.theta), cfg.theta, n), out=offsets[1:])
-    raw_index = np.full(offsets[-1], -1, dtype=np.int64)
-
-    # Voxels with at most theta raw points keep all of them, in source order.
-    owner = bins.point_voxel
-    rank = np.arange(len(owner)) - bins.offsets[owner]
-    keep = n_raw[owner] <= cfg.theta
-    raw_index[offsets[row[owner[keep]]] + rank[keep]] = bins.raw_index[keep]
-    for b in np.flatnonzero(n_raw > cfg.theta):
-        v = row[b]
-        idx = bins.raw_index[bins.offsets[b] : bins.offsets[b + 1]]
-        start = int(voxel_rng(cfg.seed, keys[v]).integers(len(idx)))
-        raw_index[offsets[v] : offsets[v + 1]] = idx[fps(pts[idx], cfg.theta, start)]
-
-    raw = raw_index >= 0
-    positions = np.empty((len(raw_index), 3))
-    positions[raw] = pts[raw_index[raw]]
-    lo = grid.lo + keys * grid.coarse_cell
-    hi = lo + grid.coarse_cell
-    for v in np.flatnonzero(n <= cfg.tau):
-        a, b = offsets[v] + n[v], offsets[v + 1]
-        positions[a:b] = uniform_fill(lo[v], hi[v], b - a, voxel_rng(cfg.seed, keys[v]))
-    source = np.where(raw, SOURCE_RAW, SOURCE_SYNTHETIC).astype(np.uint8)
-    return VoxelPoints(keys, offsets, positions, source, raw_index)
+    raw_of = {
+        tuple(key): bins.raw_index[bins.offsets[b] : bins.offsets[b + 1]]
+        for b, key in enumerate(bins.keys.tolist())
+    }
+    nx, ny, nz = grid.coarse_dims
+    gx, gy, gz = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
+    keys, sizes, positions, raw_index = [], [], [], []
+    for key in np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1):
+        idx = raw_of.get(tuple(key.tolist()), np.zeros(0, dtype=np.int64))
+        if len(idx) > cfg.theta:
+            start = int(voxel_rng(cfg.seed, key).integers(len(idx)))
+            idx = idx[fps(pts[idx], cfg.theta, start)]
+        size = cfg.empty_fill if len(idx) == 0 else cfg.theta if len(idx) <= cfg.tau else len(idx)
+        if size == 0:
+            continue
+        lo = grid.lo + key * grid.coarse_cell
+        synthetic = uniform_fill(lo, lo + grid.coarse_cell, size - len(idx), voxel_rng(cfg.seed, key))
+        keys.append(key)
+        sizes.append(size)
+        positions += [pts[idx], synthetic]
+        raw_index += [idx, np.full(len(synthetic), -1, dtype=np.int64)]
+    raw_index = np.concatenate(raw_index or [np.zeros(0, dtype=np.int64)])
+    return VoxelPoints(
+        keys=np.array(keys, dtype=np.int64).reshape(-1, 3),
+        offsets=np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
+        positions=np.concatenate(positions or [np.zeros((0, 3))]),
+        source=np.where(raw_index >= 0, SOURCE_RAW, SOURCE_SYNTHETIC).astype(np.uint8),
+        raw_index=raw_index,
+    )

@@ -61,7 +61,6 @@ from occkit.pipeline import (
 from occkit.pointprep import (
     SOURCE_RAW,
     SOURCE_SYNTHETIC,
-    FillScope,
     PreprocessConfig,
     preprocess,
 )
@@ -78,9 +77,7 @@ def fast_cfg(seed=0, epochs=1, k_percent=70.0, lr=0.2, batch_size=4):
     spec = preset("tiny", seed=seed)
     return PipelineConfig(
         grid=spec.grid,
-        preprocess=PreprocessConfig(
-            tau=5, theta=20, seed=seed, fill_scope=FillScope.NON_EMPTY_ONLY
-        ),
+        preprocess=PreprocessConfig(tau=5, theta=20, empty_fill=0, seed=seed),
         fusion=FusionConfig(channels=8, seed=seed),
         decoder=DecoderConfig(delta=0.3, split_factor=2, n_class=N_CLASS),
         training=TrainingConfig(
@@ -133,7 +130,7 @@ def raw_points(keys, counts, positions):
 def test_criterion_01_reference_count_law():
     t0 = time.time()
     grid = preset("small", seed=0).grid
-    cfg = PreprocessConfig(tau=5, theta=20, seed=0, fill_scope=FillScope.NON_EMPTY_ONLY)
+    cfg = PreprocessConfig(tau=5, theta=20, empty_fill=0, seed=0)
     rng = np.random.default_rng(2024)
     for trial in range(1000):
         n = int(rng.integers(0, 200))
@@ -155,7 +152,7 @@ def test_criterion_01_reference_count_law():
         parts.append(np.random.default_rng(hash(key) & 0xFFFF).uniform(lo, hi, (n, 3)))
     cloud = np.concatenate(parts)
     bins, _ = bin_points(cloud, grid)
-    refs = preprocess(bins, cloud, PreprocessConfig(tau=5, theta=20, seed=0), grid)
+    refs = preprocess(bins, cloud, PreprocessConfig(tau=5, theta=20, empty_fill=20, seed=0), grid)
     assert len(refs.keys) == math.prod(grid.coarse_dims)  # N = 0 voxels processed
     empty = voxel_of(refs, (0, 0, 0))
     assert empty.count == 20 and np.all(empty.source == SOURCE_SYNTHETIC)
@@ -366,7 +363,7 @@ def shuffled(refs, seed):
 
 def test_criterion_04_averaging_laws():
     cfg = fast_cfg()
-    cfg.preprocess = PreprocessConfig(tau=5, theta=20, seed=0)  # include synthetic
+    cfg.preprocess = PreprocessConfig(tau=5, theta=20, empty_fill=20, seed=0)  # include synthetic
     spec = preset("tiny", seed=0)
     sample = prepare_sample(spec, cfg)
     params = AttentionParams.create(cfg.fusion.channels, seed=3)

@@ -14,7 +14,7 @@ from occkit.cameras import (
     project_batch,
 )
 from occkit.grid import GridConfig
-from occkit.pointprep import FillScope, PreprocessConfig, preprocess
+from occkit.pointprep import PreprocessConfig, preprocess
 from oracles import bilinear
 
 
@@ -128,7 +128,7 @@ def _refs_for(points):
     from occkit.grid import bin_points
 
     bins, _ = bin_points(points, grid)
-    cfg = PreprocessConfig(tau=0, theta=1, fill_scope=FillScope.NON_EMPTY_ONLY)
+    cfg = PreprocessConfig(tau=0, theta=1, empty_fill=0)
     return preprocess(bins, points, cfg, grid)
 
 

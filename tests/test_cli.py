@@ -76,7 +76,7 @@ def test_preprocess_report(data_dir, tmp_path):
     out = tmp_path / "prep.json"
     assert run("preprocess", "--cloud", str(data_dir / "sample_000" / "cloud.ocfp"),
                "--tau", "5", "--theta", "20", "--seed", "0",
-               "--fill-scope", "all_voxels", "--out", str(out)) == 0
+               "--empty-fill", "20", "--out", str(out)) == 0
     rep = read_json(out)
     assert rep["processed_voxels"] == 8 ** 3  # every coarse voxel filled
     assert 5 < rep["min_count"] <= 20
@@ -87,13 +87,13 @@ def test_preprocess_report(data_dir, tmp_path):
 
 def test_preprocess_reads_config_block(data_dir, tmp_path):
     cfg = read_json(data_dir / "config.json")
-    cfg["preprocess"].update(tau=2, theta=10, fill_scope="non_empty_only")
+    cfg["preprocess"].update(tau=2, theta=10, empty_fill=0)
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     cloud = str(data_dir / "sample_000" / "cloud.ocfp")
     assert run("preprocess", "--config", str(tmp_path / "cfg.json"), "--cloud", cloud,
                "--out", str(tmp_path / "from_config.json")) == 0
     assert run("preprocess", "--cloud", cloud, "--tau", "2", "--theta", "10",
-               "--fill-scope", "non_empty_only", "--out", str(tmp_path / "from_flags.json")) == 0
+               "--empty-fill", "0", "--out", str(tmp_path / "from_flags.json")) == 0
     rep = read_json(tmp_path / "from_config.json")
     assert (rep["tau"], rep["theta"]) == (2, 10)
     assert rep["processed_voxels"] < 8 ** 3  # empty voxels are not filled
@@ -302,8 +302,11 @@ def _edit_scene(edit):
         _edit_scene(lambda s: s["objects"][0].update(class_id="x")),
         _edit_scene(lambda s: s["objects"][0].update(class_id=0)),
         _edit_scene(lambda s: s["rig"][0].update(image_size=[True, 24])),
+        _edit_scene(lambda s: s.update(rig=[])),
+        _edit_scene(lambda s: s["rig"][1].update(cam_id=s["rig"][0]["cam_id"])),
     ],
-    ids=["not_json", "class_id_not_int", "class_id_zero", "image_size_bool"],
+    ids=["not_json", "class_id_not_int", "class_id_zero", "image_size_bool", "empty_rig",
+         "shared_cam_id"],
 )
 def test_corrupt_scene_exits_two(data_dir, tmp_path, capsys, corrupt):
     sample = tmp_path / "sample"
@@ -325,9 +328,15 @@ def _edit_config(edit):
     return corrupt
 
 
-def _rename_fill_scope(cfg):
-    del cfg["preprocess"]["fill_scope"]
-    cfg["preprocess"]["fill_scop"] = "non_empty_only"
+def _infinite_learning_rate(text):
+    # JSON has no infinity; the number 1e999 overflows to one when parsed
+    assert '"learning_rate": 0.1,' in text
+    return text.replace('"learning_rate": 0.1,', '"learning_rate": 1e999,')
+
+
+def _rename_empty_fill(cfg):
+    del cfg["preprocess"]["empty_fill"]
+    cfg["preprocess"]["empty_fil"] = 0
 
 
 MALFORMED_CONFIG = {
@@ -338,10 +347,11 @@ MALFORMED_CONFIG = {
     "channels_zero": _edit_config(lambda c: c["fusion"].update(channels=0)),
     "missing_key": _edit_config(lambda c: c.pop("image_stride")),
     "json_list": lambda text: "[]",
-    "unknown_key": _edit_config(_rename_fill_scope),
+    "unknown_key": _edit_config(_rename_empty_fill),
     "tau_real": _edit_config(lambda c: c["preprocess"].update(tau=5.7)),
     "theta_string": _edit_config(lambda c: c["preprocess"].update(theta="20")),
     "image_stride_bool": _edit_config(lambda c: c.update(image_stride=True)),
+    "learning_rate_inf": _infinite_learning_rate,
 }
 
 
@@ -359,6 +369,43 @@ def test_malformed_config_exits_two(data_dir, tmp_path, capsys, command, corrupt
     assert run(*argv, "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["predict", "bench", "train"])
+def test_split_factor_off_the_grid_stride_exits_two(data_dir, tmp_path, capsys, command):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir / "sample_000", data / "sample_000")
+    cfg = read_json(data_dir / "config.json")
+    cfg["decoder"]["split_factor"] = 4  # the tiny grid's stride is 2
+    (data / "config.json").write_text(json.dumps(cfg))
+    if command == "train":
+        argv = ["train", "--data", str(data)]
+    else:
+        argv = [command, "--config", str(data / "config.json"), "--sample", str(data / "sample_000")]
+    assert run(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("split_factor must equal the grid stride\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_non_finite_learning_rate_flag_exits_one(data_dir, tmp_path, capsys, rate):
+    assert run("train", "--data", str(data_dir), "--learning-rate", rate,
+               "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == "error: learning_rate must be positive and finite\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_diverging_training_exits_three_and_writes_nothing(data_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir / "sample_000", data / "sample_000")
+    shutil.copy(data_dir / "config.json", data / "config.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow on the way to NaN
+        assert run("train", "--data", str(data), "--learning-rate", "1e300",
+                   "--out", str(tmp_path / "o")) == 3
+    assert capsys.readouterr().err == "numerical failure: non-finite score on sample 0\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_finite_cloud_exits_two(tmp_path, capsys):

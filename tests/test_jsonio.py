@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occkit import jsonio
-from occkit.errors import DataError
+from occkit.errors import DataError, NumericalError
 from occkit.pipeline import Checkpoint, OccModel, PipelineConfig, load_checkpoint
 from occkit.scenes import SceneSpec, preset, scene_from_json, scene_to_json
 
@@ -17,9 +17,9 @@ SCENE_JSON = scene_to_json(preset("tiny", seed=0))
 CKPT_JSON = jsonio.encode(Checkpoint(CFG, OccModel.create(CFG).to_vector().tolist()))
 
 
-def test_encode_nests_dataclasses_enums_and_tuples():
+def test_encode_nests_dataclasses_and_tuples():
     assert set(CFG_JSON) == {f.name for f in dataclasses.fields(PipelineConfig)}
-    assert CFG_JSON["preprocess"]["fill_scope"] == "all_voxels"
+    assert CFG_JSON["preprocess"]["empty_fill"] == 20
     assert CFG_JSON["grid"]["min_corner"] == [-0.8, -0.8, -0.4]
     assert json.loads(json.dumps(CFG_JSON)) == CFG_JSON
     assert SCENE_JSON["rig"][0]["cam_id"] == "cam0"
@@ -52,9 +52,9 @@ def _edited(edit, valid=CFG_JSON):
         _edited(lambda c: c.pop("image_stride")),
         _edited(lambda c: c["decoder"].pop("rank_scope")),
         _edited(lambda c: c.update(extra=1)),
-        _edited(lambda c: c["preprocess"].update(fill_scop=c["preprocess"].pop("fill_scope"))),
+        _edited(lambda c: c["preprocess"].update(empty_fil=c["preprocess"].pop("empty_fill"))),
         _edited(lambda c: c["grid"].update(min_corner="abc")),
-        _edited(lambda c: c["preprocess"].update(fill_scope="some")),
+        _edited(lambda c: c["preprocess"].update(empty_fill=21)),
         _edited(lambda c: c["decoder"].update(delta=10**400)),
         _edited(lambda c: c["fusion"].update(channels=None)),
         _edited(lambda c: c["training"].update(k_percent=0)),
@@ -66,7 +66,7 @@ def _edited(edit, valid=CFG_JSON):
         _edited(lambda c: c["grid"].update(min_corner=["-0.8", "-0.8", "-0.4"])),
     ],
     ids=["list", "missing_key", "missing_nested_key", "unknown_key", "renamed_key",
-         "tuple_not_list", "bad_enum", "float_overflow", "int_of_null", "rejected_value",
+         "tuple_not_list", "empty_fill_above_theta", "float_overflow", "int_of_null", "rejected_value",
          "int_of_real", "int_of_string", "int_of_bool", "float_of_string", "float_of_bool",
          "tuple_of_strings"],
 )
@@ -127,6 +127,18 @@ def test_failed_write_json_keeps_the_old_file(tmp_path):
         jsonio.write_json(path, {"a": object()})
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["a.json"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    path = tmp_path / "a.json"
+    with pytest.raises(NumericalError):
+        jsonio.write_json(path, {"a": [1.0, value]})
+    assert os.listdir(tmp_path) == []
+    jsonio.write_json(path, {"a": 1})
+    with pytest.raises(NumericalError):
+        jsonio.write_json(path, {"a": value})
+    assert jsonio.read_json(path) == {"a": 1} and os.listdir(tmp_path) == ["a.json"]
 
 
 # --- fuzzing -----------------------------------------------------------------

@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 
 import numpy as np
+import pytest
 
 from occkit.cli import run_command
+from occkit.errors import ConfigError
 from occkit.pipeline import (
     OccModel,
     PipelineConfig,
@@ -13,7 +15,7 @@ from occkit.pipeline import (
     sample_gradients,
     save_checkpoint,
 )
-from occkit.pointprep import FillScope, PreprocessConfig
+from occkit.pointprep import PreprocessConfig
 from occkit.scenes import preset
 
 # sha256 of the front-half arrays of the tiny preset at seed 0. Any change to
@@ -31,9 +33,9 @@ TINY_SEED0_PREDICT_DIGEST = "8b002b09598a22bfda015c13b7aee0ac33c4c16c35dab4c6baa
 # and scene.json, and a fresh model's checkpoint.json. A new or renamed config
 # field changes them; update them only for an intended change.
 TINY_SEED0_JSON_DIGESTS = {
-    "config.json": "99ce182bb301e98beb11acfcb1a9414d4fde2b635b7655d87f7536017de60575",
+    "config.json": "08e3da55e66ec7ff67e6abe402d45fc4e8fb3a824ddcbc6d835d4e2c101141c1",
     "scene.json": "a05d8693b03f02471eb2f89b457563dcbebfbec3014af7304b7b45f0963b8c40",
-    "checkpoint.json": "088f6ac251501ee6b3e5ece5eae23bb95c955a7890552fe2f1de2646eb902301",
+    "checkpoint.json": "2f5609e7051eb840ebe115527c2e4cc901cf79936e38f331e554bd42c6029bc4",
 }
 # sha256 of sample_gradients' vector for the tiny preset at seed 0, with seeded
 # non-zero offset and weight generators: the keys of a head differ and about
@@ -136,9 +138,15 @@ def test_fusion_cache_is_compact():
     assert _nbytes(cache) <= 2 * cache.queries.nbytes
 
 
+def test_pipeline_config_requires_split_factor_equal_to_stride():
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    with pytest.raises(ConfigError, match="split_factor"):
+        dataclasses.replace(cfg, decoder=dataclasses.replace(cfg.decoder, split_factor=4))
+
+
 def test_empty_cloud_runs_end_to_end():
     cfg = PipelineConfig.for_preset("tiny", seed=0)
-    cfg.preprocess = PreprocessConfig(tau=5, theta=20, fill_scope=FillScope.NON_EMPTY_ONLY)
+    cfg.preprocess = PreprocessConfig(tau=5, theta=20, empty_fill=0)
     sample = prepare_sample(preset("tiny", seed=0), cfg, cloud=np.zeros((0, 4)))
     assert sample.refs.count == 0 and sample.proj.valid.shape == (2, 0)
     fused, cache, logits = forward_coarse(OccModel.create(cfg), sample, cfg)

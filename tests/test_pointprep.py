@@ -9,7 +9,6 @@ from occkit.grid import GridConfig, bin_points
 from occkit.pointprep import (
     SOURCE_RAW,
     SOURCE_SYNTHETIC,
-    FillScope,
     PreprocessConfig,
     fps_segments,
     preprocess,
@@ -48,9 +47,15 @@ def grid():
 
 def test_config_requires_theta_above_tau():
     with pytest.raises(ConfigError):
-        PreprocessConfig(tau=5, theta=5)
+        PreprocessConfig(tau=5, theta=5, empty_fill=5)
     with pytest.raises(ConfigError):
-        PreprocessConfig(tau=6, theta=5)
+        PreprocessConfig(tau=6, theta=5, empty_fill=5)
+
+
+@pytest.mark.parametrize("empty_fill", [-1, 21])
+def test_config_requires_empty_fill_within_theta(empty_fill):
+    with pytest.raises(ConfigError, match="empty_fill"):
+        PreprocessConfig(tau=5, theta=20, empty_fill=empty_fill)
 
 
 def test_uniform_fill_contract():
@@ -153,6 +158,14 @@ def test_fps_segments_match_scalar_oracles():
             np.testing.assert_array_equal(local, fps_naive(pts, k, starts[s]))
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e150])
+def test_sq_dist_sums_like_the_axis_reduction(scale):
+    # fps_segments relies on this order to select what the oracle fps selects.
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(scale=scale, size=(2, 50_000, 3))
+    np.testing.assert_array_equal(pointprep._sq_dist(a, b), ((a - b) ** 2).sum(axis=1))
+
+
 def test_fps_segments_rejects_bad_input():
     pts = np.zeros((5, 3))
     assert fps_segments(pts[:0], [0], 3, []).shape == (0, 3)
@@ -179,23 +192,42 @@ def test_preprocess_matches_per_voxel_loop(scene_seed):
     spec, cloud = _fan4_small(scene_seed % 1000)
     bins, _ = bin_points(cloud, spec.grid)
     fps_voxels = 0
-    for scope in FillScope:
-        for tau, theta in [(5, 20), (0, 4), (3, 7)]:
-            cfg = PreprocessConfig(tau=tau, theta=theta, seed=scene_seed, fill_scope=scope)
+    for tau, theta in [(5, 20), (0, 4), (3, 7)]:
+        for empty_fill in (0, 2, theta):
+            cfg = PreprocessConfig(tau=tau, theta=theta, empty_fill=empty_fill, seed=scene_seed)
             got = preprocess(bins, cloud, cfg, spec.grid)
             want = preprocess_per_voxel(bins, cloud, cfg, spec.grid)
             for name in ("keys", "offsets", "positions", "source", "raw_index"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.shape == b.shape, name
-                np.testing.assert_array_equal(a, b, err_msg=f"{name} {scope} {tau} {theta}")
+                np.testing.assert_array_equal(a, b, err_msg=f"{name} {cfg}")
             fps_voxels += int((bins.counts > theta).sum())
     assert fps_voxels > 100  # the reduce path ran on many voxels
+
+
+def test_empty_fill_keeps_a_prefix_of_each_empty_voxels_points():
+    spec, cloud = _fan4_small(2)
+    bins, _ = bin_points(cloud, spec.grid)
+    full = preprocess(bins, cloud, PreprocessConfig(5, 20, 20, seed=4), spec.grid)
+    raw_voxels = np.ravel_multi_index(bins.keys.T, spec.grid.coarse_dims)
+    empty = np.ones(len(full.keys), dtype=bool)
+    empty[raw_voxels] = False  # every voxel is kept, so rows are flat voxel ids
+    assert empty.sum() > 1000 and (full.counts[~empty] <= 20).all()
+    for k in (1, 2, 19):
+        part = preprocess(bins, cloud, PreprocessConfig(5, 20, k, seed=4), spec.grid)
+        np.testing.assert_array_equal(part.keys, full.keys)
+        np.testing.assert_array_equal(part.counts, np.where(empty, k, full.counts))
+        rank = np.arange(full.count) - full.offsets[full.point_voxel]
+        kept = ~empty[full.point_voxel] | (rank < k)  # the first k of each empty voxel
+        for name in ("positions", "source", "raw_index"):
+            np.testing.assert_array_equal(getattr(part, name), getattr(full, name)[kept])
+        assert np.all(part.source[empty[part.point_voxel]] == SOURCE_SYNTHETIC)
 
 
 def test_preprocess_one_stream_per_dense_voxel(monkeypatch):
     spec, cloud = _fan4_small(0)
     bins, _ = bin_points(cloud, spec.grid)
-    cfg = PreprocessConfig(tau=5, theta=20, seed=0)
+    cfg = PreprocessConfig(tau=5, theta=20, empty_fill=20, seed=0)
     calls = []
 
     def counted(seed, index):
@@ -210,7 +242,7 @@ def test_preprocess_one_stream_per_dense_voxel(monkeypatch):
 
 
 def _prep(cloud, grid, **kw):
-    cfg = PreprocessConfig(**{"tau": 5, "theta": 20, "seed": 3, **kw})
+    cfg = PreprocessConfig(**{"tau": 5, "theta": 20, "empty_fill": 20, "seed": 3, **kw})
     bins, _ = bin_points(cloud, grid)
     return preprocess(bins, cloud, cfg, grid), cfg
 
@@ -223,7 +255,7 @@ def _only_voxel(refs, key):
 
 def test_preprocess_pads_sparse_voxel(grid):
     cloud = np.array([[0.5, 0.5, 0.5]])
-    refs, cfg = _prep(cloud, grid, fill_scope=FillScope.NON_EMPTY_ONLY)
+    refs, cfg = _prep(cloud, grid, empty_fill=0)
     v = _only_voxel(refs, (0, 0, 0))
     assert v.count == cfg.theta
     assert (v.source == SOURCE_RAW).sum() == 1
@@ -238,7 +270,7 @@ def test_preprocess_pads_sparse_voxel(grid):
 def test_preprocess_midrange_untouched(grid):
     rng = np.random.default_rng(0)
     cloud = rng.uniform(0.0, 1.0, (10, 3))
-    refs, _ = _prep(cloud, grid, fill_scope=FillScope.NON_EMPTY_ONLY)
+    refs, _ = _prep(cloud, grid, empty_fill=0)
     v = _only_voxel(refs, (0, 0, 0))
     assert v.count == 10
     assert np.all(v.source == SOURCE_RAW)
@@ -249,7 +281,7 @@ def test_preprocess_midrange_untouched(grid):
 def test_preprocess_dense_voxel_fps_subset(grid):
     rng = np.random.default_rng(1)
     cloud = rng.uniform(0.0, 1.0, (50, 3))
-    refs, cfg = _prep(cloud, grid, fill_scope=FillScope.NON_EMPTY_ONLY)
+    refs, cfg = _prep(cloud, grid, empty_fill=0)
     v = _only_voxel(refs, (0, 0, 0))
     assert v.count == cfg.theta
     assert np.all(v.source == SOURCE_RAW)
@@ -258,7 +290,7 @@ def test_preprocess_dense_voxel_fps_subset(grid):
 
 
 def test_preprocess_all_voxels_fills_empty(grid):
-    refs, cfg = _prep(np.zeros((0, 3)), grid, fill_scope=FillScope.ALL_VOXELS)
+    refs, cfg = _prep(np.zeros((0, 3)), grid, empty_fill=20)
     assert len(refs.keys) == 8  # 2x2x2 coarse grid
     assert np.all(refs.counts == cfg.theta)
     assert np.all(refs.source == SOURCE_SYNTHETIC)
@@ -268,7 +300,7 @@ def test_preprocess_all_voxels_fills_empty(grid):
 
 def test_preprocess_non_empty_only_skips_empty(grid):
     cloud = np.array([[1.5, 0.5, 0.5]])
-    refs, _ = _prep(cloud, grid, fill_scope=FillScope.NON_EMPTY_ONLY)
+    refs, _ = _prep(cloud, grid, empty_fill=0)
     assert refs.keys.tolist() == [[1, 0, 0]]
 
 
@@ -351,12 +383,12 @@ def test_non_finite_rows_rejected(tmp_path, bad):
     ids=["empty", "all_outside"],
 )
 def test_preprocess_no_points_inside(grid, cloud):
-    refs, cfg = _prep(cloud, grid, fill_scope=FillScope.NON_EMPTY_ONLY)
+    refs, cfg = _prep(cloud, grid, empty_fill=0)
     arrays = refs.keys, refs.offsets, refs.positions, refs.source, refs.raw_index
     assert [(a.dtype, a.shape) for a in arrays] == [
         (np.int64, (0, 3)), (np.int64, (1,)), (np.float64, (0, 3)),
         (np.uint8, (0,)), (np.int64, (0,)),
     ]
     assert refs.point_voxel.dtype == np.int64 and refs.point_voxel.shape == (0,)
-    refs, cfg = _prep(cloud, grid, fill_scope=FillScope.ALL_VOXELS)
+    refs, cfg = _prep(cloud, grid, empty_fill=20)
     assert refs.count == 8 * cfg.theta and np.all(refs.raw_index == -1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,15 +24,22 @@ from occkit.scenes import (
 from occkit.scenes import _make_camera
 
 
-def unit_scene(boxes, lidar=None, rig=()):
+def unit_scene(boxes, lidar=None, rig=None):
     grid = GridConfig(min_corner=(-1, -1, -1), max_corner=(1, 1, 1), voxel_size=0.2, stride=2)
     return SceneSpec(
         seed=0,
         grid=grid,
         objects=boxes,
-        rig=list(rig),
+        rig=rig or [_make_camera("front", (0.0, -3.0, 0.0), (0.0, 0.0, 0.0), 33, 33, 40.0)],
         lidar=lidar or LidarSpec(n_azimuth=8, n_elevation=4, origin=(0, 0, 0)),
     )
+
+
+@pytest.mark.parametrize("ids", [[], ["a", "b", "a"]], ids=["empty", "shared_id"])
+def test_scene_rig_must_be_non_empty_with_distinct_ids(ids):
+    rig = [_make_camera(i, (0.0, -3.0, 0.0), (0.0, 0.0, 0.0), 8, 8, 10.0) for i in ids]
+    with pytest.raises(ConfigError, match="camera rig"):
+        dataclasses.replace(unit_scene([]), rig=rig)
 
 
 def test_box_validation():

@@ -19,7 +19,7 @@ from occkit.pipeline import (
     sample_loss,
     save_checkpoint,
 )
-from occkit.pointprep import FillScope, PreprocessConfig
+from occkit.pointprep import PreprocessConfig
 from occkit.scenes import N_CLASS, preset
 from occkit.training import active_train, score_samples, select_topk, train_epoch
 
@@ -28,9 +28,7 @@ def small_cfg(seed=0, epochs=1, k_percent=70.0, lr=0.05, batch_size=2):
     spec = preset("tiny", seed=seed)
     return PipelineConfig(
         grid=spec.grid,
-        preprocess=PreprocessConfig(
-            tau=5, theta=20, seed=seed, fill_scope=FillScope.NON_EMPTY_ONLY
-        ),
+        preprocess=PreprocessConfig(tau=5, theta=20, empty_fill=0, seed=seed),
         fusion=FusionConfig(channels=8, seed=seed),
         decoder=DecoderConfig(delta=0.3, split_factor=2, n_class=N_CLASS),
         training=TrainingConfig(
@@ -67,6 +65,9 @@ def test_training_config_validation():
         TrainingConfig(k_percent=101.0)
     with pytest.raises(ConfigError):
         TrainingConfig(learning_rate=0.0)
+    for lr in (np.nan, np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainingConfig(learning_rate=lr)
 
 
 def test_coarse_labels_majority_and_ties():
@@ -132,6 +133,13 @@ def test_non_finite_loss_raises(cfg, dataset):
     model.apply_vector(vec)
     with pytest.raises(NumericalError):
         train_epoch(model, dataset, [0], cfg, epoch=0)
+
+
+def test_non_finite_score_raises(cfg, dataset):
+    model = OccModel.create(cfg)
+    model.heads.coarse.bias[0] = np.inf
+    with pytest.raises(NumericalError, match="score on sample 0"):
+        score_samples(model, dataset, cfg)
 
 
 def test_active_train_mechanics(dataset):
