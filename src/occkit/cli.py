@@ -18,10 +18,13 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError, OcckitError
 from . import grid as gridmod
 from . import jsonio, pointprep, scenes
+from .decoder import decode
+from .fusion import occ_fuse
 from .pipeline import (
     OccModel,
     PipelineConfig,
     evaluate,
+    forward_coarse,
     load_checkpoint,
     predict,
     prepare_sample,
@@ -133,8 +136,6 @@ def _cmd_preprocess(args):
 def _cmd_fuse(args):
     model, cfg = _model_for(args)
     sample = _load_sample(args.sample, cfg)
-    from .fusion import occ_fuse
-
     fused, _ = occ_fuse(
         sample.lidar_volume, sample.maps, sample.refs, sample.proj,
         model.attention, cfg.grid,
@@ -199,9 +200,6 @@ def _cmd_eval(args):
 def _cmd_bench(args):
     model, cfg = _model_for(args)
     sample = _load_sample(args.sample, cfg)
-    from .decoder import decode
-    from .pipeline import forward_coarse
-
     # The fused volume does not depend on delta; compute it once per sweep.
     fused, _, _ = forward_coarse(model, sample, cfg)
     rows = []
@@ -297,7 +295,10 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # A diverging run overflows on its way to non-finite values, which
+        # the finiteness checks report as one NumericalError line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

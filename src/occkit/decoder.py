@@ -23,15 +23,13 @@ from .objectives import softmax
 class DecoderConfig:
     """Refinement gate settings.
 
-    ``delta`` is the fraction of candidate voxels refined; ``rank_scope``
-    chooses whether only voxels predicted occupied compete for the budget
-    ("occupied") or every coarse voxel does ("all").
+    ``delta`` is the fraction of candidate voxels refined; the candidates
+    are the voxels predicted occupied.
     """
 
     delta: float
     split_factor: int
     n_class: int
-    rank_scope: str = "occupied"
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
@@ -40,8 +38,6 @@ class DecoderConfig:
             raise ConfigError("split_factor must be >= 1")
         if self.n_class < 2:
             raise ConfigError("need at least two classes (empty + 1)")
-        if self.rank_scope not in ("occupied", "all"):
-            raise ConfigError("rank_scope must be 'occupied' or 'all'")
 
 
 @dataclass
@@ -73,28 +69,6 @@ class Heads:
 
     coarse: LinearHead
     fine: LinearHead
-
-    @classmethod
-    def create(cls, channels: int, n_class: int, seed: int = 0):
-        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0x4EAD])
-        return cls(
-            coarse=LinearHead(
-                weight=rng.uniform(-0.1, 0.1, (n_class, channels)),
-                bias=np.zeros(n_class),
-            ),
-            fine=LinearHead(
-                weight=rng.uniform(-0.1, 0.1, (n_class, 2 * channels)),
-                bias=np.zeros(n_class),
-            ),
-        )
-
-    def tensors(self) -> dict:
-        return {
-            "coarse_weight": self.coarse.weight,
-            "coarse_bias": self.coarse.bias,
-            "fine_weight": self.fine.weight,
-            "fine_bias": self.fine.bias,
-        }
 
 
 @dataclass
@@ -157,10 +131,7 @@ def decode(
     logits = heads.coarse.logits(feats)
     probs = softmax(logits, axis=-1)
     coarse_labels = probs.argmax(axis=-1)
-    if cfg.rank_scope == "occupied":
-        candidates = coarse_labels != 0
-    else:
-        candidates = np.ones(len(probs), dtype=bool)
+    candidates = coarse_labels != 0
     selected = select_refine(probs, cfg.delta, candidates)
 
     f = cfg.split_factor

@@ -1,8 +1,8 @@
 """Deterministic toy feature encoders for the LiDAR and image branches.
 
 These replace learned backbones: a permutation-invariant mean embedding of
-the raw points per voxel, and a strided average-pool plus linear color
-embedding for images. Both are deterministic given their parameters and
+the raw points per voxel, and a per-pixel linear color embedding for
+images. Both are deterministic given their parameters and
 produce tanh-bounded features.
 """
 
@@ -20,7 +20,6 @@ from .cameras import FeatureMap, FeatureMapSet
 @dataclass
 class EncoderParams:
     channels: int
-    image_stride: int
     point_embed: np.ndarray  # (C, 4): relative xyz + intensity
     voxel_mix: np.ndarray  # (C, C)
     pixel_embed: np.ndarray  # (C, 3): rgb
@@ -36,18 +35,15 @@ class EncoderParams:
             raise ConfigError("voxel_mix must be (channels, channels)")
         if self.pixel_embed.shape != (c, 3):
             raise ConfigError("pixel_embed must be (channels, 3)")
-        if self.image_stride < 1:
-            raise ConfigError("image_stride must be >= 1")
         for a in (self.point_embed, self.voxel_mix, self.pixel_embed):
             if not np.all(np.isfinite(a)):
                 raise ConfigError("encoder parameters must be finite")
 
     @classmethod
-    def create(cls, channels: int, image_stride: int = 1, seed: int = 0):
+    def create(cls, channels: int, seed: int = 0):
         rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xE2C0DE])
         return cls(
             channels=channels,
-            image_stride=image_stride,
             point_embed=rng.uniform(-1.0, 1.0, (channels, 4)),
             voxel_mix=rng.uniform(-0.5, 0.5, (channels, channels)),
             pixel_embed=rng.uniform(-1.0, 1.0, (channels, 3)),
@@ -78,10 +74,9 @@ def encode_lidar(
 
 
 def encode_images(images, cam_ids, params: EncoderParams) -> FeatureMapSet:
-    """Average-pool each RGB image by the stride and embed colors per pixel.
+    """Embed the color of every pixel of each RGB image.
 
-    ``images`` are (h, w, 3) float arrays in [0, 1], all the same size and
-    divisible by ``image_stride``.
+    ``images`` are (h, w, 3) float arrays in [0, 1], all the same size.
     """
     maps = []
     shape = None
@@ -93,11 +88,6 @@ def encode_images(images, cam_ids, params: EncoderParams) -> FeatureMapSet:
             shape = img.shape
         elif img.shape != shape:
             raise ConfigError("all images must share the same size")
-        h, w = img.shape[:2]
-        s = params.image_stride
-        if h % s or w % s:
-            raise ConfigError("image size must be divisible by image_stride")
-        pooled = img.reshape(h // s, s, w // s, s, 3).mean(axis=(1, 3))
-        feat = np.tanh(pooled @ params.pixel_embed.T)
+        feat = np.tanh(img @ params.pixel_embed.T)
         maps.append(FeatureMap(camera_id=cam_id, data=feat))
     return FeatureMapSet(maps=maps)

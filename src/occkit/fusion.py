@@ -41,84 +41,29 @@ class AttentionParams:
     w_fallback: np.ndarray  # (C, C)
 
     def __post_init__(self):
-        m, k, c = self.n_heads, self.n_keys, self.channels
         self.w_out = np.asarray(self.w_out, dtype=np.float64)
         self.w_val = np.asarray(self.w_val, dtype=np.float64)
         self.offset_gen = np.asarray(self.offset_gen, dtype=np.float64)
         self.weight_gen = np.asarray(self.weight_gen, dtype=np.float64)
         self.w_fallback = np.asarray(self.w_fallback, dtype=np.float64)
-        expect = {
-            "w_out": (m, c, c),
-            "w_val": (m, c, c),
-            "offset_gen": (m * k * 2, c + 3),
-            "weight_gen": (m * k, c + 3),
-            "w_fallback": (c, c),
-        }
-        for name, shape in expect.items():
+        for name, shape in self.shapes(self.n_heads, self.n_keys, self.channels).items():
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ConfigError(f"{name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise ConfigError(f"{name} must be finite")
 
-    @classmethod
-    def create(cls, channels: int, n_heads: int = 2, n_keys: int = 4, seed: int = 0):
-        """Seeded initialization: attention starts at the projected point
-        with uniform weights (zero offset/weight generators)."""
-        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, 0xA77E])
-        return cls(
-            n_heads=n_heads,
-            n_keys=n_keys,
-            channels=channels,
-            w_out=rng.uniform(-0.1, 0.1, (n_heads, channels, channels)),
-            w_val=rng.uniform(-0.1, 0.1, (n_heads, channels, channels)),
-            offset_gen=np.zeros((n_heads * n_keys * 2, channels + 3)),
-            weight_gen=np.zeros((n_heads * n_keys, channels + 3)),
-            w_fallback=rng.uniform(-0.1, 0.1, (channels, channels)),
-        )
-
-    @classmethod
-    def zeros_like(cls, other: "AttentionParams"):
-        return cls(
-            n_heads=other.n_heads,
-            n_keys=other.n_keys,
-            channels=other.channels,
-            w_out=np.zeros_like(other.w_out),
-            w_val=np.zeros_like(other.w_val),
-            offset_gen=np.zeros_like(other.offset_gen),
-            weight_gen=np.zeros_like(other.weight_gen),
-            w_fallback=np.zeros_like(other.w_fallback),
-        )
-
-    def tensors(self) -> dict:
-        """Named parameter tensors in canonical order."""
+    @staticmethod
+    def shapes(n_heads: int, n_keys: int, channels: int) -> dict:
+        """Shape of each parameter tensor, in field order."""
+        m, k, c = n_heads, n_keys, channels
         return {
-            "w_out": self.w_out,
-            "w_val": self.w_val,
-            "offset_gen": self.offset_gen,
-            "weight_gen": self.weight_gen,
-            "w_fallback": self.w_fallback,
+            "w_out": (m, c, c),
+            "w_val": (m, c, c),
+            "offset_gen": (m * k * 2, c + 3),
+            "weight_gen": (m * k, c + 3),
+            "w_fallback": (c, c),
         }
-
-    def to_vector(self) -> np.ndarray:
-        return flatten_tensors(self.tensors())
-
-
-def flatten_tensors(tensors: dict) -> np.ndarray:
-    """One flat vector of named tensors, in the dict's order."""
-    return np.concatenate([a.ravel() for a in tensors.values()])
-
-
-def unflatten_into(tensors: dict, vec) -> None:
-    """Overwrite named tensors in place, in the dict's order, from a flat
-    vector laid out as ``flatten_tensors`` writes it."""
-    vec = np.asarray(vec, dtype=np.float64).ravel()
-    if len(vec) != sum(a.size for a in tensors.values()):
-        raise ConfigError("parameter vector length mismatch")
-    pos = 0
-    for a in tensors.values():
-        a[...] = vec[pos : pos + a.size].reshape(a.shape)
-        pos += a.size
 
 
 def _sampling(q: np.ndarray, pix: np.ndarray, shape, params: AttentionParams, slopes=False):
@@ -282,18 +227,18 @@ def occ_fuse(
     return fused, cache
 
 
-def fusion_backward(grad_volume: np.ndarray, cache: FusionCache) -> AttentionParams:
-    """Gradients of the fused volume wrt every attention parameter.
+def fusion_backward(grad_volume: np.ndarray, cache: FusionCache, grads: AttentionParams):
+    """Add the gradients of the fused volume wrt every attention parameter
+    into ``grads`` in place.
 
     ``grad_volume`` is the upstream gradient, shaped like the fused volume's
-    data. Returns an AttentionParams instance holding the gradients.
+    data.
     """
     if cache is None:
         raise DataError("fusion backward requires the forward cache")
     g = np.asarray(grad_volume, dtype=np.float64)
     if g.shape != cache.lidar.shape:
         raise ConfigError("upstream gradient shape mismatch")
-    grads = AttentionParams.zeros_like(cache.params)
     keys = cache.voxel_keys
     g_voxel = g[keys[:, 2], keys[:, 1], keys[:, 0]]
     for sel, pix, data in cache.per_camera:
@@ -301,4 +246,3 @@ def fusion_backward(grad_volume: np.ndarray, cache: FusionCache) -> AttentionPar
         _attn_backward(g_pts, (cache.queries[sel], pix, data), cache.params, grads)
     fb = cache.fallback_mask
     grads.w_fallback += g[fb].T @ cache.lidar[fb]
-    return grads

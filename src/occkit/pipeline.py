@@ -9,6 +9,7 @@ one JSON file holding the config and the model's parameter vector.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,14 +19,8 @@ from .grid import GridConfig, OccupancyGrid, VoxelFeatureVolume, VoxelPoints, bi
 from .pointprep import PreprocessConfig, preprocess
 from .cameras import project_all
 from .encoders import EncoderParams, encode_images, encode_lidar
-from .fusion import (
-    AttentionParams,
-    flatten_tensors,
-    fusion_backward,
-    occ_fuse,
-    unflatten_into,
-)
-from .decoder import DecoderConfig, Heads, decode, iou_miou
+from .fusion import AttentionParams, fusion_backward, occ_fuse
+from .decoder import DecoderConfig, Heads, LinearHead, decode, iou_miou
 from .objectives import LossBreakdown, total_loss_logits
 from . import jsonio, scenes
 
@@ -68,7 +63,6 @@ class PipelineConfig:
     fusion: FusionConfig
     decoder: DecoderConfig
     training: TrainingConfig
-    image_stride: int = 1
 
     def __post_init__(self):
         if self.decoder.split_factor != self.grid.stride:
@@ -90,31 +84,74 @@ class PipelineConfig:
 
 @dataclass
 class OccModel:
-    """All learnable parameters: fusion attention plus the two heads."""
+    """All learnable parameters as one flat float64 vector, ``params``.
 
+    ``attention`` and ``heads`` are reshaped views of it, so writing into
+    ``params`` moves them and the reverse.
+    """
+
+    params: np.ndarray
     attention: AttentionParams
     heads: Heads
 
     @classmethod
-    def create(cls, cfg: PipelineConfig) -> "OccModel":
-        f = cfg.fusion
+    def over(cls, params: np.ndarray | None, cfg: PipelineConfig) -> "OccModel":
+        """The model of ``cfg`` whose tensors are views of ``params``, or of
+        a new zero vector when ``params`` is None. The layout is the order of
+        ``tensors()``."""
+        f, n, c = cfg.fusion, cfg.decoder.n_class, cfg.fusion.channels
+        attention = AttentionParams.shapes(f.n_heads, f.n_keys, c)
+        shapes = [*attention.values(), (n, c), (n,), (n, 2 * c), (n,)]
+        ends = np.cumsum([math.prod(s) for s in shapes])
+        if params is None:
+            params = np.zeros(ends[-1])
+        if params.shape != (ends[-1],):
+            raise ConfigError(f"{params.size} parameters, not {ends[-1]}")
+        views = [a.reshape(s) for a, s in zip(np.split(params, ends[:-1]), shapes)]
         return cls(
-            attention=AttentionParams.create(
-                f.channels, n_heads=f.n_heads, n_keys=f.n_keys, seed=f.seed
-            ),
-            heads=Heads.create(f.channels, cfg.decoder.n_class, seed=f.seed),
+            params=params,
+            attention=AttentionParams(f.n_heads, f.n_keys, c, *views[:5]),
+            heads=Heads(coarse=LinearHead(*views[5:7]), fine=LinearHead(*views[7:])),
         )
 
+    @classmethod
+    def create(cls, cfg: PipelineConfig) -> "OccModel":
+        """Seeded initialization: attention starts at the projected point
+        with uniform weights (zero offset/weight generators); biases are 0."""
+        model = cls.over(None, cfg)
+        a, h = model.attention, model.heads
+        seed = cfg.fusion.seed & 0xFFFFFFFFFFFFFFFF
+        rng = np.random.default_rng([seed, 0xA77E])
+        for t in (a.w_out, a.w_val, a.w_fallback):
+            t[...] = rng.uniform(-0.1, 0.1, t.shape)
+        rng = np.random.default_rng([seed, 0x4EAD])
+        for t in (h.coarse.weight, h.fine.weight):
+            t[...] = rng.uniform(-0.1, 0.1, t.shape)
+        return model
+
     def tensors(self) -> dict:
-        out = {f"attention.{k}": v for k, v in self.attention.tensors().items()}
-        out.update({f"heads.{k}": v for k, v in self.heads.tensors().items()})
-        return out
+        """Every tensor by name, in ``params`` order."""
+        a, h = self.attention, self.heads
+        return {
+            "attention.w_out": a.w_out,
+            "attention.w_val": a.w_val,
+            "attention.offset_gen": a.offset_gen,
+            "attention.weight_gen": a.weight_gen,
+            "attention.w_fallback": a.w_fallback,
+            "heads.coarse_weight": h.coarse.weight,
+            "heads.coarse_bias": h.coarse.bias,
+            "heads.fine_weight": h.fine.weight,
+            "heads.fine_bias": h.fine.bias,
+        }
 
     def to_vector(self) -> np.ndarray:
-        return flatten_tensors(self.tensors())
+        return self.params.copy()
 
     def apply_vector(self, vec: np.ndarray) -> None:
-        unflatten_into(self.tensors(), vec)
+        vec = np.asarray(vec, dtype=np.float64).ravel()
+        if vec.shape != self.params.shape:
+            raise ConfigError("parameter vector length mismatch")
+        self.params[...] = vec
 
     def param_hash(self) -> str:
         digest = hashlib.sha256()
@@ -126,28 +163,27 @@ class OccModel:
 
 @dataclass
 class Checkpoint:
-    """A checkpoint file: the config and ``OccModel.to_vector()`` of a model."""
+    """A checkpoint file: the config and ``OccModel.params`` of a model."""
 
     config: PipelineConfig
     params: list[float]
 
 
 def save_checkpoint(path, model: OccModel, cfg: PipelineConfig) -> None:
-    jsonio.write_json(path, jsonio.encode(Checkpoint(cfg, model.to_vector().tolist())))
+    jsonio.write_json(path, jsonio.encode(Checkpoint(cfg, model.params.tolist())))
 
 
 def load_checkpoint(path):
     """Returns (model, config) from a checkpoint file; a file that does not
     hold finite parameters of a model of its own config raises DataError."""
     ckpt = jsonio.decode(Checkpoint, jsonio.read_json(path))
-    model = OccModel.create(ckpt.config)
     params = np.array(ckpt.params, dtype=np.float64)
-    if params.size != model.to_vector().size:
-        raise DataError(f"{path}: {params.size} parameters, not {model.to_vector().size}")
     if not np.all(np.isfinite(params)):
         raise DataError(f"{path}: parameters are not finite")
-    model.apply_vector(params)
-    return model, ckpt.config
+    try:
+        return OccModel.over(params, ckpt.config), ckpt.config
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -191,9 +227,7 @@ def prepare_sample(
         images = scenes.render_views(spec)
     if gt is None:
         gt = scenes.rasterize_gt(spec)
-    enc = EncoderParams.create(
-        cfg.fusion.channels, image_stride=cfg.image_stride, seed=cfg.fusion.seed
-    )
+    enc = EncoderParams.create(cfg.fusion.channels, seed=cfg.fusion.seed)
     bins, _ = bin_points(cloud, cfg.grid)
     f_l = encode_lidar(bins, cloud, enc, cfg.grid)
     maps = encode_images(images, [cam.cam_id for cam in spec.rig], enc)
@@ -230,23 +264,17 @@ def sample_loss(model: OccModel, sample: Sample, cfg: PipelineConfig) -> LossBre
 
 
 def sample_gradients(model: OccModel, sample: Sample, cfg: PipelineConfig):
-    """Loss plus the full parameter gradient vector for one sample."""
+    """Loss plus the full parameter gradient vector for one sample; the fine
+    head is not trained, so its slice is zero."""
     fused, cache, logits = forward_coarse(model, sample, cfg)
-    labels = sample.coarse_labels.ravel()
-    breakdown, g_logits = total_loss_logits(logits, labels)
+    breakdown, g_logits = total_loss_logits(logits, sample.coarse_labels.ravel())
     feats = fused.data.reshape(-1, fused.channels)
-    g_coarse_w = g_logits.T @ feats
-    g_coarse_b = g_logits.sum(axis=0)
+    grad = OccModel.over(None, cfg)
+    grad.heads.coarse.weight[...] = g_logits.T @ feats
+    grad.heads.coarse.bias[...] = g_logits.sum(axis=0)
     g_feats = g_logits @ model.heads.coarse.weight
-    attn_grads = fusion_backward(g_feats.reshape(fused.data.shape), cache)
-    grad = {
-        f"attention.{k}": v for k, v in attn_grads.tensors().items()
-    }
-    grad["heads.coarse_weight"] = g_coarse_w
-    grad["heads.coarse_bias"] = g_coarse_b
-    grad["heads.fine_weight"] = np.zeros_like(model.heads.fine.weight)
-    grad["heads.fine_bias"] = np.zeros_like(model.heads.fine.bias)
-    return breakdown, flatten_tensors({name: grad[name] for name in model.tensors()})
+    fusion_backward(g_feats.reshape(fused.data.shape), cache, grad.attention)
+    return breakdown, grad.params
 
 
 def predict(model: OccModel, sample: Sample, cfg: PipelineConfig):

@@ -61,10 +61,9 @@ def train_epoch(
     rng = np.random.default_rng([tc.seed & 0xFFFFFFFFFFFFFFFF, 0x7EA1, epoch])
     order = [ids[i] for i in rng.permutation(len(ids))]
     losses = []
-    vec = model.to_vector()
     for start in range(0, len(order), tc.batch_size):
         batch = order[start : start + tc.batch_size]
-        grad = np.zeros_like(vec)
+        grad = np.zeros_like(model.params)
         for sid in batch:
             breakdown, g = sample_gradients(model, dataset[sid], cfg)
             if not np.isfinite(breakdown.total):
@@ -74,8 +73,7 @@ def train_epoch(
                 )
             losses.append(breakdown.total)
             grad += g
-        vec = model.to_vector() - tc.learning_rate * (grad / len(batch))
-        model.apply_vector(vec)
+        model.params -= tc.learning_rate * (grad / len(batch))
     return float(np.mean(losses))
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from occkit.cameras import FeatureMap, bilinear_batch
 from occkit.decoder import LinearHead, entropy_batch
 from occkit.errors import ConfigError, DataError
-from occkit.fusion import AttentionParams, _attn_forward, unflatten_into
+from occkit.fusion import AttentionParams, _attn_forward
 from occkit.grid import (
     SOURCE_RAW,
     SOURCE_SYNTHETIC,
@@ -39,12 +39,6 @@ def deform_attn(query, pixel, fmap: FeatureMap, params: AttentionParams) -> np.n
     pix = np.asarray(pixel, dtype=np.float64).reshape(1, 2)
     out, _ = _attn_forward(q, pix, fmap.data, params)
     return out[0]
-
-def from_vector(params: AttentionParams, vec) -> AttentionParams:
-    """A copy of ``params`` holding the flat parameter vector ``vec``."""
-    out = AttentionParams.zeros_like(params)
-    unflatten_into(out.tensors(), vec)
-    return out
 
 def bilinear(fmap: FeatureMap, pixel) -> np.ndarray:
     """Sample a feature map at one pixel with clamped 4-neighbor bilinear

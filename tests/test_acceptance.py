@@ -66,7 +66,7 @@ from occkit.pointprep import (
 )
 from occkit.scenes import N_CLASS, preset
 from occkit.training import active_train, score_samples, select_topk, train_epoch
-from oracles import bilinear, build_query, deform_attn, entropy, fps, from_vector, voxel_bounds
+from oracles import bilinear, build_query, deform_attn, entropy, fps, voxel_bounds
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -229,37 +229,35 @@ def test_criterion_03_attention_identity_and_gradients():
         np.testing.assert_array_equal(out, bilinear(FeatureMap(camera_id="x", data=data), pix))
 
     h = 1e-5
+    fd_cfg = dataclasses.replace(fast_cfg(), fusion=FusionConfig(channels=c, n_heads=2, n_keys=3))
+    n_attn = sum(math.prod(s) for s in AttentionParams.shapes(2, 3, c).values())
 
-    def rand_params(seed, scale=0.15):
-        r = np.random.default_rng(seed)
-        return AttentionParams(
-            n_heads=2, n_keys=3, channels=c,
-            w_out=r.normal(scale=scale, size=(2, c, c)),
-            w_val=r.normal(scale=scale, size=(2, c, c)),
-            offset_gen=r.normal(scale=scale, size=(2 * 3 * 2, c + 3)),
-            weight_gen=r.normal(scale=scale, size=(2 * 3, c + 3)),
-            w_fallback=r.normal(scale=scale, size=(c, c)),
-        )
+    def rand_model(seed, scale=0.15):
+        """A model whose attention, the first ``n_attn`` parameters, is random."""
+        model = OccModel.over(None, fd_cfg)
+        model.params[:n_attn] = np.random.default_rng(seed).normal(scale=scale, size=n_attn)
+        return model
 
     # deform_attn parameter gradients (single-query batches)
     for inst in range(40):
         r = np.random.default_rng(100 + inst)
-        params = rand_params(200 + inst)
+        model = rand_model(200 + inst)
+        params = model.attention
         data = r.normal(size=(8, 8, c))
         q = r.normal(size=(1, c + 3))
         pix = r.uniform(1.5, 5.5, (1, 2))
         g_up = r.normal(size=(1, c))
         _, cache = _attn_forward(q, pix, data, params)
-        grads = AttentionParams.zeros_like(params)
-        _attn_backward(g_up, cache, params, grads)
-        gvec = grads.to_vector()
-        vec = params.to_vector()
-        for i in r.choice(len(vec), 6, replace=False):
+        grads = OccModel.over(None, fd_cfg)
+        _attn_backward(g_up, cache, params, grads.attention)
+        gvec = grads.params
+        vec = model.params
+        for i in r.choice(n_attn, 6, replace=False):
             vals = []
             for sgn in (1, -1):
                 v2 = vec.copy()
                 v2[i] += sgn * h
-                out2, _ = _attn_forward(q, pix, data, from_vector(params, v2))
+                out2, _ = _attn_forward(q, pix, data, OccModel.over(v2, fd_cfg).attention)
                 vals.append((out2 * g_up).sum())
             fd = (vals[0] - vals[1]) / (2 * h)
             assert rel_close(gvec[i], fd), (inst, i, gvec[i], fd)
@@ -268,7 +266,8 @@ def test_criterion_03_attention_identity_and_gradients():
     grid = GridConfig(min_corner=(0, 0, 0), max_corner=(2, 2, 2), voxel_size=1.0)
     for inst in range(30):
         r = np.random.default_rng(300 + inst)
-        params = rand_params(400 + inst, scale=0.1)
+        model = rand_model(400 + inst, scale=0.1)
+        params = model.attention
         keys = np.array([[0, 0, 0], [1, 1, 0], [0, 1, 1]])
         point_voxel = np.repeat(np.arange(3), 3)
         positions = np.array(
@@ -286,14 +285,17 @@ def test_criterion_03_attention_identity_and_gradients():
         f_l = VoxelFeatureVolume(data=r.normal(size=(2, 2, 2, c)))
         g_up = r.normal(size=f_l.data.shape)
         _, cache = occ_fuse(f_l, maps, refs, proj, params, grid)
-        gvec = fusion_backward(g_up, cache).to_vector()
-        vec = params.to_vector()
-        for i in r.choice(len(vec), 5, replace=False):
+        grads = OccModel.over(None, fd_cfg)
+        fusion_backward(g_up, cache, grads.attention)
+        gvec = grads.params
+        vec = model.params
+        for i in r.choice(n_attn, 5, replace=False):
             vals = []
             for sgn in (1, -1):
                 v2 = vec.copy()
                 v2[i] += sgn * h
-                fused2, _ = occ_fuse(f_l, maps, refs, proj, from_vector(params, v2), grid)
+                params2 = OccModel.over(v2, fd_cfg).attention
+                fused2, _ = occ_fuse(f_l, maps, refs, proj, params2, grid)
                 vals.append((fused2.data * g_up).sum())
             fd = (vals[0] - vals[1]) / (2 * h)
             assert rel_close(gvec[i], fd), (inst, i, gvec[i], fd)
@@ -366,9 +368,10 @@ def test_criterion_04_averaging_laws():
     cfg.preprocess = PreprocessConfig(tau=5, theta=20, empty_fill=20, seed=0)  # include synthetic
     spec = preset("tiny", seed=0)
     sample = prepare_sample(spec, cfg)
-    params = AttentionParams.create(cfg.fusion.channels, seed=3)
+    model = OccModel.create(cfg)
     pr = np.random.default_rng(12)
-    params = from_vector(params, pr.normal(scale=0.1, size=params.to_vector().size))
+    model.apply_vector(pr.normal(scale=0.1, size=model.params.size))
+    params = model.attention
     feat_sizes = [(m.width, m.height) for m in sample.maps.maps]
 
     # permutation invariance after re-canonicalization: bit-identical
@@ -404,10 +407,9 @@ def test_criterion_04_averaging_laws():
     c = 4
     rng = np.random.default_rng(4)
     grid = GridConfig(min_corner=(0, 0, 0), max_corner=(2, 2, 2), voxel_size=1.0)
-    small_params = AttentionParams.create(c, seed=9)
-    small_params = from_vector(
-        small_params, rng.normal(scale=0.15, size=small_params.to_vector().size)
-    )
+    small_params = AttentionParams(2, 4, c, *(
+        rng.normal(scale=0.15, size=s) for s in AttentionParams.shapes(2, 4, c).values()
+    ))
     keys = np.array([[0, 0, 0]])
     positions = np.array([[0.4, 0.6, 0.5], [0.6, 0.4, 0.5]])
     fmap = FeatureMap(camera_id="a", data=rng.normal(size=(8, 8, c)))

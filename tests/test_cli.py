@@ -343,14 +343,14 @@ MALFORMED_CONFIG = {
     "not_json": lambda text: "{not json",
     "tau_not_below_theta": _edit_config(lambda c: c["preprocess"].update(tau=20)),
     "voxel_size_zero": _edit_config(lambda c: c["grid"].update(voxel_size=0)),
-    "rank_scope_top": _edit_config(lambda c: c["decoder"].update(rank_scope="top")),
+    "delta_above_one": _edit_config(lambda c: c["decoder"].update(delta=1.5)),
     "channels_zero": _edit_config(lambda c: c["fusion"].update(channels=0)),
-    "missing_key": _edit_config(lambda c: c.pop("image_stride")),
+    "missing_key": _edit_config(lambda c: c.pop("decoder")),
     "json_list": lambda text: "[]",
     "unknown_key": _edit_config(_rename_empty_fill),
     "tau_real": _edit_config(lambda c: c["preprocess"].update(tau=5.7)),
     "theta_string": _edit_config(lambda c: c["preprocess"].update(theta="20")),
-    "image_stride_bool": _edit_config(lambda c: c.update(image_stride=True)),
+    "image_stride_bool": _edit_config(lambda c: c.update(image_stride=True)),  # a removed key
     "learning_rate_inf": _infinite_learning_rate,
 }
 
@@ -400,10 +400,11 @@ def test_diverging_training_exits_three_and_writes_nothing(data_dir, tmp_path, c
     data = tmp_path / "data"
     shutil.copytree(data_dir / "sample_000", data / "sample_000")
     shutil.copy(data_dir / "config.json", data / "config.json")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow on the way to NaN
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert run("train", "--data", str(data), "--learning-rate", "1e300",
                    "--out", str(tmp_path / "o")) == 3
+    assert [str(w.message) for w in caught] == []  # the overflow on the way is no warning
     assert capsys.readouterr().err == "numerical failure: non-finite score on sample 0\n"
     assert not (tmp_path / "o").exists()
 

@@ -35,8 +35,6 @@ def test_config_validation():
         DecoderConfig(delta=0.5, split_factor=0, n_class=3)
     with pytest.raises(ConfigError):
         DecoderConfig(delta=0.5, split_factor=2, n_class=1)
-    with pytest.raises(ConfigError):
-        DecoderConfig(delta=0.5, split_factor=2, n_class=3, rank_scope="top")
 
 
 def test_classify_is_softmax_of_logits():
@@ -117,13 +115,19 @@ def _decode_setup(seed=0, n=2):
     )
     rng = np.random.default_rng(seed)
     fused = VoxelFeatureVolume(data=rng.normal(size=(n, n, n, 4)))
-    heads = Heads.create(4, 3, seed=seed)
-    return grid, fused, heads
+    return grid, fused, random_heads(rng, 4, 3)
+
+
+def random_heads(rng, c, n_class):
+    return Heads(
+        coarse=LinearHead(weight=rng.normal(size=(n_class, c)), bias=rng.normal(size=n_class)),
+        fine=LinearHead(weight=rng.normal(size=(n_class, 2 * c)), bias=rng.normal(size=n_class)),
+    )
 
 
 def test_decode_delta_zero_inherits_everywhere():
     grid, fused, heads = _decode_setup()
-    cfg = DecoderConfig(delta=0.0, split_factor=2, n_class=3, rank_scope="all")
+    cfg = DecoderConfig(delta=0.0, split_factor=2, n_class=3)
     fine, report, coarse = decode(fused, FeatureMapSet(maps=[]), [], heads, cfg, grid)
     assert report.fine_ops == 0 and report.selected_voxels == 0
     assert fine.dims == (4, 4, 4)
@@ -133,9 +137,11 @@ def test_decode_delta_zero_inherits_everywhere():
 
 def test_decode_delta_one_ratio_and_dims():
     grid, fused, heads = _decode_setup(1)
-    cfg = DecoderConfig(delta=1.0, split_factor=2, n_class=3, rank_scope="all")
-    fine, report, _ = decode(fused, FeatureMapSet(maps=[]), [], heads, cfg, grid)
-    assert report.selected_voxels == report.candidate_voxels == 8
+    cfg = DecoderConfig(delta=1.0, split_factor=2, n_class=3)
+    fine, report, coarse = decode(fused, FeatureMapSet(maps=[]), [], heads, cfg, grid)
+    occupied = int((coarse != 0).sum())
+    assert 0 < occupied < 8
+    assert report.selected_voxels == report.candidate_voxels == occupied
     assert report.ratio == pytest.approx(1.0)
     assert fine.labels.shape == (4, 4, 4)
     assert fine.voxel_size == pytest.approx(grid.coarse_cell / 2)
@@ -145,23 +151,25 @@ def test_decode_ratio_tracks_delta():
     grid = GridConfig(min_corner=(0, 0, 0), max_corner=(4, 4, 4), voxel_size=0.5, stride=2)
     rng = np.random.default_rng(2)
     fused = VoxelFeatureVolume(data=rng.normal(size=(4, 4, 4, 4)))
-    heads = Heads.create(4, 3, seed=2)
+    heads = random_heads(rng, 4, 3)
     for delta in (0.1, 0.25, 0.5, 1.0):
-        cfg = DecoderConfig(delta=delta, split_factor=2, n_class=3, rank_scope="all")
-        _, report, _ = decode(fused, FeatureMapSet(maps=[]), [], heads, cfg, grid)
-        assert report.selected_voxels == refine_count(delta, 64)
-        assert report.ratio == pytest.approx(refine_count(delta, 64) / 64)
+        cfg = DecoderConfig(delta=delta, split_factor=2, n_class=3)
+        _, report, coarse = decode(fused, FeatureMapSet(maps=[]), [], heads, cfg, grid)
+        m = int((coarse != 0).sum())
+        assert report.candidate_voxels == m
+        assert report.selected_voxels == refine_count(delta, m)
+        assert report.ratio == pytest.approx(refine_count(delta, m) / m)
 
 
 def test_decode_gate_only_touches_selected():
     """Children of unselected voxels carry the coarse label untouched."""
     grid, fused, heads = _decode_setup(3)
-    cfg = DecoderConfig(delta=0.25, split_factor=2, n_class=3, rank_scope="all")
+    cfg = DecoderConfig(delta=0.25, split_factor=2, n_class=3)
     fine, report, coarse = decode(fused, FeatureMapSet(maps=[]), [], heads, cfg, grid)
-    assert report.selected_voxels == 2
+    assert report.selected_voxels == refine_count(0.25, int((coarse != 0).sum())) > 0
     # recover the selected flats by re-ranking
     probs = softmax(heads.coarse.logits(fused.data.reshape(-1, 4)), axis=-1)
-    sel = set(int(s) for s in select_refine(probs, 0.25, np.ones(8, dtype=bool)))
+    sel = set(int(s) for s in select_refine(probs, 0.25, coarse.ravel() != 0))
     nz, ny, nx = 2, 2, 2
     for flat in range(8):
         if flat in sel:
@@ -175,16 +183,15 @@ def test_decode_gate_only_touches_selected():
 def test_decode_occupied_scope_excludes_empty():
     grid = GridConfig(min_corner=(0, 0, 0), max_corner=(2, 2, 2), voxel_size=0.5, stride=2)
     # identity-style head: feature channel argmax decides the class
-    heads = Heads.create(4, 3, seed=0)
-    heads.coarse.weight = np.array(
-        [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0]]
+    heads = Heads(
+        coarse=LinearHead(weight=np.eye(3, 4), bias=np.zeros(3)),
+        fine=LinearHead(weight=np.zeros((3, 8)), bias=np.zeros(3)),
     )
-    heads.coarse.bias = np.zeros(3)
     data = np.zeros((2, 2, 2, 4))
     data[..., 0] = 5.0  # every voxel confidently empty
     data[0, 0, 0] = [0, 5.0, 0, 0]  # except one
     fused = VoxelFeatureVolume(data=data)
-    cfg = DecoderConfig(delta=1.0, split_factor=2, n_class=3, rank_scope="occupied")
+    cfg = DecoderConfig(delta=1.0, split_factor=2, n_class=3)
     _, report, coarse = decode(fused, FeatureMapSet(maps=[]), [], heads, cfg, grid)
     assert report.candidate_voxels == 1
     assert report.selected_voxels == 1
@@ -197,10 +204,7 @@ def decode_oracle(fused, maps, rig, heads, cfg, grid):
     nx, ny, nz = grid.coarse_dims
     probs = softmax(heads.coarse.logits(fused.data.reshape(-1, fused.channels)), axis=-1)
     coarse_labels = probs.argmax(axis=-1)
-    if cfg.rank_scope == "occupied":
-        candidates = coarse_labels != 0
-    else:
-        candidates = np.ones(len(probs), dtype=bool)
+    candidates = coarse_labels != 0
     selected = select_refine(probs, cfg.delta, candidates)
     f = cfg.split_factor
     fine_labels = np.repeat(
@@ -236,9 +240,8 @@ def decode_oracle(fused, maps, rig, heads, cfg, grid):
     return fine_labels, report, coarse_labels.reshape(nz, ny, nx)
 
 
-@pytest.mark.parametrize("rank_scope", ["occupied", "all"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_decode_matches_voxel_loop_oracle(seed, rank_scope):
+def test_decode_matches_voxel_loop_oracle(seed):
     spec = preset("tiny", seed=seed)
     grid, c = spec.grid, 6
     rng = np.random.default_rng([seed, 0xDEC0])
@@ -252,9 +255,7 @@ def test_decode_matches_voxel_loop_oracle(seed, rank_scope):
         fine=LinearHead(weight=rng.normal(size=(4, 2 * c)), bias=rng.normal(size=4)),
     )
     for delta in (0.0, 0.1, 0.3, 1.0):
-        cfg = DecoderConfig(
-            delta=delta, split_factor=grid.stride, n_class=4, rank_scope=rank_scope
-        )
+        cfg = DecoderConfig(delta=delta, split_factor=grid.stride, n_class=4)
         fine, report, coarse = decode(fused, maps, spec.rig, heads, cfg, grid)
         fine_o, report_o, coarse_o = decode_oracle(fused, maps, spec.rig, heads, cfg, grid)
         np.testing.assert_array_equal(fine.labels, fine_o)

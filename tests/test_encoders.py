@@ -27,13 +27,10 @@ def test_params_validation():
     with pytest.raises(ConfigError):
         EncoderParams(
             channels=4,
-            image_stride=1,
             point_embed=np.zeros((4, 3)),
             voxel_mix=np.zeros((4, 4)),
             pixel_embed=np.zeros((4, 3)),
         )
-    with pytest.raises(ConfigError):
-        EncoderParams.create(4, image_stride=0)
 
 
 def test_create_deterministic():
@@ -92,20 +89,8 @@ def test_encode_lidar_translation_covariance(grid):
     np.testing.assert_allclose(a.data[0, 0, 0], b.data[0, 0, 1], atol=1e-14)
 
 
-def test_encode_images_stride_pooling():
-    params = EncoderParams.create(4, image_stride=2, seed=0)
-    img = np.zeros((4, 4, 3))
-    img[0, 0] = [0.4, 0.8, 0.0]  # only one pixel of the first 2x2 block
-    fmaps = encode_images([img], ["cam"], params)
-    feat = fmaps.maps[0].data
-    assert feat.shape == (2, 2, 4)
-    expect = np.tanh(params.pixel_embed @ (np.array([0.4, 0.8, 0.0]) / 4.0))
-    np.testing.assert_allclose(feat[0, 0], expect, atol=1e-14)
-    np.testing.assert_allclose(feat[1, 1], np.tanh(params.pixel_embed @ np.zeros(3)))
-
-
 def test_encode_images_constant_image():
-    params = EncoderParams.create(2, image_stride=1, seed=5)
+    params = EncoderParams.create(2, seed=5)
     rgb = np.array([0.2, 0.5, 0.9])
     img = np.broadcast_to(rgb, (3, 5, 3)).copy()
     feat = encode_images([img], ["c"], params).maps[0].data
@@ -114,9 +99,7 @@ def test_encode_images_constant_image():
 
 
 def test_encode_images_errors():
-    params = EncoderParams.create(2, image_stride=2, seed=0)
-    with pytest.raises(ConfigError):
-        encode_images([np.zeros((3, 4, 3))], ["c"], params)  # not divisible
+    params = EncoderParams.create(2, seed=0)
     with pytest.raises(ConfigError):
         encode_images([np.zeros((4, 4))], ["c"], params)  # not rgb
     with pytest.raises(ConfigError):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,8 @@ from occkit.fusion import (
     occ_fuse,
 )
 from occkit.grid import GridConfig, VoxelFeatureVolume, VoxelPoints
-from oracles import bilinear, build_query, deform_attn, from_vector
+from occkit.pipeline import FusionConfig, OccModel, PipelineConfig
+from oracles import bilinear, build_query, deform_attn
 
 C = 4
 
@@ -34,6 +38,12 @@ def grouped(keys, point_voxel, positions):
 
 def make_grid():
     return GridConfig(min_corner=(0, 0, 0), max_corner=(2, 2, 2), voxel_size=1.0)
+
+
+def fusion_cfg(channels=C, heads=2, keys=3, seed=0):
+    """The tiny preset's config with attention of the given sizes."""
+    fusion = FusionConfig(channels=channels, n_heads=heads, n_keys=keys, seed=seed)
+    return dataclasses.replace(PipelineConfig.for_preset("tiny"), fusion=fusion)
 
 
 def random_params(seed, heads=2, keys=3, scale=0.2):
@@ -70,7 +80,7 @@ def attn_oracle(query, pixel, data, params):
 
 
 def test_params_shape_validation():
-    p = AttentionParams.create(C)
+    p = random_params(0)
     with pytest.raises(ConfigError):
         AttentionParams(
             n_heads=p.n_heads,
@@ -85,13 +95,14 @@ def test_params_shape_validation():
 
 
 def test_vector_roundtrip():
-    p = random_params(0)
-    vec = p.to_vector()
-    back = from_vector(p, vec)
-    for name, a in p.tensors().items():
+    cfg = fusion_cfg()
+    model = OccModel.create(cfg)
+    model.apply_vector(np.random.default_rng(0).normal(size=model.params.size))
+    back = OccModel.over(model.to_vector(), cfg)
+    for name, a in model.tensors().items():
         np.testing.assert_array_equal(a, back.tensors()[name])
     with pytest.raises(ConfigError):
-        from_vector(p, vec[:-1])
+        OccModel.over(model.to_vector()[:-1], cfg)
 
 
 def test_build_query_normalization():
@@ -104,7 +115,7 @@ def test_build_query_normalization():
 def test_deform_attn_zero_init_samples_reference():
     """Zero generators: offsets vanish and weights are uniform, so the output
     is sum_m w_out_m @ w_val_m @ x(p)."""
-    params = AttentionParams.create(C, seed=7)
+    params = OccModel.create(fusion_cfg(keys=4, seed=7)).attention
     rng = np.random.default_rng(0)
     data = rng.normal(size=(6, 7, C))
     pix = (2.3, 3.1)
@@ -160,14 +171,14 @@ def test_attn_blocks_match_single_rows(n, shape):
     pix = rng.uniform(0.0, [w - 1.0, h - 1.0], size=(n, 2))
     g = rng.normal(size=(n, C))
     out, cache = _attn_forward(q, pix, data, params)
-    grads = AttentionParams.zeros_like(params)
-    _attn_backward(g, cache, params, grads)
+    grads = OccModel.over(None, fusion_cfg())
+    _attn_backward(g, cache, params, grads.attention)
 
     rows = np.zeros((n, C))
-    expect = AttentionParams.zeros_like(params)
+    expect = OccModel.over(None, fusion_cfg())
     for i in range(n):
         rows[i], row_cache = _attn_forward(q[i : i + 1], pix[i : i + 1], data, params)
-        _attn_backward(g[i : i + 1], row_cache, params, expect)
+        _attn_backward(g[i : i + 1], row_cache, params, expect.attention)
     np.testing.assert_allclose(out, rows, rtol=0, atol=1e-15)
     for name, a in grads.tensors().items():
         b = expect.tensors()[name]
@@ -316,20 +327,26 @@ def test_occ_fuse_fallback_voxels():
 
 def test_fusion_gradients_finite_difference():
     h = 1e-6
+    cfg = fusion_cfg()
+    n_attn = sum(math.prod(s) for s in AttentionParams.shapes(2, 3, C).values())
     for seed in range(3):
         grid, refs, proj, maps, f_l = _fusion_case(seed + 20)
-        params = random_params(seed + 200, scale=0.1)
+        model = OccModel.over(None, cfg)  # attention is the vector's prefix
+        model.params[:n_attn] = np.random.default_rng(seed + 200).normal(scale=0.1, size=n_attn)
         g_up = np.random.default_rng(seed).normal(size=f_l.data.shape)
-        _, cache = occ_fuse(f_l, maps, refs, proj, params, grid)
-        grads = fusion_backward(g_up, cache).to_vector()
+        _, cache = occ_fuse(f_l, maps, refs, proj, model.attention, grid)
+        grad_model = OccModel.over(None, cfg)
+        fusion_backward(g_up, cache, grad_model.attention)
+        grads = grad_model.params
 
-        vec = params.to_vector()
+        vec = model.params
         rng = np.random.default_rng(seed + 50)
-        for i in rng.choice(len(vec), 40, replace=False):
+        for i in rng.choice(n_attn, 40, replace=False):
             for sgn, store in ((1, "hi"), (-1, "lo")):
                 v2 = vec.copy()
                 v2[i] += sgn * h
-                fused2, _ = occ_fuse(f_l, maps, refs, proj, from_vector(params, v2), grid)
+                params2 = OccModel.over(v2, cfg).attention
+                fused2, _ = occ_fuse(f_l, maps, refs, proj, params2, grid)
                 if sgn == 1:
                     hi = (fused2.data * g_up).sum()
                 else:
@@ -340,6 +357,6 @@ def test_fusion_gradients_finite_difference():
 
 def test_occ_fuse_rejects_channel_mismatch():
     grid, refs, proj, maps, f_l = _fusion_case(0)
-    params = AttentionParams.create(C + 1)
+    params = OccModel.create(fusion_cfg(channels=C + 1)).attention
     with pytest.raises(ConfigError):
         occ_fuse(f_l, maps, refs, proj, params, grid)

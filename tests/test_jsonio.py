@@ -49,8 +49,8 @@ def _edited(edit, valid=CFG_JSON):
     "obj",
     [
         [],
-        _edited(lambda c: c.pop("image_stride")),
-        _edited(lambda c: c["decoder"].pop("rank_scope")),
+        _edited(lambda c: c.pop("training")),
+        _edited(lambda c: c["decoder"].pop("delta")),
         _edited(lambda c: c.update(extra=1)),
         _edited(lambda c: c["preprocess"].update(empty_fil=c["preprocess"].pop("empty_fill"))),
         _edited(lambda c: c["grid"].update(min_corner="abc")),
@@ -60,7 +60,7 @@ def _edited(edit, valid=CFG_JSON):
         _edited(lambda c: c["training"].update(k_percent=0)),
         _edited(lambda c: c["preprocess"].update(tau=5.0)),
         _edited(lambda c: c["preprocess"].update(theta="20")),
-        _edited(lambda c: c.update(image_stride=True)),
+        _edited(lambda c: c["fusion"].update(n_heads=True)),
         _edited(lambda c: c["decoder"].update(delta="0.3")),
         _edited(lambda c: c["training"].update(k_percent=True)),
         _edited(lambda c: c["grid"].update(min_corner=["-0.8", "-0.8", "-0.4"])),

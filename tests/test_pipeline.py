@@ -33,9 +33,9 @@ TINY_SEED0_PREDICT_DIGEST = "8b002b09598a22bfda015c13b7aee0ac33c4c16c35dab4c6baa
 # and scene.json, and a fresh model's checkpoint.json. A new or renamed config
 # field changes them; update them only for an intended change.
 TINY_SEED0_JSON_DIGESTS = {
-    "config.json": "08e3da55e66ec7ff67e6abe402d45fc4e8fb3a824ddcbc6d835d4e2c101141c1",
+    "config.json": "580fb764d11067061923d5221650a85d9086207baf197367a6e67b6ae627f00f",
     "scene.json": "a05d8693b03f02471eb2f89b457563dcbebfbec3014af7304b7b45f0963b8c40",
-    "checkpoint.json": "2f5609e7051eb840ebe115527c2e4cc901cf79936e38f331e554bd42c6029bc4",
+    "checkpoint.json": "d0c4298a0f7e02a49566030bb676efa7ad1d2ea5f890b5f3260e96acabfea28d",
 }
 # sha256 of sample_gradients' vector for the tiny preset at seed 0, with seeded
 # non-zero offset and weight generators: the keys of a head differ and about
@@ -100,6 +100,21 @@ def test_gradient_golden_digest():
     att.weight_gen[...] = rng.normal(scale=1.0, size=att.weight_gen.shape)
     _, grad = sample_gradients(model, sample, cfg)
     assert _digest([grad]) == TINY_SEED0_GRAD_DIGEST
+
+
+def test_model_tensors_are_views_of_one_vector():
+    model = OccModel.create(PipelineConfig.for_preset("tiny", seed=0))
+    flat = np.concatenate([t.ravel() for t in model.tensors().values()])
+    np.testing.assert_array_equal(flat, model.params)
+    model.params[:] = np.arange(model.params.size)
+    w_out, fine_bias = model.attention.w_out, model.heads.fine.bias
+    np.testing.assert_array_equal(w_out.ravel(), np.arange(w_out.size))
+    np.testing.assert_array_equal(fine_bias, np.arange(model.params.size)[-fine_bias.size :])
+    vec = model.to_vector()
+    vec[0] = -1.0
+    assert model.params[0] == 0.0  # a copy, not a view
+    with pytest.raises(ConfigError):
+        model.apply_vector(vec[:-1])
 
 
 def test_json_files_golden_bytes(tmp_path):

@@ -1,6 +1,6 @@
 """The surface of ``src/occkit`` is what runs: every function, method and
 class it defines is referenced from ``src/occkit`` or ``perfbench/``, and
-every import in ``src/occkit`` is used.
+every import in ``src/occkit`` is used and made at module level.
 
 References are found by name, as an ``ast.Name``, an attribute or an
 imported name, so a definition is kept alive by any use of its name,
@@ -74,3 +74,15 @@ def test_every_import_is_used(path):
     tree = _tree(path)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert [f"{name} (line {line})" for name, line in _imported(tree) if name not in used] == []
+
+
+@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+def test_imports_are_at_module_level(path):
+    inside = [
+        f"{fn.name} (line {node.lineno})"
+        for fn in ast.walk(_tree(path))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert inside == []
