@@ -181,7 +181,7 @@ def _cmd_train(args):
     cfg.training = dataclasses.replace(cfg.training, **given)
     dataset = [_load_sample(d, cfg) for d in sample_dirs]
     model = OccModel.create(cfg)
-    model, history = active_train(model, dataset, cfg)
+    model, history = active_train(model, dataset, cfg, args.threads)
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "checkpoint.json"), model, cfg)
     jsonio.write_json(os.path.join(args.out, "history.json"), jsonio.encode(history))
@@ -211,6 +211,13 @@ def _cmd_bench(args):
     return 0
 
 
+def _at_least_one(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="occkit",
@@ -218,11 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset=True, ckpt=False, seed=True):
+    def common(p, preset=True, ckpt=False, seed=True, threads=True):
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; results are independent of this")
+        if threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted for a uniform command line; this command runs "
+                           "on one thread")
         p.add_argument("--config", help="pipeline config JSON path")
         if preset:
             p.add_argument("--preset", choices=("tiny", "small"), default="tiny")
@@ -262,7 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("train", help="active training on a dataset directory")
-    common(p, preset=False)
+    common(p, preset=False, threads=False)
+    p.add_argument("--threads", type=_at_least_one,
+                   help="threads that compute a mini-batch's per-sample gradients and "
+                   "the epoch's scores (default: the CPUs this process may use); the "
+                   "outputs are byte-identical at any count")
     p.add_argument("--data", required=True)
     # these flags and --seed default to the config's training block
     p.add_argument("--epochs", type=int)
@@ -273,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train, seed=None)
 
     p = sub.add_parser("eval", help="compare two OCCG grids")
-    common(p, preset=False, seed=False)
+    common(p, preset=False, seed=False, threads=False)
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)

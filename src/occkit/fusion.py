@@ -20,6 +20,7 @@ from .cameras import FeatureMapSet, ProjectedReference, bilinear_corners, corner
 from .objectives import slice_sum, softmax
 
 _BLOCK = 1024  # query rows per attention block; its (block, m, k, 4) temporaries stay in cache
+_GATHER = 128  # rows per corner-patch gather within a block; each gather is (rows, m, k, 4C)
 
 
 @dataclass
@@ -90,56 +91,171 @@ def _head_tables(data: np.ndarray, params: AttentionParams) -> np.ndarray:
     return np.concatenate([corner_patches(t, h, w) for t in folded])
 
 
-def _attn_forward(q: np.ndarray, pix: np.ndarray, data: np.ndarray, params: AttentionParams):
-    """Batched deformable attention over one feature map.
+def _attn_blocks(q, pix, data: np.ndarray, params: AttentionParams):
+    """Batched deformable attention over one feature map, a row block at a
+    time: yields (first row, out (b, C)) for each block of ``_BLOCK`` rows.
 
-    ``q`` is (n, C+3), ``pix`` (n, 2); returns (out (n, C), cache).
+    ``q`` is (n, C+3) or ``QueryRows``, ``pix`` (n, 2) or ``PixelRows``.
     Bilinear sampling is linear, so both head projections are applied once
-    to the (h * w) map, and each row block makes one gather of its samples'
-    corner patches. The cache is the call's inputs; the backward recomputes
-    the geometry.
+    to the (h * w) map, and each block gathers its samples' corner
+    patches. The backward takes ``(q, pix, data)`` and recomputes the
+    geometry.
     """
     h, w, c = data.shape
     table = _head_tables(data, params)
-    heads = np.arange(params.n_heads)[:, None] * (h * w)
-    out = np.empty((len(q), c))
+    buf = _patch_buffer(params)
     for s in range(0, len(q), _BLOCK):
         blk = slice(s, s + _BLOCK)
-        attn, idx, wts = _sampling(q[blk], pix[blk], (h, w), params)
-        patches = np.take(table, idx + heads, axis=0).reshape(*idx.shape, 4, c)
-        np.einsum("nikj,nikjc->nc", attn[..., None] * wts, patches, out=out[blk])
-    return out, (q, pix, data)
+        yield s, _forward_block(q[blk], pix[blk], table, (h, w), params, buf)
 
 
-def _attn_backward(g: np.ndarray, cache, params: AttentionParams, grads: AttentionParams):
-    """Accumulate parameter gradients for one batched attention call. Each
-    block gathers its corners from the raw map's ``corner_patches``, shared
-    by every head, and from the forward's ``_head_tables``."""
+def _forward_block(qb, pixb, table, shape, params: AttentionParams, buf) -> np.ndarray:
+    """One row block of ``_attn_blocks``. Its temporaries die with the
+    call, before the next block makes its own."""
+    attn, idx, wts = _sampling(qb, pixb, shape, params)
+    idx += np.arange(params.n_heads)[:, None] * (shape[0] * shape[1])  # head i's rows
+    out = np.empty((len(qb), params.channels))
+    for sub in _gathers(len(qb)):
+        cw = attn[sub, ..., None] * wts[sub]
+        np.einsum("nikj,nikjc->nc", cw, _patches(table, idx[sub], buf), out=out[sub])
+    return out
+
+
+def _gathers(n: int) -> list:
+    """Slices of ``_GATHER`` rows that cover a block of ``n`` rows."""
+    return [slice(t, t + _GATHER) for t in range(0, n, _GATHER)]
+
+
+def _add_runs(accum: np.ndarray, pv: np.ndarray, weights: np.ndarray, blocks) -> None:
+    """``accum[v] +=`` the weighted sum of voxel ``v``'s run of rows, for the
+    rows (grouped by voxel ``pv``) that ``blocks`` yields in order. Each run
+    is summed by one ``reduceat`` once all its rows are in, so the sums do
+    not depend on where the blocks split the rows."""
+    runs = np.flatnonzero(np.r_[True, pv[1:] != pv[:-1]])
+    held, lo = np.empty((0, accum.shape[1])), 0  # rows [lo, s) of a run still open
+    for s, ob in blocks:
+        e = s + len(ob)
+        ob *= weights[s:e, None]
+        rows = np.concatenate([held, ob])
+        starts = runs[(runs >= lo) & (runs < e)]
+        cut = e if e == len(pv) else starts[-1]  # the last run may go on in the next block
+        done = starts[starts < cut]
+        if len(done):
+            accum[pv[done]] += np.add.reduceat(rows[: cut - lo], done - lo, axis=0)
+        held, lo = rows[cut - lo :], cut
+
+
+def _patch_buffer(params: AttentionParams) -> np.ndarray:
+    """Room for the corner patches of ``_GATHER`` rows: (rows, m, k, 4C)."""
+    return np.empty((_GATHER, params.n_heads, params.n_keys, 4 * params.channels))
+
+
+def _patches(table: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The corner patches ``table[rows]`` of (n, m, k) rows as (n, m, k, 4, C),
+    written into ``buf``. Every row lies in the table, so mode "clip" clips
+    nothing; it lets ``take`` write straight into ``buf``."""
+    out = buf[: len(rows)]
+    np.take(table, rows, axis=0, out=out, mode="clip")
+    return out.reshape(*rows.shape, 4, -1)
+
+
+def _attn_backward(g, cache, params: AttentionParams, grads: AttentionParams):
+    """Accumulate parameter gradients for one batched attention call.
+
+    ``g`` is (n, C) or ``GradRows``. Each block gathers its corners from the
+    raw map's ``corner_patches``, shared by every head, and from the
+    forward's ``_head_tables``.
+    """
     q, pix, data = cache
     h, w, c = data.shape
-    raw_table = corner_patches(data.reshape(-1, c), h, w)
-    table = _head_tables(data, params)
-    heads = np.arange(params.n_heads)[:, None] * (h * w)
+    tables = corner_patches(data.reshape(-1, c), h, w), _head_tables(data, params)
+    buf = _patch_buffer(params)
     for s in range(0, len(q), _BLOCK):
         blk = slice(s, s + _BLOCK)
-        qb, gb = q[blk], g[blk]
-        attn, idx, wts, clamp = _sampling(qb, pix[blk], (h, w), params, slopes=True)
-        fx, fy, gx, gy, in_x, in_y = clamp
-        patches = np.take(raw_table, idx, axis=0).reshape(*idx.shape, 4, c)
-        raw = np.einsum("nikj,nikjc->nic", attn[..., None] * wts, patches)
-        for i in range(params.n_heads):
-            grads.w_val[i] += (gb @ params.w_out[i]).T @ raw[:, i]
-            grads.w_out[i] += gb.T @ (raw[:, i] @ params.w_val[i].T)
-        patches = np.take(table, idx + heads, axis=0).reshape(*idx.shape, 4, c)
-        dots = np.einsum("nikjc,nc->nikj", patches, gb)  # gradient in each corner weight
-        g_attn = np.einsum("nikj,nikj->nik", wts, dots)
-        g_logits = attn * (g_attn - slice_sum(attn * g_attn, 2))
-        grads.weight_gen += g_logits.reshape(len(qb), -1).T @ qb
-        d0, d1, d2, d3 = np.moveaxis(dots, 3, 0)  # per corner, added in corner order
-        g_loc = np.empty(attn.shape + (2,))
-        np.multiply(attn, (-d0 * gy + d1 * gy - d2 * fy + d3 * fy) * in_x, out=g_loc[..., 0])
-        np.multiply(attn, (-d0 * gx - d1 * fx + d2 * gx + d3 * fx) * in_y, out=g_loc[..., 1])
-        grads.offset_gen += g_loc.reshape(len(qb), -1).T @ qb
+        _backward_block(q[blk], g[blk], pix[blk], tables, (h, w), params, buf, grads)
+
+
+def _backward_block(qb, gb, pixb, tables, shape, params: AttentionParams, buf, grads):
+    """One row block of ``_attn_backward``; the gradient products span the
+    whole block, and its temporaries die with the call."""
+    raw_table, table = tables
+    attn, idx, wts, clamp = _sampling(qb, pixb, shape, params, slopes=True)
+    fx, fy, gx, gy, in_x, in_y = clamp
+    _projection_grads(gb, attn, idx, wts, raw_table, params, buf, grads)
+    idx += np.arange(params.n_heads)[:, None] * (shape[0] * shape[1])  # head i's rows
+    dots = np.empty(wts.shape)  # gradient in each corner weight
+    for sub in _gathers(len(qb)):
+        np.einsum("nikjc,nc->nikj", _patches(table, idx[sub], buf), gb[sub], out=dots[sub])
+    g_attn = np.einsum("nikj,nikj->nik", wts, dots)
+    g_logits = attn * (g_attn - slice_sum(attn * g_attn, 2))
+    grads.weight_gen += g_logits.reshape(len(qb), -1).T @ qb
+    d0, d1, d2, d3 = np.moveaxis(dots, 3, 0)  # per corner, added in corner order
+    g_loc = np.empty(attn.shape + (2,))
+    np.multiply(attn, (-d0 * gy + d1 * gy - d2 * fy + d3 * fy) * in_x, out=g_loc[..., 0])
+    np.multiply(attn, (-d0 * gx - d1 * fx + d2 * gx + d3 * fx) * in_y, out=g_loc[..., 1])
+    grads.offset_gen += g_loc.reshape(len(qb), -1).T @ qb
+
+
+def _projection_grads(gb, attn, idx, wts, raw_table, params: AttentionParams, buf, grads):
+    """Add one block's ``w_val`` and ``w_out`` gradients, from each head's
+    sample of the raw map, gathered from its ``corner_patches``."""
+    raw = np.empty((len(gb), params.n_heads, params.channels))
+    for sub in _gathers(len(gb)):
+        cw = attn[sub, ..., None] * wts[sub]
+        np.einsum("nikj,nikjc->nic", cw, _patches(raw_table, idx[sub], buf), out=raw[sub])
+    for i in range(params.n_heads):
+        grads.w_val[i] += (gb @ params.w_out[i]).T @ raw[:, i]
+        grads.w_out[i] += gb.T @ (raw[:, i] @ params.w_val[i].T)
+
+
+@dataclass
+class QueryRows:
+    """The attention queries of the reference points ``points``, built a
+    block at a time: ``self[blk]`` is (b, C+3), each point's voxel LiDAR
+    feature followed by its grid-normalized position. No (P, C+3) array of
+    them is ever held."""
+
+    voxel_feat: np.ndarray  # (V, C) LiDAR feature of each processed voxel
+    positions: np.ndarray  # (P, 3) reference point positions
+    point_voxel: np.ndarray  # (P,)
+    grid: GridConfig
+    points: np.ndarray  # (n,) the reference point rows these queries are of
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, blk):
+        r = self.points[blk]
+        norm = (self.positions[r] - self.grid.lo) / (self.grid.hi - self.grid.lo)
+        return np.concatenate([self.voxel_feat[self.point_voxel[r]], norm], axis=1)
+
+
+@dataclass
+class PixelRows:
+    """The feature-map pixels of the reference points ``points`` in one
+    camera, gathered a block at a time: ``self[blk]`` is (b, 2)."""
+
+    pixels: np.ndarray  # (P, 2) every reference point's pixel in the camera
+    points: np.ndarray  # (n,)
+
+    def __getitem__(self, blk):
+        return self.pixels[self.points[blk]]
+
+
+@dataclass
+class GradRows:
+    """The upstream gradients of the attention outputs of the reference
+    points ``points``, built a block at a time: ``self[blk]`` is (b, C), each
+    point's voxel gradient times the point's averaging weight."""
+
+    g_voxel: np.ndarray  # (V, C) upstream gradient of each processed voxel
+    weights: np.ndarray  # (P,)
+    point_voxel: np.ndarray  # (P,)
+    points: np.ndarray  # (n,)
+
+    def __getitem__(self, blk):
+        r = self.points[blk]
+        return self.weights[r, None] * self.g_voxel[self.point_voxel[r]]
 
 
 @dataclass
@@ -147,11 +263,10 @@ class FusionCache:
     """Forward state retained for the fusion backward pass."""
 
     params: AttentionParams
-    queries: np.ndarray  # (P, C+3)
     point_voxel: np.ndarray  # (P,)
     voxel_keys: np.ndarray  # (V, 3)
     weights: np.ndarray  # (P,) outer*inner averaging weight per point
-    per_camera: list  # (sel, pixels (len(sel), 2), map data) per camera seeing any point
+    per_camera: list  # (QueryRows, PixelRows, map data) per camera seeing any point
     fallback_mask: np.ndarray  # (nz, ny, nx) bool
     lidar: np.ndarray  # (nz, ny, nx, C)
 
@@ -182,9 +297,7 @@ def occ_fuse(
 
     keys, point_voxel = refs.keys, refs.point_voxel
     n_vox = len(keys)
-    qfeat = f_l.data[keys[:, 2], keys[:, 1], keys[:, 0]]
-    norm = (refs.positions - grid.lo) / (grid.hi - grid.lo)
-    queries = np.concatenate([qfeat[point_voxel], norm], axis=1)
+    voxel_feat = f_l.data[keys[:, 2], keys[:, 1], keys[:, 0]]
 
     n_proj = proj.valid.sum(axis=0)
     visible = n_proj > 0
@@ -198,13 +311,11 @@ def occ_fuse(
         sel = np.nonzero(proj.valid[ci])[0]
         if len(sel) == 0:
             continue
-        pix = proj.pixels[ci, sel]
-        out, _ = _attn_forward(queries[sel], pix, fmap.data, params)
+        q = QueryRows(voxel_feat, refs.positions, point_voxel, grid, sel)
+        pix = PixelRows(proj.pixels[ci], sel)
         # Rows are grouped by voxel, so each voxel's points form one run.
-        pv = point_voxel[sel]
-        starts = np.flatnonzero(np.r_[True, pv[1:] != pv[:-1]])
-        accum[pv[starts]] += np.add.reduceat(weights[sel, None] * out, starts, axis=0)
-        per_camera.append((sel, pix, fmap.data))
+        _add_runs(accum, point_voxel[sel], weights[sel], _attn_blocks(q, pix, fmap.data, params))
+        per_camera.append((q, pix, fmap.data))
 
     data = np.zeros((nz, ny, nx, c))
     fallback = np.ones((nz, ny, nx), dtype=bool)
@@ -216,7 +327,6 @@ def occ_fuse(
     fused = VoxelFeatureVolume(data=data)
     cache = FusionCache(
         params=params,
-        queries=queries,
         point_voxel=point_voxel,
         voxel_keys=keys,
         weights=weights,
@@ -241,8 +351,8 @@ def fusion_backward(grad_volume: np.ndarray, cache: FusionCache, grads: Attentio
         raise ConfigError("upstream gradient shape mismatch")
     keys = cache.voxel_keys
     g_voxel = g[keys[:, 2], keys[:, 1], keys[:, 0]]
-    for sel, pix, data in cache.per_camera:
-        g_pts = cache.weights[sel, None] * g_voxel[cache.point_voxel[sel]]
-        _attn_backward(g_pts, (cache.queries[sel], pix, data), cache.params, grads)
+    for q, pix, data in cache.per_camera:
+        g_pts = GradRows(g_voxel, cache.weights, cache.point_voxel, q.points)
+        _attn_backward(g_pts, (q, pix, data), cache.params, grads)
     fb = cache.fallback_mask
     grads.w_fallback += g[fb].T @ cache.lidar[fb]

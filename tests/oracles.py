@@ -9,7 +9,7 @@ import numpy as np
 from occkit.cameras import FeatureMap, bilinear_batch
 from occkit.decoder import LinearHead, entropy_batch
 from occkit.errors import ConfigError, DataError
-from occkit.fusion import AttentionParams, _attn_forward
+from occkit.fusion import AttentionParams, _attn_blocks
 from occkit.grid import (
     SOURCE_RAW,
     SOURCE_SYNTHETIC,
@@ -37,8 +37,16 @@ def deform_attn(query, pixel, fmap: FeatureMap, params: AttentionParams) -> np.n
     if q.shape[1] != params.channels + 3:
         raise ConfigError("query length must be channels + 3")
     pix = np.asarray(pixel, dtype=np.float64).reshape(1, 2)
-    out, _ = _attn_forward(q, pix, fmap.data, params)
+    out, _ = attn_forward(q, pix, fmap.data, params)
     return out[0]
+
+def attn_forward(q, pix, data, params: AttentionParams):
+    """Deformable attention of every row at once: (out (n, C), the cache
+    ``_attn_backward`` takes), from the blocks ``_attn_blocks`` yields."""
+    out = np.empty((len(q), params.channels))
+    for s, ob in _attn_blocks(q, pix, data, params):
+        out[s : s + len(ob)] = ob
+    return out, (q, pix, data)
 
 def bilinear(fmap: FeatureMap, pixel) -> np.ndarray:
     """Sample a feature map at one pixel with clamped 4-neighbor bilinear

@@ -29,7 +29,6 @@ from occkit.decoder import (
 from occkit.fusion import (
     AttentionParams,
     _attn_backward,
-    _attn_forward,
     fusion_backward,
     occ_fuse,
 )
@@ -66,7 +65,7 @@ from occkit.pointprep import (
 )
 from occkit.scenes import N_CLASS, preset
 from occkit.training import active_train, score_samples, select_topk, train_epoch
-from oracles import bilinear, build_query, deform_attn, entropy, fps, voxel_bounds
+from oracles import attn_forward, bilinear, build_query, deform_attn, entropy, fps, voxel_bounds
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -247,7 +246,7 @@ def test_criterion_03_attention_identity_and_gradients():
         q = r.normal(size=(1, c + 3))
         pix = r.uniform(1.5, 5.5, (1, 2))
         g_up = r.normal(size=(1, c))
-        _, cache = _attn_forward(q, pix, data, params)
+        _, cache = attn_forward(q, pix, data, params)
         grads = OccModel.over(None, fd_cfg)
         _attn_backward(g_up, cache, params, grads.attention)
         gvec = grads.params
@@ -257,7 +256,7 @@ def test_criterion_03_attention_identity_and_gradients():
             for sgn in (1, -1):
                 v2 = vec.copy()
                 v2[i] += sgn * h
-                out2, _ = _attn_forward(q, pix, data, OccModel.over(v2, fd_cfg).attention)
+                out2, _ = attn_forward(q, pix, data, OccModel.over(v2, fd_cfg).attention)
                 vals.append((out2 * g_up).sum())
             fd = (vals[0] - vals[1]) / (2 * h)
             assert rel_close(gvec[i], fd), (inst, i, gvec[i], fd)
@@ -655,7 +654,7 @@ def _cli_workspace(root, threads):
                         "--batch-size", "2", "--seed", "0", "--threads", t,
                         "--out", os.path.join(ws, "train")]) == 0
     assert run_command(["eval", "--pred", os.path.join(ws, "pred", "pred.occg"),
-                        "--gt", os.path.join(s0, "gt.occg"), "--threads", t,
+                        "--gt", os.path.join(s0, "gt.occg"),
                         "--out", os.path.join(ws, "eval.json")]) == 0
     assert run_command(["bench", "--preset", "tiny", "--seed", "0", "--threads", t,
                         "--sample", s0, "--out", os.path.join(ws, "bench.json")]) == 0

@@ -159,6 +159,21 @@ def test_eval_refuses_seed(data_dir, tmp_path, capsys):
     assert not (tmp_path / "e.json").exists()
 
 
+def test_eval_refuses_threads(data_dir, tmp_path, capsys):
+    gt = str(data_dir / "sample_000" / "gt.occg")
+    assert run("eval", "--threads", "2", "--pred", gt, "--gt", gt,
+               "--out", str(tmp_path / "e.json")) == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_train_threads_below_one_exits_one(data_dir, tmp_path, capsys, threads):
+    assert run("train", "--data", str(data_dir), "--threads", threads,
+               "--out", str(tmp_path / "o")) == 1
+    assert f"--threads: must be at least 1, not {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_fuse_blob_shape(data_dir, tmp_path):
     out = tmp_path / "fused"
     assert run("fuse", "--preset", "tiny", "--seed", "0",

@@ -9,14 +9,14 @@ from occkit.errors import ConfigError
 from occkit.fusion import (
     _BLOCK,
     AttentionParams,
+    _add_runs,
     _attn_backward,
-    _attn_forward,
     fusion_backward,
     occ_fuse,
 )
 from occkit.grid import GridConfig, VoxelFeatureVolume, VoxelPoints
 from occkit.pipeline import FusionConfig, OccModel, PipelineConfig
-from oracles import bilinear, build_query, deform_attn
+from oracles import attn_forward, bilinear, build_query, deform_attn
 
 C = 4
 
@@ -170,19 +170,38 @@ def test_attn_blocks_match_single_rows(n, shape):
     q = np.round(rng.normal(size=(n, C + 3)) * 256) / 256
     pix = rng.uniform(0.0, [w - 1.0, h - 1.0], size=(n, 2))
     g = rng.normal(size=(n, C))
-    out, cache = _attn_forward(q, pix, data, params)
+    out, cache = attn_forward(q, pix, data, params)
     grads = OccModel.over(None, fusion_cfg())
     _attn_backward(g, cache, params, grads.attention)
 
     rows = np.zeros((n, C))
     expect = OccModel.over(None, fusion_cfg())
     for i in range(n):
-        rows[i], row_cache = _attn_forward(q[i : i + 1], pix[i : i + 1], data, params)
+        rows[i], row_cache = attn_forward(q[i : i + 1], pix[i : i + 1], data, params)
         _attn_backward(g[i : i + 1], row_cache, params, expect.attention)
     np.testing.assert_allclose(out, rows, rtol=0, atol=1e-15)
     for name, a in grads.tensors().items():
         b = expect.tensors()[name]
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
+
+
+@pytest.mark.parametrize("seed,longest", [(0, 40), (1, 40), (2, 3000)])
+def test_add_runs_equals_one_reduceat(seed, longest):
+    """Summing each voxel's run as blocks arrive gives the bits of one
+    reduceat over all rows, wherever the blocks split the runs, including
+    runs longer than a block."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, longest + 1, size=60)
+    pv = np.repeat(rng.permutation(100)[:60], lengths)
+    rows = rng.normal(size=(len(pv), 3)) * 10.0 ** rng.integers(-6, 6, size=(len(pv), 1))
+    weights = rng.uniform(size=len(pv))
+    starts = np.r_[0, np.cumsum(lengths)[:-1]]
+    expect = np.zeros((100, 3))
+    expect[pv[starts]] += np.add.reduceat(weights[:, None] * rows, starts, axis=0)
+    cuts = np.r_[0, np.sort(rng.choice(np.arange(1, len(pv)), 30, replace=False)), len(pv)]
+    got = np.zeros((100, 3))
+    _add_runs(got, pv, weights, ((a, rows[a:b].copy()) for a, b in zip(cuts, cuts[1:])))
+    np.testing.assert_array_equal(got, expect)
 
 
 def _fusion_case(seed, n_vox=3, pts_per_vox=4, n_cam=2, vis_prob=0.8):

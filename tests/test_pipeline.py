@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from occkit.pipeline import (
     predict,
     prepare_sample,
     sample_gradients,
+    sample_loss,
     save_checkpoint,
 )
 from occkit.pointprep import PreprocessConfig
@@ -146,11 +148,14 @@ def _nbytes(obj):
 def test_fusion_cache_is_compact():
     # Per-point inputs only: one per-sample (n, heads, keys, C) array would
     # hold 2 * 4 * 16 = 128 values per visible point against 19 per query.
+    # The bound is twice the (P, C+3) float64 queries, which the cache no
+    # longer holds: it builds them a block at a time.
     cfg = PipelineConfig.for_preset("tiny", seed=0)
     sample = prepare_sample(preset("tiny", seed=0), cfg)
     _, cache, _ = forward_coarse(OccModel.create(cfg), sample, cfg)
     assert cache.per_camera
-    assert _nbytes(cache) <= 2 * cache.queries.nbytes
+    queries_nbytes = len(cache.point_voxel) * (cfg.fusion.channels + 3) * 8
+    assert _nbytes(cache) <= 2 * queries_nbytes
 
 
 def test_pipeline_config_requires_split_factor_equal_to_stride():
@@ -167,3 +172,21 @@ def test_empty_cloud_runs_end_to_end():
     fused, cache, logits = forward_coarse(OccModel.create(cfg), sample, cfg)
     assert cache.fallback_mask.all()
     assert np.all(np.isfinite(fused.data)) and np.all(np.isfinite(logits))
+
+
+@pytest.mark.parametrize("fn,limit_mib", [(sample_gradients, 4.75), (sample_loss, 4.4)])
+def test_sample_peak_memory(fn, limit_mib):
+    # Two samples are in flight at once when training runs on two threads,
+    # so a sample's transient arrays are kept small: the corner patches are
+    # gathered a few rows at a time and no (P, C+3) query array is built.
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    sample = prepare_sample(preset("tiny", seed=0), cfg)
+    model = OccModel.create(cfg)
+    fn(model, sample, cfg)
+    tracemalloc.start()
+    try:
+        fn(model, sample, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2**20

@@ -1,3 +1,10 @@
+import dataclasses
+import os
+import sys
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +28,15 @@ from occkit.pipeline import (
 )
 from occkit.pointprep import PreprocessConfig
 from occkit.scenes import N_CLASS, preset
-from occkit.training import active_train, score_samples, select_topk, train_epoch
+from occkit import training
+from occkit.training import (
+    active_train,
+    map_samples,
+    pool_size,
+    score_samples,
+    select_topk,
+    train_epoch,
+)
 
 
 def small_cfg(seed=0, epochs=1, k_percent=70.0, lr=0.05, batch_size=2):
@@ -135,11 +150,15 @@ def test_non_finite_loss_raises(cfg, dataset):
         train_epoch(model, dataset, [0], cfg, epoch=0)
 
 
-def test_non_finite_score_raises(cfg, dataset):
+def test_non_finite_score_raises(cfg, dataset, four_cpus):
+    # No thread warns: helper threads do not inherit the caller's np.errstate.
     model = OccModel.create(cfg)
     model.heads.coarse.bias[0] = np.inf
-    with pytest.raises(NumericalError, match="score on sample 0"):
-        score_samples(model, dataset, cfg)
+    for threads in (1, 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="score on sample 0"):
+                score_samples(model, dataset, cfg, threads)
 
 
 def test_active_train_mechanics(dataset):
@@ -204,3 +223,114 @@ def test_sample_loss_matches_gradient_breakdown(cfg, dataset):
     fwd = sample_loss(model, dataset[1], cfg)
     bwd, _ = sample_gradients(model, dataset[1], cfg)
     assert fwd.total == pytest.approx(bwd.total, abs=1e-12)
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Let the pool use 4 threads on a machine with fewer CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+
+def test_pool_size_caps_at_threads_cpus_and_items(four_cpus):
+    assert pool_size(10, None) == 4
+    assert pool_size(10, 2) == 2
+    assert pool_size(3, 8) == 3
+    assert pool_size(0, None) == 1
+    for threads in (0, -1):
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            pool_size(5, threads)
+
+
+@pytest.mark.parametrize("threads,n_items,most", [(8, 6, 4), (2, 6, 2), (4, 3, 3), (1, 6, 1)])
+def test_pool_runs_items_on_at_most_its_size_of_threads(four_cpus, threads, n_items, most):
+    def record(x):
+        time.sleep(0.01)  # long enough for every helper to claim an item
+        return threading.get_ident()
+
+    assert len(set(map_samples(record, list(range(n_items)), threads))) <= most
+
+
+def test_pool_raises_the_first_exception_in_item_order(four_cpus):
+    def fail(x):
+        if x in (2, 3):
+            time.sleep(0.05 if x == 2 else 0.0)  # item 3 fails first
+            raise ValueError(x)
+        return x
+
+    with pytest.raises(ValueError, match="^2$"):
+        map_samples(fail, list(range(6)), 4)
+
+
+def test_pool_keeps_item_order_under_contention(monkeypatch):
+    # More threads than CPUs, switching every microsecond: each item must run
+    # exactly once and land at its own index.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ran = []
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(map_samples(lambda x: ran.append(x) or x * x,
+                                                     list(range(3000)), None))
+        )
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert result == [[x * x for x in range(3000)]]
+    assert sorted(ran) == list(range(3000))
+
+
+def test_results_are_byte_equal_at_any_thread_count(cfg, dataset, four_cpus):
+    params, scores = [], []
+    for threads in (1, 4):
+        model = OccModel.create(cfg)
+        train_epoch(model, dataset, [0, 1, 2], cfg, epoch=0, threads=threads)
+        params.append(model.params.tobytes())
+        scores.append(np.array(score_samples(model, dataset, cfg, threads)).tobytes())
+    assert params[0] == params[1]
+    assert scores[0] == scores[1]
+
+    cfg3 = small_cfg(epochs=3, k_percent=50.0, batch_size=3)
+    runs = []
+    for threads in (1, 4):
+        model, history = active_train(OccModel.create(cfg3), dataset, cfg3, threads)
+        runs.append((model.params.tobytes(), jsonio.encode(history)))
+    assert runs[0] == runs[1]
+
+
+def test_non_finite_loss_names_the_first_in_batch_order(cfg, dataset, monkeypatch, four_cpus):
+    """With the 2nd and 3rd samples of a batch non-finite, the error names
+    the 2nd in batch order, also when the 3rd finishes first."""
+    cfg4 = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, batch_size=4))
+    samples = [*dataset, dataclasses.replace(dataset[0])]  # four distinct objects
+    sid = {id(s): i for i, s in enumerate(samples)}
+    real = training.sample_gradients
+    order = []
+
+    def recording(model, sample, c):
+        order.append(sid[id(sample)])
+        return real(model, sample, c)
+
+    monkeypatch.setattr(training, "sample_gradients", recording)
+    train_epoch(OccModel.create(cfg4), samples, range(4), cfg4, epoch=0, threads=1)
+    second, third = order[1], order[2]
+    third_done = threading.Event()
+
+    def failing(model, sample, c):
+        breakdown, g = real(model, sample, c)
+        i = sid[id(sample)]
+        if i == second:
+            third_done.wait(timeout=30)
+        if i in (second, third):
+            breakdown = dataclasses.replace(breakdown, ce=np.nan)
+        if i == third:
+            third_done.set()
+        return breakdown, g
+
+    monkeypatch.setattr(training, "sample_gradients", failing)
+    with pytest.raises(NumericalError, match=f"on sample {second} at epoch 0"):
+        train_epoch(OccModel.create(cfg4), samples, range(4), cfg4, epoch=0, threads=4)
+    assert third_done.is_set()
