@@ -166,8 +166,9 @@ def bilinear_batch(data: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     return np.einsum("nj,njc->nc", wts, patches.reshape(len(idx), 4, c))
 
 
-def corner_patches(table: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Corner-patch table of a row-major (h * w, C) map: (h * w, 4C).
+def corner_patches(table: np.ndarray, h: int, w: int, out=None) -> np.ndarray:
+    """Corner-patch table of a row-major (h * w, C) map: (h * w, 4C),
+    written into ``out`` (h, w, 4C) when given.
 
     Row ``r`` holds the rows of the bilinear cell whose top-left corner is
     ``r``, in ``bilinear_corners``' corner order and clamped at the borders
@@ -176,7 +177,8 @@ def corner_patches(table: np.ndarray, h: int, w: int) -> np.ndarray:
     t = table.reshape(h, w, -1)
     xs = np.minimum(np.arange(w) + 1, w - 1)
     ys = np.minimum(np.arange(h) + 1, h - 1)
-    return np.concatenate([t, t[:, xs], t[ys], t[ys][:, xs]], axis=2).reshape(h * w, -1)
+    patches = np.concatenate([t, t[:, xs], t[ys], t[ys][:, xs]], axis=2, out=out)
+    return patches.reshape(h * w, -1)
 
 
 def bilinear_corners(shape, pixels: np.ndarray, slopes: bool = False):
@@ -195,7 +197,7 @@ def bilinear_corners(shape, pixels: np.ndarray, slopes: bool = False):
     # x, y >= 0, so the integer cast floors
     x0 = np.minimum(x.astype(np.int64), max(w - 2, 0))
     y0 = np.minimum(y.astype(np.int64), max(h - 2, 0))
-    fx, fy = x - x0, y - y0
+    fx, fy = np.subtract(x, x0, out=x), np.subtract(y, y0, out=y)
     gx, gy = 1 - fx, 1 - fy
     wts = np.empty(x.shape + (4,))
     for j, (a, b) in enumerate([(gx, gy), (fx, gy), (gx, fy), (fx, fy)]):

@@ -111,6 +111,30 @@ def _cmd_synth(args):
     return 0
 
 
+@dataclasses.dataclass
+class PrepReport:
+    """``preprocess``'s report (``prep.json``)."""
+
+    cloud_points: int
+    dropped_points: int
+    processed_voxels: int
+    reference_points: int
+    synthetic_points: int
+    min_count: int  # reference points of the emptiest processed voxel, 0 if none
+    max_count: int
+    tau: int
+    theta: int
+
+
+@dataclasses.dataclass
+class FusedReport:
+    """``fuse``'s report (``fused.json``): the layout of the raw blob beside it."""
+
+    dims: tuple[int, int, int]  # (nx, ny, nz) of the coarse grid
+    channels: int
+    blob: str  # file name of the little-endian float64 (nz, ny, nx, C) volume
+
+
 def _cmd_preprocess(args):
     cfg = _load_config(args)
     pp = dataclasses.replace(cfg.preprocess, **_given(args, "tau", "theta", "empty_fill"))
@@ -118,18 +142,18 @@ def _cmd_preprocess(args):
     bins, dropped = gridmod.bin_points(cloud, cfg.grid)
     refs = pointprep.preprocess(bins, cloud, pp, cfg.grid)
     counts = refs.counts
-    report = {
-        "cloud_points": len(cloud),
-        "dropped_points": dropped,
-        "processed_voxels": len(counts),
-        "reference_points": len(refs.positions),
-        "synthetic_points": int((refs.source == pointprep.SOURCE_SYNTHETIC).sum()),
-        "min_count": int(counts.min()) if len(counts) else 0,
-        "max_count": int(counts.max()) if len(counts) else 0,
-        "tau": pp.tau,
-        "theta": pp.theta,
-    }
-    jsonio.write_json(args.out, report)
+    report = PrepReport(
+        cloud_points=len(cloud),
+        dropped_points=dropped,
+        processed_voxels=len(counts),
+        reference_points=len(refs.positions),
+        synthetic_points=int((refs.source == pointprep.SOURCE_SYNTHETIC).sum()),
+        min_count=int(counts.min()) if len(counts) else 0,
+        max_count=int(counts.max()) if len(counts) else 0,
+        tau=pp.tau,
+        theta=pp.theta,
+    )
+    jsonio.write_json(args.out, jsonio.encode(report))
     return 0
 
 
@@ -138,16 +162,13 @@ def _cmd_fuse(args):
     sample = _load_sample(args.sample, cfg)
     fused, _ = occ_fuse(
         sample.lidar_volume, sample.maps, sample.refs, sample.proj,
-        model.attention, cfg.grid,
+        model.attention, cfg.grid, args.threads,
     )
     os.makedirs(args.out, exist_ok=True)
-    blob = os.path.join(args.out, "fused.f64")
-    with open(blob, "wb") as fh:
+    report = FusedReport(dims=fused.dims, channels=fused.channels, blob="fused.f64")
+    with open(os.path.join(args.out, report.blob), "wb") as fh:
         fh.write(np.ascontiguousarray(fused.data, dtype="<f8").tobytes())
-    jsonio.write_json(
-        os.path.join(args.out, "fused.json"),
-        {"dims": list(fused.dims), "channels": fused.channels, "blob": "fused.f64"},
-    )
+    jsonio.write_json(os.path.join(args.out, "fused.json"), jsonio.encode(report))
     return 0
 
 
@@ -156,7 +177,7 @@ def _cmd_predict(args):
     if args.delta is not None:
         cfg.decoder = dataclasses.replace(cfg.decoder, delta=args.delta)
     sample = _load_sample(args.sample, cfg)
-    _, fine_grid, report, coarse_grid = predict(model, sample, cfg)
+    _, fine_grid, report, coarse_grid = predict(model, sample, cfg, args.threads)
     os.makedirs(args.out, exist_ok=True)
     gridmod.write_occg(os.path.join(args.out, "pred.occg"), fine_grid)
     gridmod.write_occg(os.path.join(args.out, "coarse.occg"), coarse_grid)
@@ -201,7 +222,7 @@ def _cmd_bench(args):
     model, cfg = _model_for(args)
     sample = _load_sample(args.sample, cfg)
     # The fused volume does not depend on delta; compute it once per sweep.
-    fused, _, _ = forward_coarse(model, sample, cfg)
+    fused, _, _ = forward_coarse(model, sample, cfg, args.threads)
     rows = []
     for delta in BENCH_DELTAS:
         dec = dataclasses.replace(cfg.decoder, delta=delta)
@@ -240,6 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "its own config, so --config, --preset and --seed are refused")
             p.set_defaults(seed=None, preset=None)  # None: not given
 
+    def pool_threads(p, work):
+        p.add_argument("--threads", type=_at_least_one,
+                       help=f"threads that {work} (default: the CPUs this process may "
+                       "use); the outputs are byte-identical at any count")
+
+    fusion_work = "run the fusion forward's cameras, a camera each"
+
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)
     p.add_argument("--count", type=int, default=1)
@@ -258,13 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("fuse", help="compute the fused voxel volume")
-    common(p, ckpt=True)
+    common(p, ckpt=True, threads=False)
+    pool_threads(p, fusion_work)
     p.add_argument("--sample", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("predict", help="fine occupancy prediction + metrics")
-    common(p, ckpt=True)
+    common(p, ckpt=True, threads=False)
+    pool_threads(p, fusion_work)
     p.add_argument("--sample", required=True)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--out", required=True)
@@ -272,10 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="active training on a dataset directory")
     common(p, preset=False, threads=False)
-    p.add_argument("--threads", type=_at_least_one,
-                   help="threads that compute a mini-batch's per-sample gradients and "
-                   "the epoch's scores (default: the CPUs this process may use); the "
-                   "outputs are byte-identical at any count")
+    pool_threads(p, "compute a mini-batch's per-sample gradients and the epoch's "
+                 "scores, a sample each")
     p.add_argument("--data", required=True)
     # these flags and --seed default to the config's training block
     p.add_argument("--epochs", type=int)
@@ -293,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="sweep the refinement fraction")
-    common(p, ckpt=True)
+    common(p, ckpt=True, threads=False)
+    pool_threads(p, fusion_work)
     p.add_argument("--sample", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_bench)

@@ -18,6 +18,7 @@ from .errors import ConfigError, DataError
 from .grid import GridConfig, VoxelFeatureVolume, VoxelPoints
 from .cameras import FeatureMapSet, ProjectedReference, bilinear_corners, corner_patches
 from .objectives import slice_sum, softmax
+from .pool import map_samples, pool_size
 
 _BLOCK = 1024  # query rows per attention block; its (block, m, k, 4) temporaries stay in cache
 _GATHER = 128  # rows per corner-patch gather within a block; each gather is (rows, m, k, 4C)
@@ -76,34 +77,48 @@ def _sampling(q: np.ndarray, pix: np.ndarray, shape, params: AttentionParams, sl
     """
     m, k = params.n_heads, params.n_keys
     gen = q @ np.concatenate([params.offset_gen, params.weight_gen]).T
-    off = gen[:, : m * k * 2].reshape(-1, m, k, 2)
-    attn = softmax(gen[:, m * k * 2 :].reshape(-1, m, k), axis=2)
-    return (attn, *bilinear_corners(shape, pix[:, None, None, :] + off, slopes))
+    # The offsets become the sampling locations in place, and the logits are
+    # copied out contiguous: NumPy loops over short strided rows slowly.
+    loc = gen[:, : m * k * 2]
+    loc += np.tile(pix, m * k)
+    attn = softmax(np.ascontiguousarray(gen[:, m * k * 2 :]).reshape(-1, m, k), axis=2)
+    return (attn, *bilinear_corners(shape, loc.reshape(-1, m, k, 2), slopes))
 
 
-def _head_tables(data: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Every head's corner-patch table, stacked: (m * h * w, 4C). From row
-    ``i * h * w`` it patches ``T_i = flat @ (w_out[i] @ w_val[i]).T``, the map
-    with both of head ``i``'s projections folded in."""
+def _workspace(data: np.ndarray, params: AttentionParams):
+    """Room for attention over one (h, w, C) feature map: its head table
+    (m * h * w, 4C) and the corner patches of ``_GATHER`` rows
+    (rows, m, k, 4C)."""
+    h, w, c = data.shape
+    m, k = params.n_heads, params.n_keys
+    return np.empty((m * h * w, 4 * c)), np.empty((_GATHER, m, k, 4 * c))
+
+
+def _head_tables(data: np.ndarray, params: AttentionParams, table: np.ndarray) -> np.ndarray:
+    """Every head's corner-patch table, stacked into ``table``: (m * h * w,
+    4C). From row ``i * h * w`` it patches ``T_i = flat @ (w_out[i] @
+    w_val[i]).T``, the map with both of head ``i``'s projections folded in."""
     h, w, c = data.shape
     flat = data.reshape(-1, c)
-    folded = [flat @ (w_out @ w_val).T for w_out, w_val in zip(params.w_out, params.w_val)]
-    return np.concatenate([corner_patches(t, h, w) for t in folded])
+    heads = table.reshape(params.n_heads, h, w, 4 * c)
+    for w_out, w_val, head in zip(params.w_out, params.w_val, heads):
+        corner_patches(flat @ (w_out @ w_val).T, h, w, head)
+    return table
 
 
-def _attn_blocks(q, pix, data: np.ndarray, params: AttentionParams):
+def _attn_blocks(q, pix, data: np.ndarray, params: AttentionParams, space=None):
     """Batched deformable attention over one feature map, a row block at a
     time: yields (first row, out (b, C)) for each block of ``_BLOCK`` rows.
 
-    ``q`` is (n, C+3) or ``QueryRows``, ``pix`` (n, 2) or ``PixelRows``.
+    ``q`` is (n, C+3) or ``QueryRows``, ``pix`` (n, 2) or ``PointRows``.
     Bilinear sampling is linear, so both head projections are applied once
     to the (h * w) map, and each block gathers its samples' corner
-    patches. The backward takes ``(q, pix, data)`` and recomputes the
-    geometry.
+    patches. ``space`` is the ``_workspace`` to fill (None: a new one). The
+    backward takes ``(q, pix, data)`` and recomputes the geometry.
     """
     h, w, c = data.shape
-    table = _head_tables(data, params)
-    buf = _patch_buffer(params)
+    table, buf = space or _workspace(data, params)
+    _head_tables(data, params, table)
     for s in range(0, len(q), _BLOCK):
         blk = slice(s, s + _BLOCK)
         yield s, _forward_block(q[blk], pix[blk], table, (h, w), params, buf)
@@ -114,10 +129,10 @@ def _forward_block(qb, pixb, table, shape, params: AttentionParams, buf) -> np.n
     call, before the next block makes its own."""
     attn, idx, wts = _sampling(qb, pixb, shape, params)
     idx += np.arange(params.n_heads)[:, None] * (shape[0] * shape[1])  # head i's rows
+    wts *= attn[..., None]  # each corner's attention-weighted share
     out = np.empty((len(qb), params.channels))
     for sub in _gathers(len(qb)):
-        cw = attn[sub, ..., None] * wts[sub]
-        np.einsum("nikj,nikjc->nc", cw, _patches(table, idx[sub], buf), out=out[sub])
+        np.einsum("nikj,nikjc->nc", wts[sub], _patches(table, idx[sub], buf), out=out[sub])
     return out
 
 
@@ -126,28 +141,24 @@ def _gathers(n: int) -> list:
     return [slice(t, t + _GATHER) for t in range(0, n, _GATHER)]
 
 
-def _add_runs(accum: np.ndarray, pv: np.ndarray, weights: np.ndarray, blocks) -> None:
+def _add_runs(accum: np.ndarray, pv, weights, blocks) -> None:
     """``accum[v] +=`` the weighted sum of voxel ``v``'s run of rows, for the
-    rows (grouped by voxel ``pv``) that ``blocks`` yields in order. Each run
-    is summed by one ``reduceat`` once all its rows are in, so the sums do
-    not depend on where the blocks split the rows."""
-    runs = np.flatnonzero(np.r_[True, pv[1:] != pv[:-1]])
-    held, lo = np.empty((0, accum.shape[1])), 0  # rows [lo, s) of a run still open
+    rows (grouped by voxel ``pv``) that ``blocks`` yields in order; ``pv``
+    and ``weights`` are read a block at a time. Each run is summed by one
+    ``reduceat`` once all its rows are in, so the sums do not depend on where
+    the blocks split the rows."""
+    held, held_pv = np.empty((0, accum.shape[1])), np.empty(0, dtype=np.int64)  # the open run
     for s, ob in blocks:
         e = s + len(ob)
-        ob *= weights[s:e, None]
-        rows = np.concatenate([held, ob])
-        starts = runs[(runs >= lo) & (runs < e)]
-        cut = e if e == len(pv) else starts[-1]  # the last run may go on in the next block
-        done = starts[starts < cut]
-        if len(done):
-            accum[pv[done]] += np.add.reduceat(rows[: cut - lo], done - lo, axis=0)
-        held, lo = rows[cut - lo :], cut
-
-
-def _patch_buffer(params: AttentionParams) -> np.ndarray:
-    """Room for the corner patches of ``_GATHER`` rows: (rows, m, k, 4C)."""
-    return np.empty((_GATHER, params.n_heads, params.n_keys, 4 * params.channels))
+        ob *= weights[s:e][:, None]
+        rows, v = np.concatenate([held, ob]), np.concatenate([held_pv, pv[s:e]])
+        starts = np.flatnonzero(np.concatenate([[True], v[1:] != v[:-1]]))
+        cut = starts[-1]  # the last run may go on in the next block
+        if cut:
+            accum[v[starts[:-1]]] += np.add.reduceat(rows[:cut], starts[:-1], axis=0)
+        held, held_pv = rows[cut:], v[cut:]
+    if len(held):
+        accum[held_pv[:1]] += np.add.reduceat(held, [0], axis=0)
 
 
 def _patches(table: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -168,8 +179,8 @@ def _attn_backward(g, cache, params: AttentionParams, grads: AttentionParams):
     """
     q, pix, data = cache
     h, w, c = data.shape
-    tables = corner_patches(data.reshape(-1, c), h, w), _head_tables(data, params)
-    buf = _patch_buffer(params)
+    table, buf = _workspace(data, params)
+    tables = corner_patches(data.reshape(-1, c), h, w), _head_tables(data, params, table)
     for s in range(0, len(q), _BLOCK):
         blk = slice(s, s + _BLOCK)
         _backward_block(q[blk], g[blk], pix[blk], tables, (h, w), params, buf, grads)
@@ -231,15 +242,16 @@ class QueryRows:
 
 
 @dataclass
-class PixelRows:
-    """The feature-map pixels of the reference points ``points`` in one
-    camera, gathered a block at a time: ``self[blk]`` is (b, 2)."""
+class PointRows:
+    """The rows of a per-point array (a camera's pixels, the averaging
+    weights) for the reference points ``points``, gathered a block at a
+    time: ``self[blk]`` is ``values[points[blk]]``."""
 
-    pixels: np.ndarray  # (P, 2) every reference point's pixel in the camera
+    values: np.ndarray  # (P, ...) one row per reference point
     points: np.ndarray  # (n,)
 
     def __getitem__(self, blk):
-        return self.pixels[self.points[blk]]
+        return self.values[self.points[blk]]
 
 
 @dataclass
@@ -266,9 +278,21 @@ class FusionCache:
     point_voxel: np.ndarray  # (P,)
     voxel_keys: np.ndarray  # (V, 3)
     weights: np.ndarray  # (P,) outer*inner averaging weight per point
-    per_camera: list  # (QueryRows, PixelRows, map data) per camera seeing any point
+    per_camera: list  # (QueryRows, PointRows of pixels, map data) per camera seeing any point
     fallback_mask: np.ndarray  # (nz, ny, nx) bool
     lidar: np.ndarray  # (nz, ny, nx, C)
+
+
+def _point_weights(valid: np.ndarray, point_voxel: np.ndarray, n_vox: int):
+    """Each reference point's averaging weight, 1 / (visible points of its
+    voxel * cameras that see it), 0 where no camera does; and the visible
+    points of each voxel."""
+    n_proj = valid.sum(axis=0)
+    visible = n_proj > 0
+    vis_count = np.bincount(point_voxel[visible], minlength=n_vox)
+    weights = np.zeros(len(point_voxel))
+    weights[visible] = 1.0 / (vis_count[point_voxel[visible]] * n_proj[visible])
+    return weights, vis_count
 
 
 def occ_fuse(
@@ -278,13 +302,15 @@ def occ_fuse(
     proj: ProjectedReference,
     params: AttentionParams,
     grid: GridConfig,
+    threads: int | None = None,
 ):
     """Fuse camera features into the coarse voxel volume.
 
     Per voxel: mean over its visible reference points of the mean over each
     point's image projections of the deformable-attention feature. Voxels
     with no visible points fall back to ``w_fallback @ lidar_feature``.
-    Returns (fused VoxelFeatureVolume, FusionCache).
+    The cameras run on up to ``threads`` threads (None: the CPUs), with the
+    same bytes at any count. Returns (fused VoxelFeatureVolume, FusionCache).
     """
     c = params.channels
     if f_l.channels != c or (maps.maps and maps.channels != c):
@@ -299,23 +325,41 @@ def occ_fuse(
     n_vox = len(keys)
     voxel_feat = f_l.data[keys[:, 2], keys[:, 1], keys[:, 0]]
 
-    n_proj = proj.valid.sum(axis=0)
-    visible = n_proj > 0
-    vis_count = np.bincount(point_voxel[visible], minlength=n_vox)
-    weights = np.zeros(len(point_voxel))
-    weights[visible] = 1.0 / (vis_count[point_voxel[visible]] * n_proj[visible])
-
-    accum = np.zeros((n_vox, c))
+    weights, vis_count = _point_weights(proj.valid, point_voxel, n_vox)
     per_camera = []
     for ci, fmap in enumerate(maps.maps):
         sel = np.nonzero(proj.valid[ci])[0]
-        if len(sel) == 0:
-            continue
-        q = QueryRows(voxel_feat, refs.positions, point_voxel, grid, sel)
-        pix = PixelRows(proj.pixels[ci], sel)
+        if len(sel):
+            q = QueryRows(voxel_feat, refs.positions, point_voxel, grid, sel)
+            per_camera.append((q, PointRows(proj.pixels[ci], sel), fmap.data))
+
+    def camera_sum(job):
+        (q, pix, data), target, space = job
         # Rows are grouped by voxel, so each voxel's points form one run.
-        _add_runs(accum, point_voxel[sel], weights[sel], _attn_blocks(q, pix, fmap.data, params))
-        per_camera.append((q, pix, fmap.data))
+        blocks = _attn_blocks(q, pix, data, params, space)
+        _add_runs(target, PointRows(point_voxel, q.points), PointRows(weights, q.points), blocks)
+
+    def wave_partials(cameras):
+        # The wave's first camera adds into ``accum`` as the serial loop
+        # does; the others sum into zeroed partials. This thread allocates
+        # the partials and workspaces, so a helper allocates no more than a
+        # block's temporaries: a helper's malloc arena stays at its
+        # high-water mark.
+        targets = [accum] + [np.zeros((n_vox, c)) for _ in cameras[1:]]
+        map_samples(camera_sum, [(cam, t, _workspace(cam[2], params))
+                                 for cam, t in zip(cameras, targets)], threads)
+        return targets[1:]
+
+    # The cameras run on the pool, a wave of pool-size cameras at a time, and
+    # each wave's partials are added in camera order. ``accum`` starts at
+    # +0.0 and so is never -0.0, which makes adding a partial's +0.0 for a
+    # voxel its camera does not see exact: ``accum`` is the serial loop's,
+    # bit for bit.
+    accum = np.zeros((n_vox, c))
+    wave = pool_size(len(per_camera), threads)
+    for first in range(0, len(per_camera), wave):
+        for partial in wave_partials(per_camera[first : first + wave]):
+            accum += partial
 
     data = np.zeros((nz, ny, nx, c))
     fallback = np.ones((nz, ny, nx), dtype=bool)

@@ -246,27 +246,32 @@ def prepare_sample(
     )
 
 
-def forward_coarse(model: OccModel, sample: Sample, cfg: PipelineConfig):
-    """Fused volume and coarse logits; returns (fused, cache, logits)."""
+def forward_coarse(
+    model: OccModel, sample: Sample, cfg: PipelineConfig, threads: int | None = None
+):
+    """Fused volume and coarse logits, the fusion on up to ``threads``
+    threads; returns (fused, cache, logits)."""
     fused, cache = occ_fuse(
         sample.lidar_volume, sample.maps, sample.refs, sample.proj,
-        model.attention, cfg.grid,
+        model.attention, cfg.grid, threads,
     )
     logits = model.heads.coarse.logits(fused.data.reshape(-1, fused.channels))
     return fused, cache, logits
 
 
 def sample_loss(model: OccModel, sample: Sample, cfg: PipelineConfig) -> LossBreakdown:
-    """Forward-only total loss at coarse resolution."""
-    _, _, logits = forward_coarse(model, sample, cfg)
+    """Forward-only total loss at coarse resolution, on one thread: the
+    training loop runs samples on the pool, and pools do not nest."""
+    _, _, logits = forward_coarse(model, sample, cfg, threads=1)
     breakdown, _ = total_loss_logits(logits, sample.coarse_labels.ravel())
     return breakdown
 
 
 def sample_gradients(model: OccModel, sample: Sample, cfg: PipelineConfig):
-    """Loss plus the full parameter gradient vector for one sample; the fine
-    head is not trained, so its slice is zero."""
-    fused, cache, logits = forward_coarse(model, sample, cfg)
+    """Loss plus the full parameter gradient vector for one sample, on one
+    thread like ``sample_loss``; the fine head is not trained, so its slice
+    is zero."""
+    fused, cache, logits = forward_coarse(model, sample, cfg, threads=1)
     breakdown, g_logits = total_loss_logits(logits, sample.coarse_labels.ravel())
     feats = fused.data.reshape(-1, fused.channels)
     grad = OccModel.over(None, cfg)
@@ -277,9 +282,10 @@ def sample_gradients(model: OccModel, sample: Sample, cfg: PipelineConfig):
     return breakdown, grad.params
 
 
-def predict(model: OccModel, sample: Sample, cfg: PipelineConfig):
-    """Full prediction: fused volume, fine grid, op report and coarse grid."""
-    fused, _, _ = forward_coarse(model, sample, cfg)
+def predict(model: OccModel, sample: Sample, cfg: PipelineConfig, threads: int | None = None):
+    """Full prediction: fused volume, fine grid, op report and coarse grid.
+    The fusion runs on up to ``threads`` threads (None: the CPUs)."""
+    fused, _, _ = forward_coarse(model, sample, cfg, threads)
     fine_grid, report, coarse = decode(
         fused, sample.maps, sample.scene.rig, model.heads, cfg.decoder, cfg.grid
     )

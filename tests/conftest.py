@@ -1,6 +1,16 @@
-"""Prints one PASS/FAIL line per acceptance criterion after the run."""
+"""Prints one PASS/FAIL line per acceptance criterion after the run, and
+holds the fixtures several test modules share."""
 
+import os
 import re
+
+import pytest
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Let the pool use 4 threads on a machine with fewer CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
 
 _results = {}
 

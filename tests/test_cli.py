@@ -166,6 +166,14 @@ def test_eval_refuses_threads(data_dir, tmp_path, capsys):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fuse", "predict", "bench"])
+def test_fusion_commands_refuse_threads_below_one(data_dir, tmp_path, capsys, command):
+    assert run(command, "--sample", str(data_dir / "sample_000"), "--threads", "0",
+               "--out", str(tmp_path / "o")) == 1
+    assert "--threads: must be at least 1, not 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_train_threads_below_one_exits_one(data_dir, tmp_path, capsys, threads):
     assert run("train", "--data", str(data_dir), "--threads", threads,

@@ -29,14 +29,8 @@ from occkit.pipeline import (
 from occkit.pointprep import PreprocessConfig
 from occkit.scenes import N_CLASS, preset
 from occkit import training
-from occkit.training import (
-    active_train,
-    map_samples,
-    pool_size,
-    score_samples,
-    select_topk,
-    train_epoch,
-)
+from occkit.pool import map_samples, pool_size
+from occkit.training import active_train, score_samples, select_topk, train_epoch
 
 
 def small_cfg(seed=0, epochs=1, k_percent=70.0, lr=0.05, batch_size=2):
@@ -225,12 +219,6 @@ def test_sample_loss_matches_gradient_breakdown(cfg, dataset):
     assert fwd.total == pytest.approx(bwd.total, abs=1e-12)
 
 
-@pytest.fixture
-def four_cpus(monkeypatch):
-    """Let the pool use 4 threads on a machine with fewer CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-
-
 def test_pool_size_caps_at_threads_cpus_and_items(four_cpus):
     assert pool_size(10, None) == 4
     assert pool_size(10, 2) == 2
@@ -259,6 +247,23 @@ def test_pool_raises_the_first_exception_in_item_order(four_cpus):
 
     with pytest.raises(ValueError, match="^2$"):
         map_samples(fail, list(range(6)), 4)
+
+
+@pytest.mark.parametrize("outer", [1, 4])
+def test_pool_refuses_a_nested_pool_of_more_than_one_thread(four_cpus, outer):
+    # The inner call's helper jobs would queue behind outer items waiting on them.
+    with pytest.raises(ConfigError, match="must run on one thread"):
+        map_samples(lambda x: map_samples(lambda y: y, [1, 2], 2), [0, 1], outer)
+    assert map_samples(lambda y: y * y, [1, 2, 3], 2) == [1, 4, 9]  # the pool still works
+
+
+def test_pool_runs_a_nested_pool_of_one_thread_inline(four_cpus):
+    def outer(x):
+        inner = map_samples(lambda y: (threading.get_ident(), x * y), [1, 2, 3], 1)
+        return threading.get_ident(), inner
+
+    for x, (thread, inner) in enumerate(map_samples(outer, list(range(6)), 4)):
+        assert inner == [(thread, x * y) for y in (1, 2, 3)]
 
 
 def test_pool_keeps_item_order_under_contention(monkeypatch):
