@@ -19,7 +19,6 @@ from .errors import ConfigError, DataError, NumericalError, OcckitError
 from . import grid as gridmod
 from . import jsonio, pointprep, scenes
 from .decoder import decode
-from .fusion import occ_fuse
 from .pipeline import (
     OccModel,
     PipelineConfig,
@@ -30,6 +29,7 @@ from .pipeline import (
     prepare_sample,
     save_checkpoint,
 )
+from .pool import map_samples
 from .training import active_train
 
 BENCH_DELTAS = (0.1, 0.2, 0.3, 1.0)
@@ -96,7 +96,8 @@ def _cmd_synth(args):
     if cfg.grid != grid:
         raise DataError(f"{args.config}: grid differs from the {args.preset} scenes' {grid}")
     os.makedirs(args.out, exist_ok=True)
-    for i in range(args.count):
+
+    def write_sample(i):
         spec = scenes.preset(args.preset, seed=args.seed + i)
         sdir = os.path.join(args.out, f"sample_{i:03d}")
         os.makedirs(sdir, exist_ok=True)
@@ -107,6 +108,8 @@ def _cmd_synth(args):
         for cam, img in zip(spec.rig, scenes.render_views(spec)):
             scenes.write_ppm(os.path.join(sdir, f"cam_{cam.cam_id}.ppm"), img)
         jsonio.write_json(os.path.join(sdir, "config.json"), jsonio.encode(cfg))
+
+    map_samples(write_sample, range(args.count), args.threads)
     jsonio.write_json(os.path.join(args.out, "config.json"), jsonio.encode(cfg))
     return 0
 
@@ -160,10 +163,7 @@ def _cmd_preprocess(args):
 def _cmd_fuse(args):
     model, cfg = _model_for(args)
     sample = _load_sample(args.sample, cfg)
-    fused, _ = occ_fuse(
-        sample.lidar_volume, sample.maps, sample.refs, sample.proj,
-        model.attention, cfg.grid, args.threads,
-    )
+    fused, _, _ = forward_coarse(model, sample, cfg, args.threads)
     os.makedirs(args.out, exist_ok=True)
     report = FusedReport(dims=fused.dims, channels=fused.channels, blob="fused.f64")
     with open(os.path.join(args.out, report.blob), "wb") as fh:
@@ -200,7 +200,7 @@ def _cmd_train(args):
     cfg = _read_config(args.config or os.path.join(root, "config.json"))
     given = _given(args, "epochs", "k_percent", "learning_rate", "batch_size", "seed")
     cfg.training = dataclasses.replace(cfg.training, **given)
-    dataset = [_load_sample(d, cfg) for d in sample_dirs]
+    dataset = map_samples(lambda d: _load_sample(d, cfg), sample_dirs, args.threads)
     model = OccModel.create(cfg)
     model, history = active_train(model, dataset, cfg, args.threads)
     os.makedirs(args.out, exist_ok=True)
@@ -246,13 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, preset=True, ckpt=False, seed=True, threads=True):
+    def common(p, preset=True, ckpt=False, seed=True):
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        if threads:
-            p.add_argument("--threads", type=int, default=1,
-                           help="accepted for a uniform command line; this command runs "
-                           "on one thread")
         p.add_argument("--config", help="pipeline config JSON path")
         if preset:
             p.add_argument("--preset", choices=("tiny", "small"), default="tiny")
@@ -270,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)
+    pool_threads(p, "write the samples, a sample each")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
@@ -286,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("fuse", help="compute the fused voxel volume")
-    common(p, ckpt=True, threads=False)
+    common(p, ckpt=True)
     pool_threads(p, fusion_work)
     p.add_argument("--sample", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("predict", help="fine occupancy prediction + metrics")
-    common(p, ckpt=True, threads=False)
+    common(p, ckpt=True)
     pool_threads(p, fusion_work)
     p.add_argument("--sample", required=True)
     p.add_argument("--delta", type=float, default=None)
@@ -301,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("train", help="active training on a dataset directory")
-    common(p, preset=False, threads=False)
-    pool_threads(p, "compute a mini-batch's per-sample gradients and the epoch's "
-                 "scores, a sample each")
+    common(p, preset=False)
+    pool_threads(p, "load the samples, compute a mini-batch's per-sample gradients "
+                 "and the epoch's scores, a sample each")
     p.add_argument("--data", required=True)
     # these flags and --seed default to the config's training block
     p.add_argument("--epochs", type=int)
@@ -314,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_train, seed=None)
 
     p = sub.add_parser("eval", help="compare two OCCG grids")
-    common(p, preset=False, seed=False, threads=False)
+    common(p, preset=False, seed=False)
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bench", help="sweep the refinement fraction")
-    common(p, ckpt=True, threads=False)
+    common(p, ckpt=True)
     pool_threads(p, fusion_work)
     p.add_argument("--sample", required=True)
     p.add_argument("--out", required=True)

@@ -94,21 +94,21 @@ def refine_count(delta: float, m: int) -> int:
     return int(math.ceil(delta * m - 1e-9)) if m else 0
 
 
+def top_fraction(scores, fraction: float) -> np.ndarray:
+    """Ascending indices of the ``refine_count(fraction, n)`` highest of the
+    n ``scores``, ties going to the lower index: the one rule by which the
+    decoder picks voxels to refine and active training its hardest samples."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    return np.sort(order[: refine_count(fraction, len(order))])
+
+
 def select_refine(dists: np.ndarray, delta: float, candidates: np.ndarray) -> np.ndarray:
     """Indices of the ceil(delta * M) highest-entropy voxels among the M rows
-    of ``dists`` (n, n_class) that the boolean mask ``candidates`` (n,) marks.
-
-    Entropy ties break toward the lower voxel index. Returns ascending
-    indices into ``dists``.
+    of ``dists`` (n, n_class) that the boolean mask ``candidates`` (n,) marks,
+    by ``top_fraction``. Returns ascending indices into ``dists``.
     """
-    dists = np.asarray(dists, dtype=np.float64)
     pool = np.flatnonzero(candidates)
-    k = refine_count(delta, len(pool))
-    if k == 0:
-        return np.zeros(0, dtype=np.int64)
-    ent = entropy_batch(dists[pool])
-    order = np.argsort(-ent, kind="stable")  # stable keeps ascending index on ties
-    return np.sort(pool[order[:k]])
+    return pool[top_fraction(entropy_batch(dists[pool]), delta)]
 
 
 def decode(

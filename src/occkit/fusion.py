@@ -10,6 +10,7 @@ every learnable parameter.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,7 +111,7 @@ def _attn_blocks(q, pix, data: np.ndarray, params: AttentionParams, space=None):
     """Batched deformable attention over one feature map, a row block at a
     time: yields (first row, out (b, C)) for each block of ``_BLOCK`` rows.
 
-    ``q`` is (n, C+3) or ``QueryRows``, ``pix`` (n, 2) or ``PointRows``.
+    ``q`` (n, C+3) and ``pix`` (n, 2) are arrays or ``Rows``.
     Bilinear sampling is linear, so both head projections are applied once
     to the (h * w) map, and each block gathers its samples' corner
     patches. ``space`` is the ``_workspace`` to fill (None: a new one). The
@@ -173,7 +174,7 @@ def _patches(table: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray
 def _attn_backward(g, cache, params: AttentionParams, grads: AttentionParams):
     """Accumulate parameter gradients for one batched attention call.
 
-    ``g`` is (n, C) or ``GradRows``. Each block gathers its corners from the
+    ``g`` is (n, C) or ``Rows``. Each block gathers its corners from the
     raw map's ``corner_patches``, shared by every head, and from the
     forward's ``_head_tables``.
     """
@@ -220,54 +221,20 @@ def _projection_grads(gb, attn, idx, wts, raw_table, params: AttentionParams, bu
 
 
 @dataclass
-class QueryRows:
-    """The attention queries of the reference points ``points``, built a
-    block at a time: ``self[blk]`` is (b, C+3), each point's voxel LiDAR
-    feature followed by its grid-normalized position. No (P, C+3) array of
-    them is ever held."""
+class Rows:
+    """Per-point rows of the reference points ``points``, built a block at a
+    time: ``self[blk]`` is ``build(points[blk])``. The queries, pixels and
+    upstream gradients of a camera are read this way, so no (n, ...) array
+    of them is ever held."""
 
-    voxel_feat: np.ndarray  # (V, C) LiDAR feature of each processed voxel
-    positions: np.ndarray  # (P, 3) reference point positions
-    point_voxel: np.ndarray  # (P,)
-    grid: GridConfig
-    points: np.ndarray  # (n,) the reference point rows these queries are of
+    build: Callable  # (b,) reference point rows -> (b, ...) array
+    points: np.ndarray  # (n,)
 
     def __len__(self):
         return len(self.points)
 
     def __getitem__(self, blk):
-        r = self.points[blk]
-        norm = (self.positions[r] - self.grid.lo) / (self.grid.hi - self.grid.lo)
-        return np.concatenate([self.voxel_feat[self.point_voxel[r]], norm], axis=1)
-
-
-@dataclass
-class PointRows:
-    """The rows of a per-point array (a camera's pixels, the averaging
-    weights) for the reference points ``points``, gathered a block at a
-    time: ``self[blk]`` is ``values[points[blk]]``."""
-
-    values: np.ndarray  # (P, ...) one row per reference point
-    points: np.ndarray  # (n,)
-
-    def __getitem__(self, blk):
-        return self.values[self.points[blk]]
-
-
-@dataclass
-class GradRows:
-    """The upstream gradients of the attention outputs of the reference
-    points ``points``, built a block at a time: ``self[blk]`` is (b, C), each
-    point's voxel gradient times the point's averaging weight."""
-
-    g_voxel: np.ndarray  # (V, C) upstream gradient of each processed voxel
-    weights: np.ndarray  # (P,)
-    point_voxel: np.ndarray  # (P,)
-    points: np.ndarray  # (n,)
-
-    def __getitem__(self, blk):
-        r = self.points[blk]
-        return self.weights[r, None] * self.g_voxel[self.point_voxel[r]]
+        return self.build(self.points[blk])
 
 
 @dataclass
@@ -278,7 +245,7 @@ class FusionCache:
     point_voxel: np.ndarray  # (P,)
     voxel_keys: np.ndarray  # (V, 3)
     weights: np.ndarray  # (P,) outer*inner averaging weight per point
-    per_camera: list  # (QueryRows, PointRows of pixels, map data) per camera seeing any point
+    per_camera: list  # (Rows of queries, Rows of pixels, map data) per camera seeing any point
     fallback_mask: np.ndarray  # (nz, ny, nx) bool
     lidar: np.ndarray  # (nz, ny, nx, C)
 
@@ -321,23 +288,28 @@ def occ_fuse(
     if f_l.dims != (nx, ny, nz):
         raise ConfigError("LiDAR volume dims do not match the coarse grid")
 
-    keys, point_voxel = refs.keys, refs.point_voxel
+    keys, point_voxel, positions = refs.keys, refs.point_voxel, refs.positions
     n_vox = len(keys)
     voxel_feat = f_l.data[keys[:, 2], keys[:, 1], keys[:, 0]]
+    lo, extent = grid.lo, grid.hi - grid.lo
+
+    def query(r):  # each point's voxel LiDAR feature, then its grid-normalized position
+        return np.concatenate([voxel_feat[point_voxel[r]], (positions[r] - lo) / extent], axis=1)
 
     weights, vis_count = _point_weights(proj.valid, point_voxel, n_vox)
     per_camera = []
     for ci, fmap in enumerate(maps.maps):
         sel = np.nonzero(proj.valid[ci])[0]
         if len(sel):
-            q = QueryRows(voxel_feat, refs.positions, point_voxel, grid, sel)
-            per_camera.append((q, PointRows(proj.pixels[ci], sel), fmap.data))
+            pix = Rows(proj.pixels[ci].__getitem__, sel)
+            per_camera.append((Rows(query, sel), pix, fmap.data))
 
     def camera_sum(job):
         (q, pix, data), target, space = job
         # Rows are grouped by voxel, so each voxel's points form one run.
         blocks = _attn_blocks(q, pix, data, params, space)
-        _add_runs(target, PointRows(point_voxel, q.points), PointRows(weights, q.points), blocks)
+        pv, w = Rows(point_voxel.__getitem__, q.points), Rows(weights.__getitem__, q.points)
+        _add_runs(target, pv, w, blocks)
 
     def wave_partials(cameras):
         # The wave's first camera adds into ``accum`` as the serial loop
@@ -395,8 +367,11 @@ def fusion_backward(grad_volume: np.ndarray, cache: FusionCache, grads: Attentio
         raise ConfigError("upstream gradient shape mismatch")
     keys = cache.voxel_keys
     g_voxel = g[keys[:, 2], keys[:, 1], keys[:, 0]]
+
+    def upstream(r):  # each point's voxel gradient times its averaging weight
+        return cache.weights[r, None] * g_voxel[cache.point_voxel[r]]
+
     for q, pix, data in cache.per_camera:
-        g_pts = GradRows(g_voxel, cache.weights, cache.point_voxel, q.points)
-        _attn_backward(g_pts, (q, pix, data), cache.params, grads)
+        _attn_backward(Rows(upstream, q.points), (q, pix, data), cache.params, grads)
     fb = cache.fallback_mask
     grads.w_fallback += g[fb].T @ cache.lidar[fb]

@@ -9,6 +9,7 @@ Conventions used throughout the toolkit:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -59,6 +60,9 @@ class GridConfig:
             )
         if np.any(np.round(dims) < 1):
             raise ConfigError("coarse grid must have at least one voxel per axis")
+        fine = np.round((hi - lo) / self.voxel_size)  # the coarse count is never larger
+        if not np.all(np.isfinite(fine)) or math.prod(map(int, fine)) > np.iinfo(np.intp).max:
+            raise ConfigError("the fine grid has more voxels than NumPy can index")
 
     @property
     def lo(self) -> np.ndarray:

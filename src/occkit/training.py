@@ -3,11 +3,11 @@ the full set and keep the hardest samples for the next epoch."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .decoder import top_fraction
 from .errors import ConfigError, NumericalError
 from .pipeline import OccModel, PipelineConfig, sample_gradients, sample_loss
 from .pool import map_samples
@@ -35,17 +35,11 @@ def score_samples(
 
 
 def select_topk(scores, k_percent: float) -> list:
-    """Ids of the ceil(K/100 * n) highest-loss samples, ascending.
-
-    Score ties break toward the lower sample id.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = len(scores)
-    if n == 0:
+    """Ids of the ceil(K/100 * n) highest-loss samples, ascending, by
+    ``top_fraction``: score ties break toward the lower sample id."""
+    if len(scores) == 0:
         raise ConfigError("cannot select from an empty score list")
-    k = int(math.ceil(k_percent / 100.0 * n - 1e-9))
-    order = np.argsort(-scores, kind="stable")
-    return sorted(int(i) for i in order[:k])
+    return top_fraction(scores, k_percent / 100.0).tolist()
 
 
 def train_epoch(

@@ -642,8 +642,7 @@ def _cli_workspace(root, threads):
     assert run_command(["synth", "--preset", "tiny", "--count", "2", "--seed", "0",
                         "--threads", t, "--out", data]) == 0
     s0 = os.path.join(data, "sample_000")
-    assert run_command(["preprocess", "--cloud", os.path.join(s0, "cloud.ocfp"),
-                        "--threads", t, "--seed", "0",
+    assert run_command(["preprocess", "--cloud", os.path.join(s0, "cloud.ocfp"), "--seed", "0",
                         "--out", os.path.join(ws, "prep.json")]) == 0
     assert run_command(["fuse", "--preset", "tiny", "--seed", "0", "--threads", t,
                         "--sample", s0, "--out", os.path.join(ws, "fuse")]) == 0

@@ -161,9 +161,12 @@ def test_eval_refuses_seed(data_dir, tmp_path, capsys):
 
 def test_eval_refuses_threads(data_dir, tmp_path, capsys):
     gt = str(data_dir / "sample_000" / "gt.occg")
-    assert run("eval", "--threads", "2", "--pred", gt, "--gt", gt,
-               "--out", str(tmp_path / "e.json")) == 1
-    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    # preprocess handles one cloud, so it has no --threads either
+    for inputs in (["eval", "--pred", gt, "--gt", gt],
+                   ["preprocess", "--cloud", str(data_dir / "sample_000" / "cloud.ocfp")]):
+        assert run(*inputs, "--threads", "2", "--out", str(tmp_path / "e.json")) == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not (tmp_path / "e.json").exists()
 
 
 @pytest.mark.parametrize("command", ["fuse", "predict", "bench"])
@@ -376,6 +379,20 @@ MALFORMED_CONFIG = {
     "image_stride_bool": _edit_config(lambda c: c.update(image_stride=True)),  # a removed key
     "learning_rate_inf": _infinite_learning_rate,
 }
+
+
+def test_grid_numpy_cannot_index_exits_two(data_dir, tmp_path, capsys):
+    cfg = read_json(data_dir / "config.json")
+    cfg["grid"]["max_corner"] = [1e6, 1e6, 1e6]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert run("preprocess", "--config", str(config),
+               "--cloud", str(data_dir / "sample_000" / "cloud.ocfp"),
+               "--out", str(tmp_path / "p.json")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: malformed PipelineConfig JSON: "
+                   "the fine grid has more voxels than NumPy can index"]
+    assert not (tmp_path / "p.json").exists()
 
 
 @pytest.mark.parametrize("command", ["fuse", "train"])

@@ -54,6 +54,16 @@ def test_grid_config_rejects_non_finite_voxel_size(voxel_size):
         GridConfig(min_corner=(0, 0, 0), max_corner=(1, 1, 1), voxel_size=voxel_size)
 
 
+@pytest.mark.parametrize("corners", [
+    ((-0.8, -0.8, -0.4), (1e6, 1e6, 1e6)),
+    ((-1e308, -0.8, -0.4), (1e308, 0.8, 1.2)),
+], ids=["count_past_intp", "extent_overflows"])
+def test_grid_config_rejects_fine_count_numpy_cannot_index(corners):
+    with np.errstate(over="ignore"):  # the second extent overflows to inf
+        with pytest.raises(ConfigError, match="more voxels than NumPy can index"):
+            GridConfig(min_corner=corners[0], max_corner=corners[1], voxel_size=0.1, stride=2)
+
+
 def test_street_scale_grid_dims():
     cfg = GridConfig(
         min_corner=(-51.2, -51.2, -3.0),

@@ -1,17 +1,21 @@
 """The surface of ``src/occkit`` is what runs: every function, method and
-class it defines is referenced from ``src/occkit`` or ``perfbench/``, and
-every import in ``src/occkit`` is used and made at module level.
+class it defines is referenced from ``src/occkit`` or ``perfbench/``, every
+import in ``src/occkit`` is used and made at module level, and every option
+a subcommand parses is read by its handler.
 
 References are found by name, as an ``ast.Name``, an attribute or an
 imported name, so a definition is kept alive by any use of its name,
 including one of an unrelated variable that happens to share it.
 """
 
+import argparse
 import ast
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from occkit.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "occkit").glob("*.py"))
@@ -86,3 +90,43 @@ def test_imports_are_at_module_level(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert inside == []
+
+
+def _reads(fn, name, functions, followed) -> set:
+    """What ``fn`` reads of the namespace its variable ``name`` holds: each
+    ``name.<attr>``, and each string passed in a call beside ``name`` (as
+    ``getattr`` and ``_given`` take them). Calls that pass ``name`` to one of
+    the module's ``functions`` are followed, each function once."""
+    out = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == name:
+            out.add(node.attr)
+        if not isinstance(node, ast.Call):
+            continue
+        at = [i for i, arg in enumerate(node.args) if getattr(arg, "id", None) == name]
+        if not at:
+            continue
+        out.update(arg.value for arg in node.args
+                   if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+        callee = functions.get(getattr(node.func, "id", None))
+        if callee is not None and callee.name not in followed:
+            followed.add(callee.name)
+            out |= _reads(callee, callee.args.args[at[0]].arg, functions, followed)
+    return out
+
+
+def test_every_cli_option_is_read():
+    functions = {
+        node.name: node for node in _tree(ROOT / "src" / "occkit" / "cli.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    unread = []
+    for command, parser in subparsers.choices.items():
+        handler = functions[parser.get_default("func").__name__]
+        reads = _reads(handler, handler.args.args[0].arg, functions, {handler.name})
+        unread += [f"{command} {action.option_strings[0]}" for action in parser._actions
+                   if action.dest != "help" and action.dest not in reads]
+    assert unread == []
