@@ -19,6 +19,7 @@ from .errors import ConfigError, DataError, NumericalError, OcckitError
 from . import grid as gridmod
 from . import jsonio, pointprep, scenes
 from .decoder import decode
+from .fusion import occ_fuse
 from .pipeline import (
     OccModel,
     PipelineConfig,
@@ -29,7 +30,6 @@ from .pipeline import (
     prepare_sample,
     save_checkpoint,
 )
-from .pool import map_samples
 from .training import active_train
 
 BENCH_DELTAS = (0.1, 0.2, 0.3, 1.0)
@@ -96,8 +96,7 @@ def _cmd_synth(args):
     if cfg.grid != grid:
         raise DataError(f"{args.config}: grid differs from the {args.preset} scenes' {grid}")
     os.makedirs(args.out, exist_ok=True)
-
-    def write_sample(i):
+    for i in range(args.count):
         spec = scenes.preset(args.preset, seed=args.seed + i)
         sdir = os.path.join(args.out, f"sample_{i:03d}")
         os.makedirs(sdir, exist_ok=True)
@@ -108,8 +107,6 @@ def _cmd_synth(args):
         for cam, img in zip(spec.rig, scenes.render_views(spec)):
             scenes.write_ppm(os.path.join(sdir, f"cam_{cam.cam_id}.ppm"), img)
         jsonio.write_json(os.path.join(sdir, "config.json"), jsonio.encode(cfg))
-
-    map_samples(write_sample, range(args.count), args.threads)
     jsonio.write_json(os.path.join(args.out, "config.json"), jsonio.encode(cfg))
     return 0
 
@@ -163,7 +160,10 @@ def _cmd_preprocess(args):
 def _cmd_fuse(args):
     model, cfg = _model_for(args)
     sample = _load_sample(args.sample, cfg)
-    fused, _, _ = forward_coarse(model, sample, cfg, args.threads)
+    fused, _ = occ_fuse(
+        sample.lidar_volume, sample.maps, sample.refs, sample.proj,
+        model.attention, cfg.grid, args.threads,
+    )
     os.makedirs(args.out, exist_ok=True)
     report = FusedReport(dims=fused.dims, channels=fused.channels, blob="fused.f64")
     with open(os.path.join(args.out, report.blob), "wb") as fh:
@@ -200,7 +200,7 @@ def _cmd_train(args):
     cfg = _read_config(args.config or os.path.join(root, "config.json"))
     given = _given(args, "epochs", "k_percent", "learning_rate", "batch_size", "seed")
     cfg.training = dataclasses.replace(cfg.training, **given)
-    dataset = map_samples(lambda d: _load_sample(d, cfg), sample_dirs, args.threads)
+    dataset = [_load_sample(d, cfg) for d in sample_dirs]
     model = OccModel.create(cfg)
     model, history = active_train(model, dataset, cfg, args.threads)
     os.makedirs(args.out, exist_ok=True)
@@ -266,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)
-    pool_threads(p, "write the samples, a sample each")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
@@ -299,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="active training on a dataset directory")
     common(p, preset=False)
-    pool_threads(p, "load the samples, compute a mini-batch's per-sample gradients "
-                 "and the epoch's scores, a sample each")
+    pool_threads(p, "compute a mini-batch's per-sample gradients and the epoch's "
+                 "scores, a sample each")
     p.add_argument("--data", required=True)
     # these flags and --seed default to the config's training block
     p.add_argument("--epochs", type=int)

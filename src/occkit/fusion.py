@@ -10,6 +10,7 @@ every learnable parameter.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -142,17 +143,18 @@ def _gathers(n: int) -> list:
     return [slice(t, t + _GATHER) for t in range(0, n, _GATHER)]
 
 
-def _add_runs(accum: np.ndarray, pv, weights, blocks) -> None:
+def _add_runs(accum: np.ndarray, pv, weights, points, blocks) -> None:
     """``accum[v] +=`` the weighted sum of voxel ``v``'s run of rows, for the
-    rows (grouped by voxel ``pv``) that ``blocks`` yields in order; ``pv``
-    and ``weights`` are read a block at a time. Each run is summed by one
-    ``reduceat`` once all its rows are in, so the sums do not depend on where
-    the blocks split the rows."""
+    rows of reference points ``points`` (grouped by voxel ``pv``) that
+    ``blocks`` yields in order; ``pv`` and ``weights`` are per-point and read
+    a block at a time. Each run is summed by one ``reduceat`` once all its
+    rows are in, so the sums do not depend on where the blocks split the
+    rows."""
     held, held_pv = np.empty((0, accum.shape[1])), np.empty(0, dtype=np.int64)  # the open run
     for s, ob in blocks:
-        e = s + len(ob)
-        ob *= weights[s:e][:, None]
-        rows, v = np.concatenate([held, ob]), np.concatenate([held_pv, pv[s:e]])
+        r = points[s : s + len(ob)]
+        ob *= weights[r][:, None]
+        rows, v = np.concatenate([held, ob]), np.concatenate([held_pv, pv[r]])
         starts = np.flatnonzero(np.concatenate([[True], v[1:] != v[:-1]]))
         cut = starts[-1]  # the last run may go on in the next block
         if cut:
@@ -223,18 +225,29 @@ def _projection_grads(gb, attn, idx, wts, raw_table, params: AttentionParams, bu
 @dataclass
 class Rows:
     """Per-point rows of the reference points ``points``, built a block at a
-    time: ``self[blk]`` is ``build(points[blk])``. The queries, pixels and
-    upstream gradients of a camera are read this way, so no (n, ...) array
-    of them is ever held."""
+    time: ``self[blk]`` is ``build(*arrays, points[blk])``. The queries,
+    pixels and upstream gradients of a camera are read this way, so no
+    (n, ...) array of them is ever held."""
 
-    build: Callable  # (b,) reference point rows -> (b, ...) array
+    build: Callable  # (*arrays, (b,) reference point rows) -> (b, ...) array
+    arrays: tuple  # what build reads
     points: np.ndarray  # (n,)
 
     def __len__(self):
         return len(self.points)
 
     def __getitem__(self, blk):
-        return self.build(self.points[blk])
+        return self.build(*self.arrays, self.points[blk])
+
+
+def _query(voxel_feat, point_voxel, positions, lo, extent, r):
+    """Each point's voxel LiDAR feature, then its grid-normalized position."""
+    return np.concatenate([voxel_feat[point_voxel[r]], (positions[r] - lo) / extent], axis=1)
+
+
+def _upstream(g_voxel, weights, point_voxel, r):
+    """Each point's voxel gradient times its averaging weight."""
+    return weights[r, None] * g_voxel[point_voxel[r]]
 
 
 @dataclass
@@ -288,28 +301,23 @@ def occ_fuse(
     if f_l.dims != (nx, ny, nz):
         raise ConfigError("LiDAR volume dims do not match the coarse grid")
 
-    keys, point_voxel, positions = refs.keys, refs.point_voxel, refs.positions
+    keys, point_voxel = refs.keys, refs.point_voxel
     n_vox = len(keys)
     voxel_feat = f_l.data[keys[:, 2], keys[:, 1], keys[:, 0]]
-    lo, extent = grid.lo, grid.hi - grid.lo
-
-    def query(r):  # each point's voxel LiDAR feature, then its grid-normalized position
-        return np.concatenate([voxel_feat[point_voxel[r]], (positions[r] - lo) / extent], axis=1)
-
+    query = voxel_feat, point_voxel, refs.positions, grid.lo, grid.hi - grid.lo
     weights, vis_count = _point_weights(proj.valid, point_voxel, n_vox)
     per_camera = []
     for ci, fmap in enumerate(maps.maps):
         sel = np.nonzero(proj.valid[ci])[0]
         if len(sel):
-            pix = Rows(proj.pixels[ci].__getitem__, sel)
-            per_camera.append((Rows(query, sel), pix, fmap.data))
+            pix = Rows(operator.getitem, (proj.pixels[ci],), sel)
+            per_camera.append((Rows(_query, query, sel), pix, fmap.data))
 
     def camera_sum(job):
         (q, pix, data), target, space = job
         # Rows are grouped by voxel, so each voxel's points form one run.
         blocks = _attn_blocks(q, pix, data, params, space)
-        pv, w = Rows(point_voxel.__getitem__, q.points), Rows(weights.__getitem__, q.points)
-        _add_runs(target, pv, w, blocks)
+        _add_runs(target, point_voxel, weights, q.points, blocks)
 
     def wave_partials(cameras):
         # The wave's first camera adds into ``accum`` as the serial loop
@@ -366,12 +374,8 @@ def fusion_backward(grad_volume: np.ndarray, cache: FusionCache, grads: Attentio
     if g.shape != cache.lidar.shape:
         raise ConfigError("upstream gradient shape mismatch")
     keys = cache.voxel_keys
-    g_voxel = g[keys[:, 2], keys[:, 1], keys[:, 0]]
-
-    def upstream(r):  # each point's voxel gradient times its averaging weight
-        return cache.weights[r, None] * g_voxel[cache.point_voxel[r]]
-
+    upstream = g[keys[:, 2], keys[:, 1], keys[:, 0]], cache.weights, cache.point_voxel
     for q, pix, data in cache.per_camera:
-        _attn_backward(Rows(upstream, q.points), (q, pix, data), cache.params, grads)
+        _attn_backward(Rows(_upstream, upstream, q.points), (q, pix, data), cache.params, grads)
     fb = cache.fallback_mask
     grads.w_fallback += g[fb].T @ cache.lidar[fb]

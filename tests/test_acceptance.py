@@ -640,7 +640,7 @@ def _cli_workspace(root, threads):
     t = str(threads)
     data = os.path.join(ws, "data")
     assert run_command(["synth", "--preset", "tiny", "--count", "2", "--seed", "0",
-                        "--threads", t, "--out", data]) == 0
+                        "--out", data]) == 0
     s0 = os.path.join(data, "sample_000")
     assert run_command(["preprocess", "--cloud", os.path.join(s0, "cloud.ocfp"), "--seed", "0",
                         "--out", os.path.join(ws, "prep.json")]) == 0

@@ -200,7 +200,8 @@ def test_add_runs_equals_one_reduceat(seed, longest):
     expect[pv[starts]] += np.add.reduceat(weights[:, None] * rows, starts, axis=0)
     cuts = np.r_[0, np.sort(rng.choice(np.arange(1, len(pv)), 30, replace=False)), len(pv)]
     got = np.zeros((100, 3))
-    _add_runs(got, pv, weights, ((a, rows[a:b].copy()) for a, b in zip(cuts, cuts[1:])))
+    blocks = ((a, rows[a:b].copy()) for a, b in zip(cuts, cuts[1:]))
+    _add_runs(got, pv, weights, np.arange(len(pv)), blocks)
     np.testing.assert_array_equal(got, expect)
 
 
