@@ -192,21 +192,24 @@ def bilinear_corners(shape, pixels: np.ndarray, slopes: bool = False):
     (-gx, -fx, gx, fx) in y where ``in_y``, and 0 off the map (clamp subgradient).
     """
     h, w = shape
-    x = np.clip(pixels[..., 0], 0.0, w - 1.0)
-    y = np.clip(pixels[..., 1], 0.0, h - 1.0)
+    x, y = np.maximum(0.0, pixels[..., 0]), np.maximum(0.0, pixels[..., 1])  # np.clip's bits
+    np.minimum(x, w - 1.0, out=x)
+    np.minimum(y, h - 1.0, out=y)
     # x, y >= 0, so the integer cast floors
-    x0 = np.minimum(x.astype(np.int64), max(w - 2, 0))
-    y0 = np.minimum(y.astype(np.int64), max(h - 2, 0))
+    x0, y0 = x.astype(np.int64), y.astype(np.int64)
+    np.minimum(x0, max(w - 2, 0), out=x0)
+    np.minimum(y0, max(h - 2, 0), out=y0)
     fx, fy = np.subtract(x, x0, out=x), np.subtract(y, y0, out=y)
     gx, gy = 1 - fx, 1 - fy
     wts = np.empty(x.shape + (4,))
     for j, (a, b) in enumerate([(gx, gy), (fx, gy), (gx, fy), (fx, fy)]):
         np.multiply(a, b, out=wts[..., j])
+    idx = np.add(np.multiply(y0, w, out=y0), x0, out=y0)  # y0 * w + x0
     if not slopes:
-        return y0 * w + x0, wts
+        return idx, wts
     in_x = (pixels[..., 0] >= 0.0) & (pixels[..., 0] <= w - 1.0)
     in_y = (pixels[..., 1] >= 0.0) & (pixels[..., 1] <= h - 1.0)
-    return y0 * w + x0, wts, (fx, fy, gx, gy, in_x, in_y)
+    return idx, wts, (fx, fy, gx, gy, in_x, in_y)
 
 
 def look_at_extrinsics(eye, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:

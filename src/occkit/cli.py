@@ -337,7 +337,7 @@ def run_command(argv) -> int:
         # the finiteness checks report as one NumericalError line.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, MemoryError) as exc:  # MemoryError: a grid too large to hold
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

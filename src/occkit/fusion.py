@@ -22,7 +22,8 @@ from .cameras import FeatureMapSet, ProjectedReference, bilinear_corners, corner
 from .objectives import slice_sum, softmax
 from .pool import map_samples, pool_size
 
-_BLOCK = 1024  # query rows per attention block; its (block, m, k, 4) temporaries stay in cache
+_BLOCK = 1024  # rows per backward block and per generator product; temporaries stay in cache
+_FWD_BLOCK = 2 * _BLOCK  # rows per forward block: fewer, larger NumPy calls per row
 _GATHER = 128  # rows per corner-patch gather within a block; each gather is (rows, m, k, 4C)
 
 
@@ -70,19 +71,27 @@ class AttentionParams:
         }
 
 
-def _sampling(q: np.ndarray, pix: np.ndarray, shape, params: AttentionParams, slopes=False):
-    """Softmax attention (n, m, k) and the bilinear corners of every sample.
+def _sampling(q, pix, blk: slice, shape, params: AttentionParams, slopes=False):
+    """Softmax attention (n, m, k) and the bilinear corners of every sample
+    of rows ``blk`` of ``q`` (n, C+3) and ``pix`` (n, 2), arrays or ``Rows``.
 
-    Offsets and logits come from one matmul with the stacked generators;
-    the corners are ``bilinear_corners`` of the offset sampling locations.
+    Offsets and logits come from the stacked generators' product, taken
+    ``_BLOCK`` rows at a time, so no row's bits depend on ``blk``'s size.
+    The corners are ``bilinear_corners`` of the offset sampling locations.
     Head ``i``'s rows of ``_head_tables`` are ``idx + i * h * w``.
     """
     m, k = params.n_heads, params.n_keys
-    gen = q @ np.concatenate([params.offset_gen, params.weight_gen]).T
+    gens = np.concatenate([params.offset_gen, params.weight_gen]).T
+    start, stop, _ = blk.indices(len(q))
+    gen = np.empty((stop - start, gens.shape[1]))
     # The offsets become the sampling locations in place, and the logits are
-    # copied out contiguous: NumPy loops over short strided rows slowly.
+    # copied out contiguous: NumPy loops over short strided rows slowly. A
+    # part's query and pixel rows die once its product is taken.
+    for s in range(start, stop, _BLOCK):
+        part, out = slice(s, min(s + _BLOCK, stop)), gen[s - start :][:_BLOCK]
+        np.matmul(q[part], gens, out=out)
+        out[:, : m * k * 2] += np.tile(pix[part], m * k)
     loc = gen[:, : m * k * 2]
-    loc += np.tile(pix, m * k)
     attn = softmax(np.ascontiguousarray(gen[:, m * k * 2 :]).reshape(-1, m, k), axis=2)
     return (attn, *bilinear_corners(shape, loc.reshape(-1, m, k, 2), slopes))
 
@@ -110,7 +119,7 @@ def _head_tables(data: np.ndarray, params: AttentionParams, table: np.ndarray) -
 
 def _attn_blocks(q, pix, data: np.ndarray, params: AttentionParams, space=None):
     """Batched deformable attention over one feature map, a row block at a
-    time: yields (first row, out (b, C)) for each block of ``_BLOCK`` rows.
+    time: yields (first row, out (b, C)) for each block of ``_FWD_BLOCK`` rows.
 
     ``q`` (n, C+3) and ``pix`` (n, 2) are arrays or ``Rows``.
     Bilinear sampling is linear, so both head projections are applied once
@@ -121,19 +130,19 @@ def _attn_blocks(q, pix, data: np.ndarray, params: AttentionParams, space=None):
     h, w, c = data.shape
     table, buf = space or _workspace(data, params)
     _head_tables(data, params, table)
-    for s in range(0, len(q), _BLOCK):
-        blk = slice(s, s + _BLOCK)
-        yield s, _forward_block(q[blk], pix[blk], table, (h, w), params, buf)
+    for s in range(0, len(q), _FWD_BLOCK):
+        blk = slice(s, s + _FWD_BLOCK)
+        yield s, _forward_block(q, pix, blk, table, (h, w), params, buf)
 
 
-def _forward_block(qb, pixb, table, shape, params: AttentionParams, buf) -> np.ndarray:
-    """One row block of ``_attn_blocks``. Its temporaries die with the
+def _forward_block(q, pix, blk, table, shape, params: AttentionParams, buf) -> np.ndarray:
+    """Rows ``blk`` of ``_attn_blocks``. Its temporaries die with the
     call, before the next block makes its own."""
-    attn, idx, wts = _sampling(qb, pixb, shape, params)
+    attn, idx, wts = _sampling(q, pix, blk, shape, params)
     idx += np.arange(params.n_heads)[:, None] * (shape[0] * shape[1])  # head i's rows
     wts *= attn[..., None]  # each corner's attention-weighted share
-    out = np.empty((len(qb), params.channels))
-    for sub in _gathers(len(qb)):
+    out = np.empty((len(attn), params.channels))
+    for sub in _gathers(len(attn)):
         np.einsum("nikj,nikjc->nc", wts[sub], _patches(table, idx[sub], buf), out=out[sub])
     return out
 
@@ -149,19 +158,21 @@ def _add_runs(accum: np.ndarray, pv, weights, points, blocks) -> None:
     ``blocks`` yields in order; ``pv`` and ``weights`` are per-point and read
     a block at a time. Each run is summed by one ``reduceat`` once all its
     rows are in, so the sums do not depend on where the blocks split the
-    rows."""
-    held, held_pv = np.empty((0, accum.shape[1])), np.empty(0, dtype=np.int64)  # the open run
+    rows. Only the open run's rows are carried from block to block."""
+    held, last = np.empty((0, accum.shape[1])), -1  # the open run's rows and voxel
     for s, ob in blocks:
         r = points[s : s + len(ob)]
         ob *= weights[r][:, None]
-        rows, v = np.concatenate([held, ob]), np.concatenate([held_pv, pv[r]])
-        starts = np.flatnonzero(np.concatenate([[True], v[1:] != v[:-1]]))
-        cut = starts[-1]  # the last run may go on in the next block
-        if cut:
-            accum[v[starts[:-1]]] += np.add.reduceat(rows[:cut], starts[:-1], axis=0)
-        held, held_pv = rows[cut:], v[cut:]
+        v = pv[r]
+        starts = np.flatnonzero(np.concatenate([[v[0] != last], v[1:] != v[:-1]]))
+        if len(starts) and len(held):  # the open run ends at the first start
+            accum[last] += np.add.reduceat(np.concatenate([held, ob[: starts[0]]]), [0], axis=0)[0]
+        if len(starts) > 1:
+            accum[v[starts[:-1]]] += np.add.reduceat(ob[: starts[-1]], starts[:-1], axis=0)
+        held = ob[starts[-1] :].copy() if len(starts) else np.concatenate([held, ob])
+        last = v[-1]
     if len(held):
-        accum[held_pv[:1]] += np.add.reduceat(held, [0], axis=0)
+        accum[last] += np.add.reduceat(held, [0], axis=0)[0]
 
 
 def _patches(table: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -193,7 +204,7 @@ def _backward_block(qb, gb, pixb, tables, shape, params: AttentionParams, buf, g
     """One row block of ``_attn_backward``; the gradient products span the
     whole block, and its temporaries die with the call."""
     raw_table, table = tables
-    attn, idx, wts, clamp = _sampling(qb, pixb, shape, params, slopes=True)
+    attn, idx, wts, clamp = _sampling(qb, pixb, slice(None), shape, params, slopes=True)
     fx, fy, gx, gy, in_x, in_y = clamp
     _projection_grads(gb, attn, idx, wts, raw_table, params, buf, grads)
     idx += np.arange(params.n_heads)[:, None] * (shape[0] * shape[1])  # head i's rows

@@ -53,14 +53,15 @@ class GridConfig:
         if self.stride < 1:
             raise ConfigError("stride must be a positive integer")
         cell = self.voxel_size * self.stride
-        dims = (hi - lo) / cell
+        with np.errstate(over="ignore"):  # an overflow to inf is rejected below, not warned of
+            dims = (hi - lo) / cell
+            fine = np.round((hi - lo) / self.voxel_size)  # the coarse count is never larger
         if not np.allclose(dims, np.round(dims), atol=1e-6):
             raise ConfigError(
                 "grid extent must be an integer multiple of voxel_size * stride"
             )
         if np.any(np.round(dims) < 1):
             raise ConfigError("coarse grid must have at least one voxel per axis")
-        fine = np.round((hi - lo) / self.voxel_size)  # the coarse count is never larger
         if not np.all(np.isfinite(fine)) or math.prod(map(int, fine)) > np.iinfo(np.intp).max:
             raise ConfigError("the fine grid has more voxels than NumPy can index")
 

@@ -3,6 +3,7 @@ holds the fixtures several test modules share."""
 
 import os
 import re
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,19 @@ import pytest
 def four_cpus(monkeypatch):
     """Let the pool use 4 threads on a machine with fewer CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while ``fn()`` runs. A first,
+    untraced call leaves out what only the first call allocates."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 _results = {}
 

@@ -395,6 +395,21 @@ def test_grid_numpy_cannot_index_exits_two(data_dir, tmp_path, capsys):
     assert not (tmp_path / "p.json").exists()
 
 
+def test_grid_no_machine_can_allocate_exits_two(data_dir, tmp_path, capsys):
+    # NumPy can index this grid's ~1e15 coarse voxels, but preprocess's
+    # dense volume of them needs 7.11 PiB, so the allocation fails at once.
+    cfg = read_json(data_dir / "config.json")
+    cfg["grid"]["max_corner"] = [2e4, 2e4, 2e4]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert run("preprocess", "--config", str(config),
+               "--cloud", str(data_dir / "sample_000" / "cloud.ocfp"),
+               "--out", str(tmp_path / "p.json")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate 7.11 PiB")
+    assert not (tmp_path / "p.json").exists()
+
+
 @pytest.mark.parametrize("command", ["fuse", "train"])
 @pytest.mark.parametrize("corrupt", MALFORMED_CONFIG.values(), ids=MALFORMED_CONFIG.keys())
 def test_malformed_config_exits_two(data_dir, tmp_path, capsys, command, corrupt):

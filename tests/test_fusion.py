@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from occkit.cameras import FeatureMap, FeatureMapSet, ProjectedReference
+from occkit import fusion
 from occkit.errors import ConfigError
 from occkit.fusion import (
     _BLOCK,
     AttentionParams,
+    Rows,
     _add_runs,
     _attn_backward,
     fusion_backward,
@@ -17,6 +19,7 @@ from occkit.fusion import (
 from occkit.grid import GridConfig, VoxelFeatureVolume, VoxelPoints
 from occkit.pipeline import FusionConfig, OccModel, PipelineConfig
 from oracles import attn_forward, bilinear, build_query, deform_attn
+from conftest import traced_peak
 
 C = 4
 
@@ -152,7 +155,9 @@ def test_deform_attn_linear_in_feature_map():
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (1, 6), (6, 1)])
-@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize(
+    "n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1, 2 * _BLOCK + 3]
+)
 def test_attn_blocks_match_single_rows(n, shape):
     """Row blocks change nothing: a batched call equals one call per query
     row, forward and backward, with offsets that leave the map.
@@ -185,6 +190,27 @@ def test_attn_blocks_match_single_rows(n, shape):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
 
 
+def test_forward_builds_query_rows_block_by_block(monkeypatch):
+    """A forward block builds its query rows, and takes their generator
+    product, ``_BLOCK`` rows at a time whatever ``_FWD_BLOCK`` is, so a
+    row's offsets and logits are the same bits on any BLAS."""
+    n = 3 * _BLOCK + 5
+    rng = np.random.default_rng(0)
+    built = []
+
+    def build(queries, r):
+        built.append((r[0], len(r)))
+        return queries[r]
+
+    q = Rows(build, (rng.normal(size=(n, C + 3)),), np.arange(n))
+    pix = rng.uniform(0.0, 4.0, size=(n, 2))
+    for rows in (_BLOCK, 2 * _BLOCK, 3 * _BLOCK):
+        monkeypatch.setattr(fusion, "_FWD_BLOCK", rows)
+        built.clear()
+        attn_forward(q, pix, rng.normal(size=(5, 7, C)), random_params(0))
+        assert built == [(s, min(_BLOCK, n - s)) for s in range(0, n, _BLOCK)]
+
+
 @pytest.mark.parametrize("seed,longest", [(0, 40), (1, 40), (2, 3000)])
 def test_add_runs_equals_one_reduceat(seed, longest):
     """Summing each voxel's run as blocks arrive gives the bits of one
@@ -203,6 +229,18 @@ def test_add_runs_equals_one_reduceat(seed, longest):
     blocks = ((a, rows[a:b].copy()) for a, b in zip(cuts, cuts[1:]))
     _add_runs(got, pv, weights, np.arange(len(pv)), blocks)
     np.testing.assert_array_equal(got, expect)
+
+
+def test_add_runs_carries_only_the_open_run():
+    """Finished runs are reduced straight from their block: ``_add_runs``
+    never copies a whole block, so its peak stays well under one block."""
+    rng = np.random.default_rng(0)
+    pv = np.repeat(np.arange(1000), 30)  # runs of 30 rows, some across blocks
+    weights, points = rng.uniform(size=len(pv)), np.arange(len(pv))
+    blocks = [(s, rng.normal(size=(2000, 16))) for s in range(0, len(pv), 2000)]
+    accum = np.zeros((1000, 16))
+    peak = traced_peak(lambda: _add_runs(accum, pv, weights, points, iter(blocks)))
+    assert peak < blocks[0][1].nbytes / 2
 
 
 def _fusion_case(seed, n_vox=3, pts_per_vox=4, n_cam=2, vis_prob=0.8):

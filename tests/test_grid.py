@@ -57,9 +57,11 @@ def test_grid_config_rejects_non_finite_voxel_size(voxel_size):
 @pytest.mark.parametrize("corners", [
     ((-0.8, -0.8, -0.4), (1e6, 1e6, 1e6)),
     ((-1e308, -0.8, -0.4), (1e308, 0.8, 1.2)),
-], ids=["count_past_intp", "extent_overflows"])
+    ((0.0, 0.0, 0.0), (1.5e308, 0.8, 1.2)),
+], ids=["count_past_intp", "extent_overflows", "count_overflows"])
 def test_grid_config_rejects_fine_count_numpy_cannot_index(corners):
-    with np.errstate(over="ignore"):  # the second extent overflows to inf
+    with warnings.catch_warnings():  # an overflow on the way is no warning
+        warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="more voxels than NumPy can index"):
             GridConfig(min_corner=corners[0], max_corner=corners[1], voxel_size=0.1, stride=2)
 

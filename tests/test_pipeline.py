@@ -1,12 +1,12 @@
 import dataclasses
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from occkit.cli import run_command
 from occkit.errors import ConfigError
+from occkit import fusion
 from occkit.fusion import occ_fuse
 from occkit.pipeline import (
     OccModel,
@@ -20,6 +20,7 @@ from occkit.pipeline import (
 )
 from occkit.pointprep import PreprocessConfig
 from occkit.scenes import preset
+from conftest import traced_peak
 
 # sha256 of the front-half arrays of the tiny preset at seed 0. Any change to
 # binning, preprocessing (including the per-voxel random streams), encoding or
@@ -184,52 +185,62 @@ def test_sample_peak_memory(fn, limit_mib):
     # Two samples are in flight at once when training runs on two threads,
     # so a sample's transient arrays are kept small: the corner patches are
     # gathered a few rows at a time and no (P, C+3) query array is built.
+    # A forward block of 2048 rows holds ~1.8 MiB of temporaries, a
+    # backward block of 1024 rows a little more. Measured on tiny seed 0:
+    # 3.9 MiB for the gradients and 3.7 MiB for the loss.
     cfg = PipelineConfig.for_preset("tiny", seed=0)
     sample = prepare_sample(preset("tiny", seed=0), cfg)
     model = OccModel.create(cfg)
-    fn(model, sample, cfg)
-    tracemalloc.start()
-    try:
-        fn(model, sample, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= limit_mib * 2**20
+    assert traced_peak(lambda: fn(model, sample, cfg)) <= limit_mib * 2**20
+
+
+def _fusion_case(name):
+    """``name`` seed 0's sample, config and attention, with samples off the
+    reference points and keys of unequal weight."""
+    cfg = PipelineConfig.for_preset(name, seed=0)
+    s = prepare_sample(preset(name, seed=0), cfg)
+    attention = OccModel.create(cfg).attention
+    rng = np.random.default_rng(0)
+    for t in (attention.offset_gen, attention.weight_gen):
+        t[...] = rng.normal(scale=0.5, size=t.shape)
+    return s, cfg, attention
+
+
+def _fuse_bytes(case, threads):
+    """The bytes of ``occ_fuse``'s fused data and cache arrays on a ``_fusion_case``."""
+    s, cfg, attention = case
+    fused, cache = occ_fuse(s.lidar_volume, s.maps, s.refs, s.proj, attention, cfg.grid, threads)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in [fused.data, *_arrays(cache)]]
 
 
 @pytest.mark.parametrize("name", ["tiny", "small"])
 def test_fusion_is_byte_equal_at_any_thread_count(name, four_cpus):
-    cfg = PipelineConfig.for_preset(name, seed=0)
-    s = prepare_sample(preset(name, seed=0), cfg)
-    attention = OccModel.create(cfg).attention
-    rng = np.random.default_rng(0)  # samples off the reference points, keys of unequal weight
-    for t in (attention.offset_gen, attention.weight_gen):
-        t[...] = rng.normal(scale=0.5, size=t.shape)
-    runs = []
-    for threads in (1, 2, 4):
-        fused, cache = occ_fuse(
-            s.lidar_volume, s.maps, s.refs, s.proj, attention, cfg.grid, threads
-        )
-        arrays = [fused.data, *_arrays(cache)]
-        runs.append([(a.dtype.str, a.shape, a.tobytes()) for a in arrays])
+    case = _fusion_case(name)
+    runs = [_fuse_bytes(case, threads) for threads in (1, 2, 4)]
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("name", ["tiny", "small"])
+def test_forward_block_size_changes_no_byte(name, four_cpus, monkeypatch):
+    case, runs = _fusion_case(name), []
+    for rows in (fusion._BLOCK, 2 * fusion._BLOCK, 3 * fusion._BLOCK):
+        monkeypatch.setattr(fusion, "_FWD_BLOCK", rows)
+        runs += [_fuse_bytes(case, threads) for threads in (1, 2)]
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def test_fusion_peak_memory_on_two_threads(four_cpus):
     # Two cameras are in flight at once on two threads, each with its
     # workspace (1.2 MiB head table and 0.5 MiB patch buffer at small) and
-    # block temporaries (~1.1 MiB), and one 0.5 MiB partial besides the
-    # running sum. Measured on small seed 0: 11.5 MiB, where one thread
-    # peaks at 7.4 MiB and the same sample's decode at 12.1 MiB. The budget
-    # is 20 % over the measurement.
+    # the temporaries of a 2048-row forward block (~1.8 MiB, its output
+    # included), and one 0.5 MiB partial besides the running sum. Measured
+    # on small seed 0: 12.7 MiB, where one thread peaks at 8.0 MiB and the
+    # same sample's decode at 12.1 MiB. The budget is 9 % over the
+    # measurement.
     cfg = PipelineConfig.for_preset("small", seed=0)
     s = prepare_sample(preset("small", seed=0), cfg)
     attention = OccModel.create(cfg).attention
-    occ_fuse(s.lidar_volume, s.maps, s.refs, s.proj, attention, cfg.grid, 2)
-    tracemalloc.start()
-    try:
-        occ_fuse(s.lidar_volume, s.maps, s.refs, s.proj, attention, cfg.grid, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(
+        lambda: occ_fuse(s.lidar_volume, s.maps, s.refs, s.proj, attention, cfg.grid, 2)
+    )
     assert peak <= 13.8 * 2**20
