@@ -188,15 +188,11 @@ def iou_miou(pred: OccupancyGrid, gt: OccupancyGrid):
     union = int((occ_p | occ_g).sum())
     inter = int((occ_p & occ_g).sum())
     iou = inter / union if union else 1.0
-    classes = sorted(set(np.unique(p)) | set(np.unique(g)) - {0})
-    classes = [int(c) for c in classes if c != 0]
+    classes = [int(c) for c in np.union1d(p, g) if c != 0]
     per_class = {}
     for c in classes:
         pc = p == c
         gc = g == c
-        u = int((pc | gc).sum())
-        if u == 0:
-            continue
-        per_class[c] = int((pc & gc).sum()) / u
+        per_class[c] = int((pc & gc).sum()) / int((pc | gc).sum())
     miou = float(np.mean(list(per_class.values()))) if per_class else 1.0
     return float(iou), miou, per_class

@@ -5,9 +5,10 @@ reduces them in a fixed order whatever the thread count."""
 
 from __future__ import annotations
 
+import functools
 import os
-import queue
 import threading
+from concurrent import futures
 
 import numpy as np
 
@@ -27,18 +28,18 @@ def pool_size(n_items: int, threads: int | None) -> int:
     return max(1, min(n_items, cpus, threads or cpus))
 
 
-# Helper threads of ``map_samples``: started when a call first needs them and
-# kept, since each thread's allocations stay in its own malloc arena, and a
-# new thread per call can take a fresh arena before the last one's is free.
-_helpers = []
-_jobs = queue.SimpleQueue()
-_helpers_lock = threading.Lock()
+# Helper threads of ``map_samples``, one executor per helper count, made when
+# a call first needs it and kept, since each thread's allocations stay in its
+# own malloc arena, and a new thread per call can take a fresh arena before
+# the last one's is free. An executor counts a thread idle only after its
+# share's future is done, so a call right after another may start a thread
+# more: sizing each executor to its helper count caps them.
+@functools.cache
+def _executor(n_helpers: int) -> futures.ThreadPoolExecutor:
+    return futures.ThreadPoolExecutor(n_helpers, thread_name_prefix="occkit-pool")
+
+
 _running = threading.local()  # .item: this thread is inside a map_samples item
-
-
-def _helper():
-    while True:
-        _jobs.get()()
 
 
 def map_samples(fn, items, threads: int | None) -> list:
@@ -80,28 +81,16 @@ def map_samples(fn, items, threads: int | None) -> list:
         finally:
             _running.item = outer
 
-    finished = threading.Semaphore(0)
-
-    def helper_share():
-        try:
-            work()
-        finally:
-            finished.release()
-
-    with _helpers_lock:
-        while len(_helpers) < n_helpers:
-            _helpers.append(threading.Thread(target=_helper, name="occkit-pool", daemon=True))
-            _helpers[-1].start()
-    for _ in range(n_helpers):
-        _jobs.put(helper_share)
+    shares = [_executor(n_helpers).submit(work) for _ in range(n_helpers)]
     try:
-        work()
+        work()  # the caller takes items too, so their transients stay in its arena
     finally:
         with lock:  # unclaimed items stay unrun if the caller's share was interrupted
             for _ in claim:
                 pass
-        for _ in range(n_helpers):
-            finished.acquire()
+        futures.wait(shares)
+    for share in shares:
+        share.result()  # re-raises a BaseException that ended a helper's share
     for value, exc in results:
         if exc is not None:
             raise exc

@@ -266,6 +266,30 @@ def test_pool_runs_a_nested_pool_of_one_thread_inline(four_cpus):
         assert inner == [(thread, x * y) for y in (1, 2, 3)]
 
 
+def test_pool_starts_its_helpers_once_and_keeps_them(four_cpus):
+    # A thread's allocations stay in its own malloc arena, so a thread per call
+    # could take a fresh arena each time.
+    def record(x):
+        time.sleep(0.005)
+        return threading.current_thread()
+
+    ran = set()
+    for _ in range(20):
+        ran.update(map_samples(record, list(range(8)), 4))
+    helpers = ran - {threading.current_thread()}
+    assert 0 < len(helpers) <= 3
+    assert all(t.is_alive() and t.name.startswith("occkit-pool") for t in helpers)
+
+
+def test_pool_caller_takes_items(four_cpus):
+    # The caller's items leave their transients in its arena, not a helper's.
+    def record(x):
+        time.sleep(0.01)
+        return threading.get_ident()
+
+    assert threading.get_ident() in map_samples(record, list(range(4)), 2)
+
+
 def test_pool_keeps_item_order_under_contention(monkeypatch):
     # More threads than CPUs, switching every microsecond: each item must run
     # exactly once and land at its own index.
