@@ -19,7 +19,6 @@ from .errors import ConfigError, DataError, NumericalError, OcckitError
 from . import grid as gridmod
 from . import jsonio, pointprep, scenes
 from .decoder import decode
-from .fusion import occ_fuse
 from .pipeline import (
     OccModel,
     PipelineConfig,
@@ -160,10 +159,7 @@ def _cmd_preprocess(args):
 def _cmd_fuse(args):
     model, cfg = _model_for(args)
     sample = _load_sample(args.sample, cfg)
-    fused, _ = occ_fuse(
-        sample.lidar_volume, sample.maps, sample.refs, sample.proj,
-        model.attention, cfg.grid, args.threads,
-    )
+    fused, _, _ = forward_coarse(model, sample, cfg, args.threads)
     os.makedirs(args.out, exist_ok=True)
     report = FusedReport(dims=fused.dims, channels=fused.channels, blob="fused.f64")
     with open(os.path.join(args.out, report.blob), "wb") as fh:
@@ -266,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_at_least_one, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 

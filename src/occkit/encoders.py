@@ -25,19 +25,15 @@ class EncoderParams:
     pixel_embed: np.ndarray  # (C, 3): rgb
 
     def __post_init__(self):
-        self.point_embed = np.asarray(self.point_embed, dtype=np.float64)
-        self.voxel_mix = np.asarray(self.voxel_mix, dtype=np.float64)
-        self.pixel_embed = np.asarray(self.pixel_embed, dtype=np.float64)
         c = self.channels
-        if self.point_embed.shape != (c, 4):
-            raise ConfigError("point_embed must be (channels, 4)")
-        if self.voxel_mix.shape != (c, c):
-            raise ConfigError("voxel_mix must be (channels, channels)")
-        if self.pixel_embed.shape != (c, 3):
-            raise ConfigError("pixel_embed must be (channels, 3)")
-        for a in (self.point_embed, self.voxel_mix, self.pixel_embed):
-            if not np.all(np.isfinite(a)):
-                raise ConfigError("encoder parameters must be finite")
+        shapes = {"point_embed": (c, 4), "voxel_mix": (c, c), "pixel_embed": (c, 3)}
+        for name, shape in shapes.items():
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            setattr(self, name, arr)
+            if arr.shape != shape:
+                raise ConfigError(f"{name} must have shape {shape}, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ConfigError(f"{name} must be finite")
 
     @classmethod
     def create(cls, channels: int, seed: int = 0):

@@ -9,7 +9,6 @@ points later projected onto the camera images.
 from __future__ import annotations
 
 import csv
-import itertools
 import struct
 from dataclasses import dataclass
 
@@ -58,47 +57,30 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _uint32_words(x: int) -> list:
-    """``x >= 0`` as little-endian 32-bit words, as SeedSequence splits it."""
-    words = [x & _M32]
-    while x > _M32:
-        x >>= 32
-        words.append(x & _M32)
-    return words
-
-
 def voxel_uniforms(seed: int, keys, count: int):
-    """Yield, ``count`` times, the (V,) vector of every voxel's next draw.
+    """Return an iterator yielding, ``count`` times, every voxel's next draw.
 
     Draw ``k`` of voxel ``v`` is ``voxel_rng(seed, keys[v]).random(count)[k]``
     bit for bit, made for all voxels at once: the SeedSequence pool mix runs
     on uint32 vectors, PCG64 is seeded from the pool and stepped in uint64
-    limbs, and each 64-bit output x becomes ``(x >> 11) * 2**-53``.
+    limbs, and each 64-bit output x becomes ``(x >> 11) * 2**-53``. Every key
+    coordinate must lie in ``[0, 2**32)``, so that it is one entropy word.
     """
     keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
-    pool = [np.empty(len(keys), dtype=np.uint32) for _ in range(4)]
-    # A coordinate of 2**32 or more is two entropy words, so the keys are
-    # mixed in batches of one word layout each.
-    wide = keys > _M32
-    for layout in itertools.product((False, True), repeat=3):
-        batch = (wide == layout).all(axis=1)
-        if not batch.any():
-            continue
-        words = [np.full(batch.sum(), w, dtype=np.uint32)
-                 for w in _uint32_words(seed & 0xFFFFFFFFFFFFFFFF)]
-        for j, two in enumerate(layout):
-            col = keys[batch, j]
-            words.append((col & _M32).astype(np.uint32))
-            if two:
-                words.append((col >> 32).astype(np.uint32))
-        for dst, mixed in zip(pool, _seed_pool(words)):
-            dst[batch] = mixed
-    yield from _pcg64_doubles(pool, count)
+    if np.any((keys < 0) | (keys > _M32)):
+        raise ConfigError("voxel key coordinates must lie in [0, 2**32)")
+    # SeedSequence splits the seed into its low word, then its high word if
+    # that is nonzero.
+    seed &= 0xFFFFFFFFFFFFFFFF
+    seed_words = [seed & _M32] + ([seed >> 32] if seed >> 32 else [])
+    words = [np.full(len(keys), w, dtype=np.uint32) for w in seed_words]
+    words += list(keys.T.astype(np.uint32))
+    return _pcg64_doubles(_seed_pool(words), count)
 
 
 def _seed_pool(entropy: list) -> list:
-    """SeedSequence's 4-word pool from per-voxel uint32 entropy words (at
-    least 4 of them: the seed's, then one or two per key coordinate)."""
+    """SeedSequence's 4-word pool from per-voxel uint32 entropy words: four
+    or five of them, the seed's one or two, then one per key coordinate."""
     const = _HASH_A
 
     def hashmix(v):

@@ -185,6 +185,32 @@ def test_train_threads_below_one_exits_one(data_dir, tmp_path, capsys, threads):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_synth_count_below_one_exits_one(tmp_path, capsys, count):
+    assert run("synth", "--count", count, "--out", str(tmp_path / "d")) == 1
+    assert f"--count: must be at least 1, not {count}" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("with_ckpt", [False, True], ids=["fresh", "ckpt"])
+def test_predict_delta_sets_the_refined_share(data_dir, tmp_path, with_ckpt):
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(ckpt, OccModel.create(cfg), cfg)
+    source = ["--ckpt", str(ckpt)] if with_ckpt else ["--preset", "tiny"]
+
+    def selected_of_candidates(delta):
+        out = tmp_path / delta
+        assert run("predict", *source, "--sample", str(data_dir / "sample_000"),
+                   "--delta", delta, "--out", str(out)) == 0
+        rep = read_json(out / "opcount.json")
+        return rep["selected_voxels"], rep["candidate_voxels"]
+
+    selected, candidates = selected_of_candidates("1.0")
+    assert candidates > 0 and selected == candidates
+    assert selected_of_candidates("0")[0] == 0
+
+
 def test_fuse_blob_shape(data_dir, tmp_path):
     out = tmp_path / "fused"
     assert run("fuse", "--preset", "tiny", "--seed", "0",
@@ -246,6 +272,15 @@ def test_train_flags_override_only_when_given(data_dir, tmp_path):
     saved = read_json(tmp_path / "b" / "checkpoint.json")["config"]["training"]
     assert saved == dict(training, epochs=1)
     assert len(read_json(tmp_path / "b" / "history.json")) == 1
+
+
+def test_train_without_samples_exits_two(data_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(data_dir / "config.json", data / "config.json")
+    assert run("train", "--data", str(data), "--out", str(tmp_path / "t")) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {data}: no sample_* directories"]
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("command", ["fuse", "predict", "bench"])
@@ -543,6 +578,21 @@ def test_bad_occg_header_exits_two(data_dir, tmp_path, capsys, corrupt):
     assert run("train", "--data", str(data), "--epochs", "1", "--out", str(tmp_path / "t")) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 3 and all(line.startswith("error: ") and "OCCG" in line for line in err)
+
+
+def test_unsupported_format_version_exits_two(data_dir, tmp_path, capsys):
+    # OCCG and OCFP both store their version as a uint32 after the 4-byte magic.
+    sample = data_dir / "sample_000"
+    occg, cloud = tmp_path / "v2.occg", tmp_path / "v2.ocfp"
+    occg.write_bytes(_patch_occg((sample / "gt.occg").read_bytes(), 4, "<I", 2))
+    cloud.write_bytes(_patch_occg((sample / "cloud.ocfp").read_bytes(), 4, "<I", 2))
+    assert run("eval", "--pred", str(occg), "--gt", str(sample / "gt.occg"),
+               "--out", str(tmp_path / "e.json")) == 2
+    assert run("preprocess", "--cloud", str(cloud), "--out", str(tmp_path / "p.json")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {occg}: unsupported OCCG version 2",
+        f"error: {cloud}: unsupported OCFP version 2",
+    ]
 
 
 def test_label_out_of_range_exits_two(data_dir, tmp_path, capsys):

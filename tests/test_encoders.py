@@ -23,14 +23,18 @@ def grid():
     return GridConfig(min_corner=(0, 0, 0), max_corner=(2, 2, 2), voxel_size=1.0)
 
 
-def test_params_validation():
-    with pytest.raises(ConfigError):
-        EncoderParams(
-            channels=4,
-            point_embed=np.zeros((4, 3)),
-            voxel_mix=np.zeros((4, 4)),
-            pixel_embed=np.zeros((4, 3)),
-        )
+@pytest.mark.parametrize("name, value, match", [
+    ("point_embed", np.zeros((4, 3)), r"point_embed must have shape \(4, 4\)"),
+    ("voxel_mix", np.zeros((4, 3)), r"voxel_mix must have shape \(4, 4\)"),
+    ("pixel_embed", np.zeros((3, 3)), r"pixel_embed must have shape \(4, 3\)"),
+    ("voxel_mix", np.diag([1.0, np.nan, 1.0, 1.0]), "voxel_mix must be finite"),
+], ids=["point_embed_shape", "voxel_mix_shape", "pixel_embed_shape", "non_finite"])
+def test_params_validation(name, value, match):
+    arrays = dict(point_embed=np.zeros((4, 4)), voxel_mix=np.zeros((4, 4)),
+                  pixel_embed=np.zeros((4, 3)))
+    EncoderParams(channels=4, **arrays)
+    with pytest.raises(ConfigError, match=match):
+        EncoderParams(channels=4, **dict(arrays, **{name: value}))
 
 
 def test_create_deterministic():

@@ -122,16 +122,23 @@ def test_fps_greedy_certificate():
 
 @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**64 - 1, -1])
 def test_voxel_uniforms_match_voxel_rng(seed):
-    # (15, 15, 15) is the largest small-preset key; a coordinate of 2**32 or
-    # more takes two entropy words.
+    # (15, 15, 15) is the largest small-preset key; 2**32 - 1 is the largest
+    # coordinate that is one entropy word.
     keys = np.array([
-        [0, 0, 0], [15, 15, 15], [1, 0, 0], [0, 0, 1], [3, 9, 4],
-        [2**32 + 3, 1, 0], [5, 2**40, 2**33 - 1], [0, 2**32, 0],
+        [0, 0, 0], [15, 15, 15], [1, 0, 0], [0, 0, 1], [3, 9, 4], [2**32 - 1, 0, 0],
     ])
     n = 7
     draws = np.stack(list(voxel_uniforms(seed, keys, 3 * n)), axis=1)
     for key, row in zip(keys, draws):
         np.testing.assert_array_equal(row.reshape(n, 3), voxel_rng(seed, key).random((n, 3)))
+
+
+@pytest.mark.parametrize(
+    "key", [[2**32 + 3, 1, 0], [5, 2**40, 2**33 - 1], [0, 2**32, 0], [0, -1, 0]]
+)
+def test_voxel_uniforms_reject_keys_beyond_one_word(key):
+    with pytest.raises(ConfigError, match=r"\[0, 2\*\*32\)"):
+        voxel_uniforms(0, [[0, 0, 0], key], 3)
 
 
 def test_fps_segments_match_scalar_oracles():
