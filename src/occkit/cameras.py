@@ -148,15 +148,17 @@ def project_all(refs: VoxelPoints, rig, feat_sizes) -> ProjectedReference:
     ``feat_sizes`` lists the (width, height) of each camera's feature map.
     Each camera walks the points in chunks of ``_PROJECT_ROWS``, written
     straight into the arrays allocated here, so the temporaries stay a
-    chunk's. Every point's bits are the same at any chunk size.
+    chunk's. Every point's bits are the same at any chunk of at least two
+    rows. NumPy sends a one-row matmul to another BLAS path, whose last bits
+    can differ, so a one-row remainder joins the last chunk.
     """
     pts = refs.positions
     valid = np.empty((len(rig), len(pts)), dtype=bool)
     pixels = np.empty((len(rig), len(pts), 2))
+    stops = [*range(_PROJECT_ROWS, len(pts) - 1, _PROJECT_ROWS), len(pts)]
     for c, (cam, fs) in enumerate(zip(rig, feat_sizes)):
-        for s in range(0, len(pts), _PROJECT_ROWS):
-            r = slice(s, s + _PROJECT_ROWS)
-            project_batch(pts[r], cam, fs, out=(valid[c, r], pixels[c, r]))
+        for s, e in zip([0, *stops], stops):
+            project_batch(pts[s:e], cam, fs, out=(valid[c, s:e], pixels[c, s:e]))
     return ProjectedReference(
         cam_ids=[cam.cam_id for cam in rig],
         valid=valid,

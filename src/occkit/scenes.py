@@ -65,6 +65,19 @@ def _box_rotation(box: Box) -> np.ndarray:
     return np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def _box_rows(points: np.ndarray, box: Box) -> np.ndarray:
+    """Box-frame coordinates of (n, 3) world points, as (3, n) rows.
+
+    NumPy loops over a 3-wide axis one short row at a time, so the center is
+    subtracted a column at a time and callers work along the rows. The
+    matmul takes the whole array: a one-row product goes down another BLAS
+    path, whose last bits can differ."""
+    rel = np.empty(points.shape)
+    for i, c in enumerate(box.center):
+        np.subtract(points[:, i], c, out=rel[:, i])
+    return (rel @ _box_rotation(box).T).T.copy()
+
+
 def rasterize_gt(spec: SceneSpec) -> OccupancyGrid:
     """Label each fine voxel by the last-listed box containing its center."""
     nx, ny, nz = spec.grid.fine_dims
@@ -76,10 +89,8 @@ def rasterize_gt(spec: SceneSpec) -> OccupancyGrid:
     ) * spec.grid.voxel_size
     labels = np.zeros(nx * ny * nz, dtype=np.uint8)
     for box in spec.objects:  # later boxes overwrite earlier ones
-        local = (centers - np.asarray(box.center)) @ _box_rotation(box).T
-        half = np.asarray(box.size) / 2.0
-        inside = np.all(np.abs(local) <= half, axis=1)
-        labels[inside] = box.class_id
+        within = np.abs(_box_rows(centers, box)) <= np.asarray(box.size)[:, None] / 2.0
+        labels[within[0] & within[1] & within[2]] = box.class_id
     grid3 = labels.reshape(nx, ny, nz).transpose(2, 1, 0)
     return OccupancyGrid(
         labels=grid3, voxel_size=spec.grid.voxel_size, min_corner=spec.grid.min_corner
@@ -87,22 +98,26 @@ def rasterize_gt(spec: SceneSpec) -> OccupancyGrid:
 
 
 def _ray_box_hits(origins: np.ndarray, dirs: np.ndarray, box: Box):
-    """Slab-test ray/box intersection; returns (hit mask, entry distance)."""
-    rot = _box_rotation(box)
-    o = (origins - np.asarray(box.center)) @ rot.T
-    d = dirs @ rot.T
-    half = np.asarray(box.size) / 2.0
+    """Slab-test ray/box intersection; returns (hit mask, entry distance).
+
+    The per-axis max, min and or are exact chains over ``_box_rows``' rows.
+    Both matmuls take the whole ray array, origins included (see there).
+    """
+    o = _box_rows(origins, box)
+    d = (dirs @ _box_rotation(box).T).T.copy()
+    half = np.asarray(box.size)[:, None] / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (-half - o) / d
         t2 = (half - o) / d
-    t_near = np.where(np.abs(d) > 1e-15, np.minimum(t1, t2), -np.inf)
-    t_far = np.where(np.abs(d) > 1e-15, np.maximum(t1, t2), np.inf)
+    ad = np.abs(d)
+    t_near = np.where(ad > 1e-15, np.minimum(t1, t2), -np.inf)
+    t_far = np.where(ad > 1e-15, np.maximum(t1, t2), np.inf)
     # Rays parallel to a slab miss unless the origin lies inside it.
-    inside_slab = np.abs(o) <= half
-    parallel_miss = (np.abs(d) <= 1e-15) & ~inside_slab
-    t_enter = t_near.max(axis=1)
-    t_exit = t_far.min(axis=1)
-    hit = (t_enter <= t_exit) & (t_exit > 1e-9) & ~parallel_miss.any(axis=1)
+    parallel_miss = (ad <= 1e-15) & ~(np.abs(o) <= half)
+    t_enter = np.maximum(np.maximum(t_near[0], t_near[1]), t_near[2])
+    t_exit = np.minimum(np.minimum(t_far[0], t_far[1]), t_far[2])
+    miss = parallel_miss[0] | parallel_miss[1] | parallel_miss[2]
+    hit = (t_enter <= t_exit) & (t_exit > 1e-9) & ~miss
     t_hit = np.where(t_enter > 1e-9, t_enter, t_exit)  # origin inside: exit face
     return hit, np.where(hit, t_hit, np.inf)
 
@@ -154,10 +169,8 @@ def cast_lidar(spec: SceneSpec) -> np.ndarray:
     noise = rng.normal(0.0, lid.noise_sigma, n_rays) if lid.noise_sigma > 0 else np.zeros(n_rays)
     t_final = best_t[hit_mask] + noise[hit_mask]
     pts = origin + dirs[hit_mask] * t_final[:, None]
-    intensity = np.array(
-        [_luminance(spec.objects[bi].albedo) for bi in best_box[hit_mask]]
-    )
-    return np.concatenate([pts, intensity[:, None]], axis=1)
+    intensity = np.array([_luminance(box.albedo) for box in spec.objects])
+    return np.concatenate([pts, intensity[best_box[hit_mask], None]], axis=1)
 
 
 def render_views(spec: SceneSpec) -> list:
@@ -166,6 +179,7 @@ def render_views(spec: SceneSpec) -> list:
     Pixel color is the nearest box's albedo attenuated by 1 / (1 + range);
     background is black. No depth buffer is retained.
     """
+    albedo = np.array([box.albedo for box in spec.objects])
     images = []
     for cam in spec.rig:
         w, h = cam.image_size
@@ -186,8 +200,7 @@ def render_views(spec: SceneSpec) -> list:
         img = np.zeros((w * h, 3))
         hitm = best_box >= 0
         if hitm.any():
-            albedo = np.array([spec.objects[bi].albedo for bi in best_box[hitm]])
-            img[hitm] = albedo / (1.0 + best_t[hitm, None])
+            img[hitm] = albedo[best_box[hitm]] / (1.0 + best_t[hitm, None])
         images.append(img.reshape(h, w, 3))
     return images
 

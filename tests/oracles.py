@@ -1,7 +1,8 @@
 """Scalar reference implementations the tests compare the batched code against.
 
-The pipeline runs none of these: each is a one-item or per-voxel form of a
-batched function in ``occkit``, kept here as an oracle.
+The pipeline runs none of these: each is a one-item, per-voxel or
+axis-reduction form of a batched function in ``occkit``, kept here as an
+oracle.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from occkit.grid import (
     SOURCE_RAW,
     SOURCE_SYNTHETIC,
     GridConfig,
+    OccupancyGrid,
     VoxelFeatureVolume,
     VoxelPoints,
     cloud_xyz,
@@ -22,6 +24,7 @@ from occkit.grid import (
 )
 from occkit.objectives import softmax
 from occkit.pointprep import PreprocessConfig, voxel_rng
+from occkit.scenes import Box, SceneSpec, _box_rotation
 
 
 def build_query(voxel_feature, point, grid: GridConfig) -> np.ndarray:
@@ -155,4 +158,47 @@ def preprocess_per_voxel(
         positions=np.concatenate(positions or [np.zeros((0, 3))]),
         source=np.where(raw_index >= 0, SOURCE_RAW, SOURCE_SYNTHETIC).astype(np.uint8),
         raw_index=raw_index,
+    )
+
+def ray_box_hits(origins: np.ndarray, dirs: np.ndarray, box: Box):
+    """Slab-test ray/box intersection with the per-axis max, min and any
+    taken as reductions over the 3-wide axis; returns (hit mask, entry
+    distance)."""
+    rot = _box_rotation(box)
+    o = (origins - np.asarray(box.center)) @ rot.T
+    d = dirs @ rot.T
+    half = np.asarray(box.size) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (-half - o) / d
+        t2 = (half - o) / d
+    t_near = np.where(np.abs(d) > 1e-15, np.minimum(t1, t2), -np.inf)
+    t_far = np.where(np.abs(d) > 1e-15, np.maximum(t1, t2), np.inf)
+    # Rays parallel to a slab miss unless the origin lies inside it.
+    inside_slab = np.abs(o) <= half
+    parallel_miss = (np.abs(d) <= 1e-15) & ~inside_slab
+    t_enter = t_near.max(axis=1)
+    t_exit = t_far.min(axis=1)
+    hit = (t_enter <= t_exit) & (t_exit > 1e-9) & ~parallel_miss.any(axis=1)
+    t_hit = np.where(t_enter > 1e-9, t_enter, t_exit)  # origin inside: exit face
+    return hit, np.where(hit, t_hit, np.inf)
+
+def rasterize_gt(spec: SceneSpec) -> OccupancyGrid:
+    """Label each fine voxel by the last-listed box containing its center,
+    with ``np.all`` over the 3-wide axis."""
+    nx, ny, nz = spec.grid.fine_dims
+    gx, gy, gz = np.meshgrid(
+        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
+    )
+    centers = spec.grid.lo + (
+        np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) + 0.5
+    ) * spec.grid.voxel_size
+    labels = np.zeros(nx * ny * nz, dtype=np.uint8)
+    for box in spec.objects:  # later boxes overwrite earlier ones
+        local = (centers - np.asarray(box.center)) @ _box_rotation(box).T
+        half = np.asarray(box.size) / 2.0
+        inside = np.all(np.abs(local) <= half, axis=1)
+        labels[inside] = box.class_id
+    grid3 = labels.reshape(nx, ny, nz).transpose(2, 1, 0)
+    return OccupancyGrid(
+        labels=grid3, voxel_size=spec.grid.voxel_size, min_corner=spec.grid.min_corner
     )

@@ -22,7 +22,7 @@ from occkit.pipeline import (
 )
 from occkit.pointprep import PreprocessConfig
 from occkit.pool import map_samples
-from occkit.scenes import preset
+from occkit.scenes import _make_camera, preset
 from conftest import traced_peak
 
 # sha256 of the front-half arrays of the tiny preset at seed 0. Any change to
@@ -256,17 +256,32 @@ def test_fusion_peak_memory_on_two_threads(four_cpus):
 
 @functools.lru_cache(maxsize=None)
 def _projection_case(name, seed):
-    """(refs, rig, feature sizes) of ``name``'s sample at ``seed``."""
+    """(refs, rig, feature sizes) of ``name``'s sample at ``seed``. "off-axis"
+    is the small sample seen by one camera whose rotation holds no zero,
+    where the preset rigs' exact zeros hide a one-row product's other bits."""
+    if name == "off-axis":
+        refs, _, sizes = _projection_case("small", seed)
+        cam = _make_camera("off", (2.9, -3.1, 1.7), (0.1, 0.2, 0.4), 40, 30, 36.0)
+        return refs, [cam], sizes[:1]
     s = prepare_sample(preset(name, seed=seed), PipelineConfig.for_preset(name, seed=seed))
     return s.refs, s.scene.rig, [(m.width, m.height) for m in s.maps.maps]
 
 
-@pytest.mark.parametrize("name,seed", [("tiny", 0), ("tiny", 3), ("small", 0), ("small", 1)])
-@pytest.mark.parametrize("rows", [1, 7, 4097, cameras._PROJECT_ROWS, 10**6])
+@pytest.mark.parametrize(
+    "name,seed", [("tiny", 0), ("tiny", 3), ("small", 0), ("small", 1), ("off-axis", 0)]
+)
+@pytest.mark.parametrize("rows", [2, 7, 4097, cameras._PROJECT_ROWS, 10**6])
 def test_projection_is_byte_equal_at_any_chunk(name, seed, rows, monkeypatch):
     refs, rig, sizes = _projection_case(name, seed)
+    pos = refs.positions
     if rows < 100:  # a NumPy pass per few points: every 41st point keeps the run short
-        refs = dataclasses.replace(refs, positions=refs.positions[::41])
+        pos = pos[::41]
+    if name == "off-axis":
+        # Whole chunks, then a one-row tail: the sample's first point, whose
+        # one-row product differs from its row of the n-row product.
+        whole_chunks = max((len(pos) - 2) // rows, 1) * rows
+        pos = np.concatenate([pos[1 : 1 + whole_chunks], pos[:1]])
+    refs = dataclasses.replace(refs, positions=pos)
     whole = [project_batch(refs.positions, cam, fs) for cam, fs in zip(rig, sizes)]
     want = [np.stack([a[i] for a in whole]).tobytes() for i in (0, 1)]
     monkeypatch.setattr(cameras, "_PROJECT_ROWS", rows)

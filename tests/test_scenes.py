@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from occkit import scenes
 from occkit.errors import ConfigError, DataError
 from occkit.grid import GridConfig
 from occkit.scenes import (
     Box,
     LidarSpec,
     SceneSpec,
+    _box_rotation,
     _luminance,
     _ray_box_hits,
     cast_lidar,
@@ -128,6 +131,78 @@ def test_ray_from_inside_reports_exit():
     box = Box(class_id=1, center=(0, 0, 0), size=(1.0, 2.0, 3.0), yaw=0.0, albedo=(1, 1, 1))
     hit, t = _ray_box_hits(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]), box)
     assert hit[0] and t[0] == pytest.approx(0.5, abs=1e-12)
+
+
+def _slab_rays(box, rng):
+    """(origins, dirs) for the slab test on ``box``: random rays, some with
+    components zeroed, plus a lattice in the box frame. Lattice origins sit
+    inside, on a face of and outside each slab; lattice directions are the
+    half-extents times {-1, 0, 1} per axis, so rays run parallel to slabs and
+    through edges and corners, with equal distances to the tied faces."""
+    rot = _box_rotation(box)
+    center, half = np.asarray(box.center), np.asarray(box.size) / 2.0
+    steps = np.array([-3.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+    lattice_o = np.stack(np.meshgrid(steps, steps, steps), axis=-1).reshape(-1, 3)
+    signs = np.array([-1.0, 0.0, 1.0])
+    lattice_d = np.stack(np.meshgrid(signs, signs, signs), axis=-1).reshape(-1, 3)
+    o = np.repeat(lattice_o, len(lattice_d), axis=0) * half @ rot + center
+    d = np.tile(lattice_d, (len(lattice_o), 1)) * half @ rot
+    rand_o = rng.uniform(-3.0, 3.0, (2000, 3))
+    rand_d = rng.normal(size=(2000, 3)) * (rng.uniform(size=(2000, 3)) > 0.2)
+    return np.concatenate([o, rand_o]), np.concatenate([d, rand_d])
+
+
+def test_ray_box_hits_match_axis_reduction_oracle():
+    rng = np.random.default_rng(11)
+    boxes = [  # an axis-aligned box with dyadic extents keeps the lattice exact
+        Box(class_id=1, center=(0.25, -0.5, 1.0), size=(1.0, 0.5, 2.0), yaw=0.0, albedo=(1, 1, 1)),
+        Box(class_id=1, center=(0.0, 0.0, 0.0), size=(1.0, 1.0, 1.0), yaw=0.7, albedo=(1, 1, 1)),
+    ] + [
+        Box(
+            class_id=1,
+            center=tuple(rng.uniform(-1, 1, 3)),
+            size=tuple(rng.uniform(0.3, 1.2, 3)),
+            yaw=float(rng.uniform(0, 2 * math.pi)),
+            albedo=(1, 1, 1),
+        )
+        for _ in range(8)
+    ]
+    hits = 0
+    for box in boxes:
+        origins, dirs = _slab_rays(box, rng)
+        hit, t = _ray_box_hits(origins, dirs, box)
+        want_hit, want_t = oracles.ray_box_hits(origins, dirs, box)
+        assert hit.tobytes() == want_hit.tobytes()
+        assert t.tobytes() == want_t.tobytes()
+        hits += int(hit.sum())
+    assert 0 < hits < len(boxes) * len(dirs)
+
+
+def _with_lidar(spec, **changes):
+    return dataclasses.replace(spec, lidar=dataclasses.replace(spec.lidar, **changes))
+
+
+@pytest.mark.parametrize("name", ["tiny", "small"])
+def test_synthesis_matches_axis_reduction_oracles(name, monkeypatch):
+    specs = [preset(name, seed=seed) for seed in range(4)]
+    fans = specs + [
+        _with_lidar(s, n_azimuth=4 * s.lidar.n_azimuth, n_elevation=4 * s.lidar.n_elevation)
+        for s in specs
+    ]
+    fans.append(_with_lidar(specs[0], noise_sigma=0.01))
+
+    def synth():
+        clouds = [cast_lidar(s) for s in fans]
+        views = [np.stack(render_views(s)) for s in specs]
+        return clouds, views
+
+    got = synth()
+    monkeypatch.setattr(scenes, "_ray_box_hits", oracles.ray_box_hits)
+    want = synth()
+    for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for s in specs:
+        assert rasterize_gt(s).labels.tobytes() == oracles.rasterize_gt(s).labels.tobytes()
 
 
 def test_cast_lidar_points_on_surface():
