@@ -93,10 +93,9 @@ class FeatureMapSet:
     maps: list
 
     def __post_init__(self):
-        if self.maps:
-            c = self.maps[0].channels
-            if any(m.channels != c for m in self.maps):
-                raise ConfigError("all feature maps must share the channel count")
+        # The fusion stacks every map's table and samples them all in one call.
+        if len({m.data.shape for m in self.maps}) > 1:
+            raise ConfigError("all feature maps must share their (h, w, C) shape")
 
     @property
     def channels(self):

@@ -72,18 +72,14 @@ def encode_lidar(
 def encode_images(images, cam_ids, params: EncoderParams) -> FeatureMapSet:
     """Embed the color of every pixel of each RGB image.
 
-    ``images`` are (h, w, 3) float arrays in [0, 1], all the same size.
+    ``images`` are (h, w, 3) float arrays in [0, 1], all the same size
+    (``FeatureMapSet`` checks it).
     """
     maps = []
-    shape = None
     for img, cam_id in zip(images, cam_ids):
         img = np.asarray(img, dtype=np.float64)
         if img.ndim != 3 or img.shape[2] != 3:
             raise ConfigError("images must be (h, w, 3)")
-        if shape is None:
-            shape = img.shape
-        elif img.shape != shape:
-            raise ConfigError("all images must share the same size")
         feat = np.tanh(img @ params.pixel_embed.T)
         maps.append(FeatureMap(camera_id=cam_id, data=feat))
     return FeatureMapSet(maps=maps)

@@ -20,10 +20,10 @@ from .errors import ConfigError, DataError
 from .grid import GridConfig, VoxelFeatureVolume, VoxelPoints
 from .cameras import FeatureMapSet, ProjectedReference, bilinear_corners, corner_patches
 from .objectives import slice_sum, softmax
-from .pool import map_samples, pool_size
+from .pool import map_samples
 
 _BLOCK = 1024  # rows per backward block and per generator product; temporaries stay in cache
-_FWD_BLOCK = 2 * _BLOCK  # rows per forward block: fewer, larger NumPy calls per row
+_FWD_ROWS = 2 * _BLOCK  # about this many visible (point, camera) rows per forward block
 _GATHER = 128  # rows per corner-patch gather within a block; each gather is (rows, m, k, 4C)
 
 
@@ -71,108 +71,54 @@ class AttentionParams:
         }
 
 
-def _sampling(q, pix, blk: slice, shape, params: AttentionParams, slopes=False):
-    """Softmax attention (n, m, k) and the bilinear corners of every sample
-    of rows ``blk`` of ``q`` (n, C+3) and ``pix`` (n, 2), arrays or ``Rows``.
+def _generate(q: np.ndarray, params: AttentionParams):
+    """Sampling offsets (n, m * k * 2) and softmax attention (n, m, k) of
+    query rows ``q`` (n, C+3).
 
     Offsets and logits come from the stacked generators' product, taken
-    ``_BLOCK`` rows at a time, so no row's bits depend on ``blk``'s size.
-    The corners are ``bilinear_corners`` of the offset sampling locations.
-    Head ``i``'s rows of ``_head_tables`` are ``idx + i * h * w``.
+    ``_BLOCK`` rows at a time. NumPy's one-row product takes another BLAS
+    path, with other bits than the row gets in a longer product, so a
+    one-row tail joins the part before it and a lone row is multiplied as
+    two copies of itself: a row's offsets and logits are the same bits
+    however the rows are split, in the forward's blocks and the backward's.
+    The offsets are a view of the product, with the logits beside them.
     """
     m, k = params.n_heads, params.n_keys
     gens = np.concatenate([params.offset_gen, params.weight_gen]).T
-    start, stop, _ = blk.indices(len(q))
-    gen = np.empty((stop - start, gens.shape[1]))
-    # The offsets become the sampling locations in place, and the logits are
-    # copied out contiguous: NumPy loops over short strided rows slowly. A
-    # part's query and pixel rows die once its product is taken.
-    for s in range(start, stop, _BLOCK):
-        part, out = slice(s, min(s + _BLOCK, stop)), gen[s - start :][:_BLOCK]
-        np.matmul(q[part], gens, out=out)
-        out[:, : m * k * 2] += np.tile(pix[part], m * k)
-    loc = gen[:, : m * k * 2]
+    gen = np.empty((len(q), gens.shape[1]))
+    if len(q) == 1:
+        gen[:] = (np.concatenate([q, q]) @ gens)[:1]
+    starts = list(range(0, len(q) - 1, _BLOCK))
+    for s, e in zip(starts, starts[1:] + [len(q)]):
+        np.matmul(q[s:e], gens, out=gen[s:e])
+    # The logits are copied out contiguous: NumPy loops over short strided rows slowly.
     attn = softmax(np.ascontiguousarray(gen[:, m * k * 2 :]).reshape(-1, m, k), axis=2)
-    return (attn, *bilinear_corners(shape, loc.reshape(-1, m, k, 2), slopes))
+    return gen[:, : m * k * 2], attn
 
 
-def _workspace(data: np.ndarray, params: AttentionParams):
-    """Room for attention over one (h, w, C) feature map: its head table
-    (m * h * w, 4C) and the corner patches of ``_GATHER`` rows
-    (rows, m, k, 4C)."""
-    h, w, c = data.shape
-    m, k = params.n_heads, params.n_keys
-    return np.empty((m * h * w, 4 * c)), np.empty((_GATHER, m, k, 4 * c))
+def _gather_buffer(params: AttentionParams) -> np.ndarray:
+    """Room for the corner patches of ``_GATHER`` rows: (rows, m, k, 4C)."""
+    return np.empty((_GATHER, params.n_heads, params.n_keys, 4 * params.channels))
 
 
-def _head_tables(data: np.ndarray, params: AttentionParams, table: np.ndarray) -> np.ndarray:
-    """Every head's corner-patch table, stacked into ``table``: (m * h * w,
-    4C). From row ``i * h * w`` it patches ``T_i = flat @ (w_out[i] @
-    w_val[i]).T``, the map with both of head ``i``'s projections folded in."""
-    h, w, c = data.shape
-    flat = data.reshape(-1, c)
-    heads = table.reshape(params.n_heads, h, w, 4 * c)
-    for w_out, w_val, head in zip(params.w_out, params.w_val, heads):
-        corner_patches(flat @ (w_out @ w_val).T, h, w, head)
-    return table
-
-
-def _attn_blocks(q, pix, data: np.ndarray, params: AttentionParams, space=None):
-    """Batched deformable attention over one feature map, a row block at a
-    time: yields (first row, out (b, C)) for each block of ``_FWD_BLOCK`` rows.
-
-    ``q`` (n, C+3) and ``pix`` (n, 2) are arrays or ``Rows``.
-    Bilinear sampling is linear, so both head projections are applied once
-    to the (h * w) map, and each block gathers its samples' corner
-    patches. ``space`` is the ``_workspace`` to fill (None: a new one). The
-    backward takes ``(q, pix, data)`` and recomputes the geometry.
-    """
-    h, w, c = data.shape
-    table, buf = space or _workspace(data, params)
-    _head_tables(data, params, table)
-    for s in range(0, len(q), _FWD_BLOCK):
-        blk = slice(s, s + _FWD_BLOCK)
-        yield s, _forward_block(q, pix, blk, table, (h, w), params, buf)
-
-
-def _forward_block(q, pix, blk, table, shape, params: AttentionParams, buf) -> np.ndarray:
-    """Rows ``blk`` of ``_attn_blocks``. Its temporaries die with the
-    call, before the next block makes its own."""
-    attn, idx, wts = _sampling(q, pix, blk, shape, params)
-    idx += np.arange(params.n_heads)[:, None] * (shape[0] * shape[1])  # head i's rows
-    wts *= attn[..., None]  # each corner's attention-weighted share
-    out = np.empty((len(attn), params.channels))
-    for sub in _gathers(len(attn)):
-        np.einsum("nikj,nikjc->nc", wts[sub], _patches(table, idx[sub], buf), out=out[sub])
-    return out
+def _head_tables(maps: list, params: AttentionParams) -> np.ndarray:
+    """Every camera's and head's corner-patch table, stacked: (n * m * h *
+    w, 4C) for ``n`` (h, w, C) maps. From row ``(c * m + i) * h * w`` it
+    patches ``T_i = flat @ (w_out[i] @ w_val[i]).T``, map ``c`` with both of
+    head ``i``'s projections folded in."""
+    h, w, c = maps[0].shape
+    table = np.empty((len(maps) * params.n_heads, h, w, 4 * c))
+    heads = iter(table)
+    for data in maps:
+        flat = data.reshape(-1, c)
+        for w_out, w_val in zip(params.w_out, params.w_val):
+            corner_patches(flat @ (w_out @ w_val).T, h, w, next(heads))
+    return table.reshape(-1, 4 * c)
 
 
 def _gathers(n: int) -> list:
     """Slices of ``_GATHER`` rows that cover a block of ``n`` rows."""
     return [slice(t, t + _GATHER) for t in range(0, n, _GATHER)]
-
-
-def _add_runs(accum: np.ndarray, pv, weights, points, blocks) -> None:
-    """``accum[v] +=`` the weighted sum of voxel ``v``'s run of rows, for the
-    rows of reference points ``points`` (grouped by voxel ``pv``) that
-    ``blocks`` yields in order; ``pv`` and ``weights`` are per-point and read
-    a block at a time. Each run is summed by one ``reduceat`` once all its
-    rows are in, so the sums do not depend on where the blocks split the
-    rows. Only the open run's rows are carried from block to block."""
-    held, last = np.empty((0, accum.shape[1])), -1  # the open run's rows and voxel
-    for s, ob in blocks:
-        r = points[s : s + len(ob)]
-        ob *= weights[r][:, None]
-        v = pv[r]
-        starts = np.flatnonzero(np.concatenate([[v[0] != last], v[1:] != v[:-1]]))
-        if len(starts) and len(held):  # the open run ends at the first start
-            accum[last] += np.add.reduceat(np.concatenate([held, ob[: starts[0]]]), [0], axis=0)[0]
-        if len(starts) > 1:
-            accum[v[starts[:-1]]] += np.add.reduceat(ob[: starts[-1]], starts[:-1], axis=0)
-        held = ob[starts[-1] :].copy() if len(starts) else np.concatenate([held, ob])
-        last = v[-1]
-    if len(held):
-        accum[last] += np.add.reduceat(held, [0], axis=0)[0]
 
 
 def _patches(table: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -193,8 +139,8 @@ def _attn_backward(g, cache, params: AttentionParams, grads: AttentionParams):
     """
     q, pix, data = cache
     h, w, c = data.shape
-    table, buf = _workspace(data, params)
-    tables = corner_patches(data.reshape(-1, c), h, w), _head_tables(data, params, table)
+    tables = corner_patches(data.reshape(-1, c), h, w), _head_tables([data], params)
+    buf = _gather_buffer(params)
     for s in range(0, len(q), _BLOCK):
         blk = slice(s, s + _BLOCK)
         _backward_block(q[blk], g[blk], pix[blk], tables, (h, w), params, buf, grads)
@@ -204,7 +150,10 @@ def _backward_block(qb, gb, pixb, tables, shape, params: AttentionParams, buf, g
     """One row block of ``_attn_backward``; the gradient products span the
     whole block, and its temporaries die with the call."""
     raw_table, table = tables
-    attn, idx, wts, clamp = _sampling(qb, pixb, slice(None), shape, params, slopes=True)
+    m, k = params.n_heads, params.n_keys
+    loc, attn = _generate(qb, params)
+    loc += np.tile(pixb, m * k)  # the sampling locations, in place of the offsets
+    idx, wts, clamp = bilinear_corners(shape, loc.reshape(-1, m, k, 2), slopes=True)
     fx, fy, gx, gy, in_x, in_y = clamp
     _projection_grads(gb, attn, idx, wts, raw_table, params, buf, grads)
     idx += np.arange(params.n_heads)[:, None] * (shape[0] * shape[1])  # head i's rows
@@ -274,16 +223,17 @@ class FusionCache:
     lidar: np.ndarray  # (nz, ny, nx, C)
 
 
-def _point_weights(valid: np.ndarray, point_voxel: np.ndarray, n_vox: int):
+def _visibility(valid: np.ndarray, refs: VoxelPoints):
     """Each reference point's averaging weight, 1 / (visible points of its
-    voxel * cameras that see it), 0 where no camera does; and the visible
-    points of each voxel."""
-    n_proj = valid.sum(axis=0)
+    voxel * cameras that see it), 0 where no camera does; the visible
+    points of each voxel; and the visible (point, camera) rows before each
+    voxel's first point and in all, (V + 1,)."""
+    n_proj, point_voxel = valid.sum(axis=0), refs.point_voxel
     visible = n_proj > 0
-    vis_count = np.bincount(point_voxel[visible], minlength=n_vox)
+    vis_count = np.bincount(point_voxel[visible], minlength=len(refs.keys))
     weights = np.zeros(len(point_voxel))
     weights[visible] = 1.0 / (vis_count[point_voxel[visible]] * n_proj[visible])
-    return weights, vis_count
+    return weights, vis_count, np.concatenate([[0], np.cumsum(n_proj)])[refs.offsets]
 
 
 def occ_fuse(
@@ -300,7 +250,14 @@ def occ_fuse(
     Per voxel: mean over its visible reference points of the mean over each
     point's image projections of the deformable-attention feature. Voxels
     with no visible points fall back to ``w_fallback @ lidar_feature``.
-    The cameras run on up to ``threads`` threads (None: the CPUs), with the
+
+    Every camera runs in one pass over blocks of whole voxels, each holding
+    about ``_FWD_ROWS`` visible (point, camera) rows. A block takes each
+    point's query, offsets and attention once, then samples every camera
+    that sees the point from one table that stacks each camera's and head's
+    corner patches. A block adds each (camera, voxel) run's sum into the
+    voxel sums, in camera order, and no other block touches its voxels, so
+    the blocks run on up to ``threads`` threads (None: the CPUs) with the
     same bytes at any count. Returns (fused VoxelFeatureVolume, FusionCache).
     """
     c = params.channels
@@ -316,41 +273,58 @@ def occ_fuse(
     n_vox = len(keys)
     voxel_feat = f_l.data[keys[:, 2], keys[:, 1], keys[:, 0]]
     query = voxel_feat, point_voxel, refs.positions, grid.lo, grid.hi - grid.lo
-    weights, vis_count = _point_weights(proj.valid, point_voxel, n_vox)
+    weights, vis_count, rows_before = _visibility(proj.valid, refs)
+    # Blocks of whole voxels, with visible rows: one starts at the first
+    # voxel at or past each multiple of ``_FWD_ROWS`` rows.
+    cuts = np.append(np.flatnonzero(np.diff(rows_before // _FWD_ROWS, prepend=-1)), n_vox)
+    spans = [(refs.offsets[a], refs.offsets[b])
+             for a, b in zip(cuts[:-1], cuts[1:]) if rows_before[b] > rows_before[a]]
+    m, k = params.n_heads, params.n_keys
+    if spans:  # every camera's and head's table, and each one's first row
+        h, w, _ = maps.maps[0].data.shape
+        table = _head_tables([fmap.data for fmap in maps.maps], params)
+        first = np.arange(len(maps.maps) * m).reshape(-1, m) * (h * w)
+    accum = np.zeros((n_vox, c))
+
+    def block_sum(span):
+        r = span[0] + np.flatnonzero(weights[span[0] : span[1]])  # the visible points
+        loc, attn = _generate(_query(*query, r), params)
+        # The rows are camera-major, each camera's in point order, so each
+        # (camera, voxel) run is one segment. ``take`` gathers rows several
+        # times faster than fancy indexing.
+        cam, pt = np.nonzero(proj.valid[:, r])
+        r = r[pt]
+        loc = np.take(loc, pt, axis=0).reshape(-1, m, k, 2)
+        pix = np.take(proj.pixels.reshape(-1, 2), cam * refs.count + r, axis=0)
+        for col, p in zip(np.moveaxis(loc, 3, 0), pix.T):  # a broadcast add loops over 2 per row
+            col += p[:, None, None]  # the sampling locations
+        idx, wts = bilinear_corners((h, w), loc)
+        idx += np.take(first, cam, axis=0)[..., None]  # the rows of the camera's heads
+        attn = np.take(attn, pt, axis=0)
+        for corner in np.moveaxis(wts, 3, 0):  # each corner's attention-weighted share
+            corner *= attn
+        out, buf = np.empty((len(r), c)), _gather_buffer(params)
+        for sub in _gathers(len(r)):
+            np.einsum("nikj,nikjc->nc", wts[sub], _patches(table, idx[sub], buf), out=out[sub])
+        out *= weights[r][:, None]
+        v = point_voxel[r]
+        runs = np.flatnonzero(np.diff(cam * n_vox + v, prepend=-1))  # each run's first row
+        # ``add.at`` adds in row order, so each voxel's runs in camera order.
+        np.add.at(accum, v[runs], np.add.reduceat(out, runs, axis=0))
+
+    # Each voxel's sum starts at +0.0 and takes its cameras' runs in camera
+    # order, as a loop over the cameras would. The table and ``accum`` are
+    # allocated here, so a helper thread allocates no more than a block's
+    # temporaries: a helper's malloc arena stays at its high-water mark.
+    map_samples(block_sum, spans, threads)
+    # The backward's rows, per camera; made after the blocks, so their
+    # indices are not held while the blocks run.
     per_camera = []
     for ci, fmap in enumerate(maps.maps):
         sel = np.nonzero(proj.valid[ci])[0]
         if len(sel):
             pix = Rows(operator.getitem, (proj.pixels[ci],), sel)
             per_camera.append((Rows(_query, query, sel), pix, fmap.data))
-
-    def camera_sum(job):
-        (q, pix, data), target, space = job
-        # Rows are grouped by voxel, so each voxel's points form one run.
-        blocks = _attn_blocks(q, pix, data, params, space)
-        _add_runs(target, point_voxel, weights, q.points, blocks)
-
-    def wave_partials(cameras):
-        # The wave's first camera adds into ``accum`` as the serial loop
-        # does; the others sum into zeroed partials. This thread allocates
-        # the partials and workspaces, so a helper allocates no more than a
-        # block's temporaries: a helper's malloc arena stays at its
-        # high-water mark.
-        targets = [accum] + [np.zeros((n_vox, c)) for _ in cameras[1:]]
-        map_samples(camera_sum, [(cam, t, _workspace(cam[2], params))
-                                 for cam, t in zip(cameras, targets)], threads)
-        return targets[1:]
-
-    # The cameras run on the pool, a wave of pool-size cameras at a time, and
-    # each wave's partials are added in camera order. ``accum`` starts at
-    # +0.0 and so is never -0.0, which makes adding a partial's +0.0 for a
-    # voxel its camera does not see exact: ``accum`` is the serial loop's,
-    # bit for bit.
-    accum = np.zeros((n_vox, c))
-    wave = pool_size(len(per_camera), threads)
-    for first in range(0, len(per_camera), wave):
-        for partial in wave_partials(per_camera[first : first + wave]):
-            accum += partial
 
     data = np.zeros((nz, ny, nx, c))
     fallback = np.ones((nz, ny, nx), dtype=bool)

@@ -7,10 +7,20 @@ oracle.
 
 import numpy as np
 
-from occkit.cameras import FeatureMap, bilinear_batch
+from occkit.cameras import FeatureMap, bilinear_batch, bilinear_corners
 from occkit.decoder import LinearHead, entropy_batch
 from occkit.errors import ConfigError, DataError
-from occkit.fusion import AttentionParams, _attn_blocks
+from occkit.fusion import (
+    AttentionParams,
+    Rows,
+    _gather_buffer,
+    _gathers,
+    _generate,
+    _head_tables,
+    _patches,
+    _query,
+    _visibility,
+)
 from occkit.grid import (
     SOURCE_RAW,
     SOURCE_SYNTHETIC,
@@ -44,12 +54,52 @@ def deform_attn(query, pixel, fmap: FeatureMap, params: AttentionParams) -> np.n
     return out[0]
 
 def attn_forward(q, pix, data, params: AttentionParams):
-    """Deformable attention of every row at once: (out (n, C), the cache
-    ``_attn_backward`` takes), from the blocks ``_attn_blocks`` yields."""
+    """Deformable attention of every row on one feature map, in blocks of
+    2048 rows: (out (n, C), the cache ``_attn_backward`` takes). ``q`` (n,
+    C+3) and ``pix`` (n, 2) are arrays or ``Rows``. This is the fusion
+    forward's per-camera form: each camera took its own queries, offsets
+    and softmax."""
+    m, k = params.n_heads, params.n_keys
+    h, w, _ = data.shape
+    table, buf = _head_tables([data], params), _gather_buffer(params)
     out = np.empty((len(q), params.channels))
-    for s, ob in _attn_blocks(q, pix, data, params):
-        out[s : s + len(ob)] = ob
+    for s in range(0, len(q), 2048):
+        blk = slice(s, s + 2048)
+        loc, attn = _generate(q[blk], params)
+        loc += np.tile(pix[blk], m * k)
+        idx, wts = bilinear_corners((h, w), loc.reshape(-1, m, k, 2))
+        idx += np.arange(m)[:, None] * (h * w)  # head i's rows
+        wts *= attn[..., None]
+        ob = out[blk]
+        for sub in _gathers(len(ob)):
+            np.einsum("nikj,nikjc->nc", wts[sub], _patches(table, idx[sub], buf), out=ob[sub])
     return out, (q, pix, data)
+
+def fuse_per_camera(f_l, maps, refs, proj, params: AttentionParams, grid: GridConfig):
+    """``occ_fuse``'s fused data as a loop over the cameras: each camera's
+    visible points through ``attn_forward``, times their averaging weights,
+    then one ``reduceat`` per voxel's run of them, added into the voxel
+    sums camera after camera."""
+    keys, point_voxel = refs.keys, refs.point_voxel
+    voxel_feat = f_l.data[keys[:, 2], keys[:, 1], keys[:, 0]]
+    query = voxel_feat, point_voxel, refs.positions, grid.lo, grid.hi - grid.lo
+    weights, vis_count, _ = _visibility(proj.valid, refs)
+    accum = np.zeros((len(keys), params.channels))
+    for valid, pixels, fmap in zip(proj.valid, proj.pixels, maps.maps):
+        sel = np.flatnonzero(valid)
+        if len(sel):
+            out, _ = attn_forward(Rows(_query, query, sel), pixels[sel], fmap.data, params)
+            out *= weights[sel][:, None]
+            v = point_voxel[sel]
+            starts = np.flatnonzero(np.concatenate([[True], v[1:] != v[:-1]]))
+            accum[v[starts]] += np.add.reduceat(out, starts, axis=0)
+    data = np.zeros_like(f_l.data)
+    fallback = np.ones(f_l.data.shape[:3], dtype=bool)
+    seen = keys[vis_count > 0]
+    data[seen[:, 2], seen[:, 1], seen[:, 0]] = accum[vis_count > 0]
+    fallback[seen[:, 2], seen[:, 1], seen[:, 0]] = False
+    data[fallback] = f_l.data[fallback] @ params.w_fallback.T
+    return data
 
 def bilinear(fmap: FeatureMap, pixel) -> np.ndarray:
     """Sample a feature map at one pixel with clamped 4-neighbor bilinear

@@ -5,6 +5,7 @@ from occkit.errors import ConfigError
 from occkit.cameras import (
     CameraModel,
     FeatureMap,
+    FeatureMapSet,
     bilinear_batch,
     bilinear_corners,
     corner_patches,
@@ -51,6 +52,16 @@ def test_camera_validation():
     bad[0, 1] = 0.5
     with pytest.raises(ConfigError):
         make_cam(ext=bad)
+
+
+@pytest.mark.parametrize("shape", [(5, 6, 2), (4, 7, 2), (4, 6, 3)])
+def test_feature_map_set_rejects_maps_of_another_shape(shape):
+    """The fusion samples every map from one stacked table, so a rig's maps
+    share their height, width and channels."""
+    maps = [FeatureMap("a", np.zeros((4, 6, 2))), FeatureMap("b", np.zeros(shape))]
+    with pytest.raises(ConfigError, match="shape"):
+        FeatureMapSet(maps)
+    assert FeatureMapSet(maps[:1] * 2).channels == 2
 
 
 def test_project_pinhole_arithmetic():

@@ -10,16 +10,13 @@ from occkit.errors import ConfigError
 from occkit.fusion import (
     _BLOCK,
     AttentionParams,
-    Rows,
-    _add_runs,
     _attn_backward,
     fusion_backward,
     occ_fuse,
 )
 from occkit.grid import GridConfig, VoxelFeatureVolume, VoxelPoints
 from occkit.pipeline import FusionConfig, OccModel, PipelineConfig
-from oracles import attn_forward, bilinear, build_query, deform_attn
-from conftest import traced_peak
+from oracles import attn_forward, bilinear, build_query, deform_attn, fuse_per_camera
 
 C = 4
 
@@ -190,59 +187,6 @@ def test_attn_blocks_match_single_rows(n, shape):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
 
 
-def test_forward_builds_query_rows_block_by_block(monkeypatch):
-    """A forward block builds its query rows, and takes their generator
-    product, ``_BLOCK`` rows at a time whatever ``_FWD_BLOCK`` is, so a
-    row's offsets and logits are the same bits on any BLAS."""
-    n = 3 * _BLOCK + 5
-    rng = np.random.default_rng(0)
-    built = []
-
-    def build(queries, r):
-        built.append((r[0], len(r)))
-        return queries[r]
-
-    q = Rows(build, (rng.normal(size=(n, C + 3)),), np.arange(n))
-    pix = rng.uniform(0.0, 4.0, size=(n, 2))
-    for rows in (_BLOCK, 2 * _BLOCK, 3 * _BLOCK):
-        monkeypatch.setattr(fusion, "_FWD_BLOCK", rows)
-        built.clear()
-        attn_forward(q, pix, rng.normal(size=(5, 7, C)), random_params(0))
-        assert built == [(s, min(_BLOCK, n - s)) for s in range(0, n, _BLOCK)]
-
-
-@pytest.mark.parametrize("seed,longest", [(0, 40), (1, 40), (2, 3000)])
-def test_add_runs_equals_one_reduceat(seed, longest):
-    """Summing each voxel's run as blocks arrive gives the bits of one
-    reduceat over all rows, wherever the blocks split the runs, including
-    runs longer than a block."""
-    rng = np.random.default_rng(seed)
-    lengths = rng.integers(1, longest + 1, size=60)
-    pv = np.repeat(rng.permutation(100)[:60], lengths)
-    rows = rng.normal(size=(len(pv), 3)) * 10.0 ** rng.integers(-6, 6, size=(len(pv), 1))
-    weights = rng.uniform(size=len(pv))
-    starts = np.r_[0, np.cumsum(lengths)[:-1]]
-    expect = np.zeros((100, 3))
-    expect[pv[starts]] += np.add.reduceat(weights[:, None] * rows, starts, axis=0)
-    cuts = np.r_[0, np.sort(rng.choice(np.arange(1, len(pv)), 30, replace=False)), len(pv)]
-    got = np.zeros((100, 3))
-    blocks = ((a, rows[a:b].copy()) for a, b in zip(cuts, cuts[1:]))
-    _add_runs(got, pv, weights, np.arange(len(pv)), blocks)
-    np.testing.assert_array_equal(got, expect)
-
-
-def test_add_runs_carries_only_the_open_run():
-    """Finished runs are reduced straight from their block: ``_add_runs``
-    never copies a whole block, so its peak stays well under one block."""
-    rng = np.random.default_rng(0)
-    pv = np.repeat(np.arange(1000), 30)  # runs of 30 rows, some across blocks
-    weights, points = rng.uniform(size=len(pv)), np.arange(len(pv))
-    blocks = [(s, rng.normal(size=(2000, 16))) for s in range(0, len(pv), 2000)]
-    accum = np.zeros((1000, 16))
-    peak = traced_peak(lambda: _add_runs(accum, pv, weights, points, iter(blocks)))
-    assert peak < blocks[0][1].nbytes / 2
-
-
 def _fusion_case(seed, n_vox=3, pts_per_vox=4, n_cam=2, vis_prob=0.8):
     rng = np.random.default_rng(seed)
     grid = make_grid()
@@ -307,6 +251,62 @@ def test_occ_fuse_matches_loop_oracle():
         fused, _ = occ_fuse(f_l, maps, refs, proj, params, grid)
         expect = fuse_oracle(f_l, maps, refs, proj, params, grid)
         np.testing.assert_allclose(fused.data, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, fusion._FWD_ROWS])
+def test_occ_fuse_blocks_of_one_point_voxels(rows, monkeypatch):
+    """Forward blocks of ``rows`` visible rows give the per-camera loop's
+    bytes, down to blocks of a single one-point voxel, whose generator
+    product has one row."""
+    monkeypatch.setattr(fusion, "_FWD_ROWS", rows)
+    for seed in range(4):
+        grid, refs, proj, maps, f_l = _fusion_case(seed, n_vox=8, pts_per_vox=1, n_cam=3)
+        params = random_params(seed + 30)
+        for threads in (1, 2):
+            fused, _ = occ_fuse(f_l, maps, refs, proj, params, grid, threads)
+            expect = fuse_per_camera(f_l, maps, refs, proj, params, grid)
+            assert fused.data.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("seen", [1, _BLOCK + 1])
+def test_backward_recomputes_the_forwards_offsets_and_logits(seen, monkeypatch):
+    """NumPy's one-row product takes another BLAS path. The first camera
+    sees ``_BLOCK + 1`` points, so the forward's generator product has a
+    one-row tail and the backward a one-row block; the second camera sees
+    ``seen``. With generators whose products round, the backward must still
+    give every query row the offsets and attention the forward gave it."""
+    c, rng = 16, np.random.default_rng(seen)
+    cfg = fusion_cfg(channels=c, heads=2, keys=4)
+    params = OccModel.create(cfg).attention
+    for t in (params.offset_gen, params.weight_gen):
+        t[...] = rng.normal(scale=0.5, size=t.shape)
+    grid = make_grid()
+    keys = np.array([(ix, iy, iz) for iz in range(2) for iy in range(2) for ix in range(2)])
+    point_voxel = np.sort(np.arange(_BLOCK + 1) % 8)
+    positions = grid.voxel_center(keys[point_voxel])
+    positions += rng.uniform(-0.4, 0.4, positions.shape)
+    refs = grouped(keys, point_voxel, positions)
+    valid = np.ones((2, len(point_voxel)), dtype=bool)
+    valid[1, np.sort(rng.permutation(len(point_voxel))[seen:])] = False
+    proj = ProjectedReference(["a", "b"], valid, rng.uniform(1.5, 5.5, (2, len(point_voxel), 2)))
+    maps = FeatureMapSet([FeatureMap(cid, rng.normal(size=(8, 8, c))) for cid in "ab"])
+    f_l = VoxelFeatureVolume(data=rng.normal(size=(2, 2, 2, c)))
+    calls, generate = [], fusion._generate
+
+    def recorded(q, p):
+        loc, attn = generate(q, p)
+        rows = zip(q, loc, attn)
+        calls[-1].update((row.tobytes(), (o.tobytes(), a.tobytes())) for row, o, a in rows)
+        return loc, attn
+
+    monkeypatch.setattr(fusion, "_generate", recorded)
+    calls.append({})
+    _, cache = occ_fuse(f_l, maps, refs, proj, params, grid)
+    calls.append({})
+    fusion_backward(rng.normal(size=f_l.data.shape), cache, OccModel.over(None, cfg).attention)
+    forward, backward = calls
+    assert len(backward) == len(forward) == len(point_voxel)
+    assert all(forward[q] == got for q, got in backward.items())
 
 
 def test_occ_fuse_point_permutation_invariant():

@@ -24,6 +24,7 @@ from occkit.pointprep import PreprocessConfig
 from occkit.pool import map_samples
 from occkit.scenes import _make_camera, preset
 from conftest import traced_peak
+from oracles import fuse_per_camera
 
 # sha256 of the front-half arrays of the tiny preset at seed 0. Any change to
 # binning, preprocessing (including the per-voxel random streams), encoding or
@@ -188,20 +189,22 @@ def test_sample_peak_memory(fn, limit_mib):
     # Two samples are in flight at once when training runs on two threads,
     # so a sample's transient arrays are kept small: the corner patches are
     # gathered a few rows at a time and no (P, C+3) query array is built.
-    # A forward block of 2048 rows holds ~1.8 MiB of temporaries, a
-    # backward block of 1024 rows a little more. Measured on tiny seed 0:
-    # 3.9 MiB for the gradients and 3.7 MiB for the loss.
+    # The forward holds the stacked table of both cameras' heads (1.5 MiB
+    # at tiny) and one block of ~2048 visible rows (~1.8 MiB of
+    # temporaries), with no partial sums; the backward holds one camera's
+    # tables and a block of 1024 rows. Measured on tiny seed 0: 4.0 MiB for
+    # the gradients and 3.7 MiB for the loss.
     cfg = PipelineConfig.for_preset("tiny", seed=0)
     sample = prepare_sample(preset("tiny", seed=0), cfg)
     model = OccModel.create(cfg)
     assert traced_peak(lambda: fn(model, sample, cfg)) <= limit_mib * 2**20
 
 
-def _fusion_case(name):
-    """``name`` seed 0's sample, config and attention, with samples off the
-    reference points and keys of unequal weight."""
-    cfg = PipelineConfig.for_preset(name, seed=0)
-    s = prepare_sample(preset(name, seed=0), cfg)
+def _fusion_case(name, seed=0):
+    """``name``'s sample at ``seed``, its config and attention, with samples
+    off the reference points and keys of unequal weight."""
+    cfg = PipelineConfig.for_preset(name, seed=seed)
+    s = prepare_sample(preset(name, seed=seed), cfg)
     attention = OccModel.create(cfg).attention
     rng = np.random.default_rng(0)
     for t in (attention.offset_gen, attention.weight_gen):
@@ -224,11 +227,24 @@ def test_fusion_is_byte_equal_at_any_thread_count(name, four_cpus):
 
 
 @pytest.mark.parametrize("name", ["tiny", "small"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fusion_matches_per_camera_oracle(name, seed, four_cpus):
+    # One pass over voxel blocks with every camera in it gives the bytes of
+    # a loop over the cameras.
+    s, cfg, attention = case = _fusion_case(name, seed)
+    expect = fuse_per_camera(s.lidar_volume, s.maps, s.refs, s.proj, attention, cfg.grid)
+    for threads in (1, 2, 4):
+        assert _fuse_bytes(case, threads)[0] == (expect.dtype.str, expect.shape, expect.tobytes())
+
+
+@pytest.mark.parametrize("name", ["tiny", "small"])
 def test_forward_block_size_changes_no_byte(name, four_cpus, monkeypatch):
-    # Neither the rows per forward block nor the rows per patch gather
-    # changes a per-row result.
+    # Neither the visible rows per forward block nor the rows per patch
+    # gather changes a per-row result. At one row, each of tiny's 506
+    # voxels with a visible point is a block, some holding one visible row
+    # (small's 3726 would make a slow test).
     case, runs = _fusion_case(name), []
-    sizes = [("_FWD_BLOCK", n * fusion._BLOCK) for n in (1, 2, 3)]
+    sizes = [("_FWD_ROWS", rows) for rows in (700, 2048, 3072) + ((1,) if name == "tiny" else ())]
     sizes += [("_GATHER", rows) for rows in (64, 128, 512)]
     for attr, rows in sizes:
         with monkeypatch.context() as m:
@@ -238,13 +254,13 @@ def test_forward_block_size_changes_no_byte(name, four_cpus, monkeypatch):
 
 
 def test_fusion_peak_memory_on_two_threads(four_cpus):
-    # Two cameras are in flight at once on two threads, each with its
-    # workspace (1.2 MiB head table and 0.5 MiB patch buffer at small) and
-    # the temporaries of a 2048-row forward block (~1.8 MiB, its output
-    # included), and one 0.5 MiB partial besides the running sum. Measured
-    # on small seed 0: 12.7 MiB, where one thread peaks at 8.0 MiB and the
-    # same sample's decode at 12.1 MiB. The budget is 9 % over the
-    # measurement.
+    # The calling thread builds the stacked table of every camera's heads
+    # (4.7 MiB at small) and the voxel sums; each thread then holds one
+    # block of ~2048 visible rows (~1.8 MiB of temporaries with its 0.5 MiB
+    # patch buffer), and no block has partial sums. Measured on small seed
+    # 0: 10.8 MiB, where one thread peaks at 10.1 MiB and the same sample's
+    # decode at 12.1 MiB. The budget, set when two cameras with their own
+    # tables and partials were in flight (12.7 MiB), is unchanged.
     cfg = PipelineConfig.for_preset("small", seed=0)
     s = prepare_sample(preset("small", seed=0), cfg)
     attention = OccModel.create(cfg).attention
