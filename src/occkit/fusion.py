@@ -202,12 +202,13 @@ class Rows:
 
 def _query(voxel_feat, point_voxel, positions, lo, extent, r):
     """Each point's voxel LiDAR feature, then its grid-normalized position."""
-    return np.concatenate([voxel_feat[point_voxel[r]], (positions[r] - lo) / extent], axis=1)
+    feat, pos = np.take(voxel_feat, point_voxel[r], axis=0), np.take(positions, r, axis=0)
+    return np.concatenate([feat, (pos - lo) / extent], axis=1)
 
 
 def _upstream(g_voxel, weights, point_voxel, r):
     """Each point's voxel gradient times its averaging weight."""
-    return weights[r, None] * g_voxel[point_voxel[r]]
+    return weights[r, None] * np.take(g_voxel, point_voxel[r], axis=0)
 
 
 @dataclass
