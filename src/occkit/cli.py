@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"threads that {work} (default: the CPUs this process may "
                        "use); the outputs are byte-identical at any count")
 
-    fusion_work = "run the fusion forward's cameras, a camera each"
+    fusion_work = "run the fusion forward's voxel-aligned row blocks, a block each"
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)

@@ -213,15 +213,32 @@ def _upstream(g_voxel, weights, point_voxel, r):
 
 @dataclass
 class FusionCache:
-    """Forward state retained for the fusion backward pass."""
+    """One sample's fusion state: ``params``, the sample's arrays and what
+    ``fusion_cache`` derives from them alone. The forward cuts its blocks by
+    ``rows_before``; the backward reads the rest."""
 
     params: AttentionParams
     point_voxel: np.ndarray  # (P,)
     voxel_keys: np.ndarray  # (V, 3)
     weights: np.ndarray  # (P,) outer*inner averaging weight per point
-    per_camera: list  # (Rows of queries, Rows of pixels, map data) per camera seeing any point
+    rows_before: np.ndarray  # (V + 1,) visible (point, camera) rows before each voxel
+    query: tuple  # the arrays ``_query`` reads
+    proj: ProjectedReference
+    maps: list  # each camera's (h, w, C) map data
     fallback_mask: np.ndarray  # (nz, ny, nx) bool
     lidar: np.ndarray  # (nz, ny, nx, C)
+
+    @property
+    def per_camera(self) -> list:
+        """(Rows of queries, Rows of pixels, map data) per camera seeing any
+        point, made on each access: the forward's blocks never hold them."""
+        cameras = []
+        for valid, pixels, data in zip(self.proj.valid, self.proj.pixels, self.maps):
+            sel = np.flatnonzero(valid)
+            if len(sel):
+                pix = Rows(operator.getitem, (pixels,), sel)
+                cameras.append((Rows(_query, self.query, sel), pix, data))
+        return cameras
 
 
 def _visibility(valid: np.ndarray, refs: VoxelPoints):
@@ -235,6 +252,42 @@ def _visibility(valid: np.ndarray, refs: VoxelPoints):
     weights = np.zeros(len(point_voxel))
     weights[visible] = 1.0 / (vis_count[point_voxel[visible]] * n_proj[visible])
     return weights, vis_count, np.concatenate([[0], np.cumsum(n_proj)])[refs.offsets]
+
+
+def fusion_cache(
+    f_l: VoxelFeatureVolume,
+    maps: FeatureMapSet,
+    refs: VoxelPoints,
+    proj: ProjectedReference,
+    params: AttentionParams,
+    grid: GridConfig,
+) -> FusionCache:
+    """The fusion backward's state for one sample at ``params``.
+
+    Every field but ``params`` depends on the sample alone, so ``occ_fuse``
+    builds its cache here, and so may a caller that holds the volume
+    ``occ_fuse`` fused from the same sample at the same parameters: the
+    cache needs no block pass.
+    """
+    keys, point_voxel = refs.keys, refs.point_voxel
+    voxel_feat = f_l.data[keys[:, 2], keys[:, 1], keys[:, 0]]
+    query = voxel_feat, point_voxel, refs.positions, grid.lo, grid.hi - grid.lo
+    weights, vis_count, rows_before = _visibility(proj.valid, refs)
+    fallback = np.ones(f_l.data.shape[:3], dtype=bool)
+    sk = keys[vis_count > 0]
+    fallback[sk[:, 2], sk[:, 1], sk[:, 0]] = False
+    return FusionCache(
+        params=params,
+        point_voxel=point_voxel,
+        voxel_keys=keys,
+        weights=weights,
+        rows_before=rows_before,
+        query=query,
+        proj=proj,
+        maps=[fmap.data for fmap in maps.maps],
+        fallback_mask=fallback,
+        lidar=f_l.data,
+    )
 
 
 def occ_fuse(
@@ -270,11 +323,9 @@ def occ_fuse(
     if f_l.dims != (nx, ny, nz):
         raise ConfigError("LiDAR volume dims do not match the coarse grid")
 
-    keys, point_voxel = refs.keys, refs.point_voxel
-    n_vox = len(keys)
-    voxel_feat = f_l.data[keys[:, 2], keys[:, 1], keys[:, 0]]
-    query = voxel_feat, point_voxel, refs.positions, grid.lo, grid.hi - grid.lo
-    weights, vis_count, rows_before = _visibility(proj.valid, refs)
+    cache = fusion_cache(f_l, maps, refs, proj, params, grid)
+    keys, point_voxel, weights = cache.voxel_keys, cache.point_voxel, cache.weights
+    n_vox, rows_before = len(keys), cache.rows_before
     # Blocks of whole voxels, with visible rows: one starts at the first
     # voxel at or past each multiple of ``_FWD_ROWS`` rows.
     cuts = np.append(np.flatnonzero(np.diff(rows_before // _FWD_ROWS, prepend=-1)), n_vox)
@@ -282,14 +333,14 @@ def occ_fuse(
              for a, b in zip(cuts[:-1], cuts[1:]) if rows_before[b] > rows_before[a]]
     m, k = params.n_heads, params.n_keys
     if spans:  # every camera's and head's table, and each one's first row
-        h, w, _ = maps.maps[0].data.shape
-        table = _head_tables([fmap.data for fmap in maps.maps], params)
-        first = np.arange(len(maps.maps) * m).reshape(-1, m) * (h * w)
+        h, w, _ = cache.maps[0].shape
+        table = _head_tables(cache.maps, params)
+        first = np.arange(len(cache.maps) * m).reshape(-1, m) * (h * w)
     accum = np.zeros((n_vox, c))
 
     def block_sum(span):
         r = span[0] + np.flatnonzero(weights[span[0] : span[1]])  # the visible points
-        loc, attn = _generate(_query(*query, r), params)
+        loc, attn = _generate(_query(*cache.query, r), params)
         # The rows are camera-major, each camera's in point order, so each
         # (camera, voxel) run is one segment. ``take`` gathers rows several
         # times faster than fancy indexing.
@@ -318,33 +369,11 @@ def occ_fuse(
     # allocated here, so a helper thread allocates no more than a block's
     # temporaries: a helper's malloc arena stays at its high-water mark.
     map_samples(block_sum, spans, threads)
-    # The backward's rows, per camera; made after the blocks, so their
-    # indices are not held while the blocks run.
-    per_camera = []
-    for ci, fmap in enumerate(maps.maps):
-        sel = np.nonzero(proj.valid[ci])[0]
-        if len(sel):
-            pix = Rows(operator.getitem, (proj.pixels[ci],), sel)
-            per_camera.append((Rows(_query, query, sel), pix, fmap.data))
-
     data = np.zeros((nz, ny, nx, c))
-    fallback = np.ones((nz, ny, nx), dtype=bool)
-    seen = vis_count > 0
-    sk = keys[seen]
-    data[sk[:, 2], sk[:, 1], sk[:, 0]] = accum[seen]
-    fallback[sk[:, 2], sk[:, 1], sk[:, 0]] = False
+    data[keys[:, 2], keys[:, 1], keys[:, 0]] = accum  # a key no camera sees falls back below
+    fallback = cache.fallback_mask
     data[fallback] = f_l.data[fallback] @ params.w_fallback.T
-    fused = VoxelFeatureVolume(data=data)
-    cache = FusionCache(
-        params=params,
-        point_voxel=point_voxel,
-        voxel_keys=keys,
-        weights=weights,
-        per_camera=per_camera,
-        fallback_mask=fallback,
-        lidar=f_l.data,
-    )
-    return fused, cache
+    return VoxelFeatureVolume(data=data), cache
 
 
 def fusion_backward(grad_volume: np.ndarray, cache: FusionCache, grads: AttentionParams):

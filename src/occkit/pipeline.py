@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .grid import GridConfig, OccupancyGrid, VoxelFeatureVolume, VoxelPoints, bi
 from .pointprep import PreprocessConfig, preprocess
 from .cameras import project_all
 from .encoders import EncoderParams, encode_images, encode_lidar
-from .fusion import AttentionParams, fusion_backward, occ_fuse
+from .fusion import AttentionParams, fusion_backward, fusion_cache, occ_fuse
 from .decoder import DecoderConfig, Heads, LinearHead, decode, iou_miou
 from .objectives import LossBreakdown, total_loss_logits
 from . import jsonio, scenes
@@ -198,6 +198,8 @@ class Sample:
     proj: object  # ProjectedReference
     gt_fine: OccupancyGrid
     coarse_labels: np.ndarray  # (nz, ny, nx) int64
+    # (key, read-only fused data) that ``sample_loss`` left for ``sample_gradients``
+    scored: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def coarse_labels_from_fine(gt: OccupancyGrid, grid: GridConfig) -> np.ndarray:
@@ -246,6 +248,10 @@ def prepare_sample(
     )
 
 
+def _coarse_logits(model: OccModel, fused: VoxelFeatureVolume) -> np.ndarray:
+    return model.heads.coarse.logits(fused.data.reshape(-1, fused.channels))
+
+
 def forward_coarse(
     model: OccModel, sample: Sample, cfg: PipelineConfig, threads: int | None = None
 ):
@@ -255,14 +261,28 @@ def forward_coarse(
         sample.lidar_volume, sample.maps, sample.refs, sample.proj,
         model.attention, cfg.grid, threads,
     )
-    logits = model.heads.coarse.logits(fused.data.reshape(-1, fused.channels))
-    return fused, cache, logits
+    return fused, cache, _coarse_logits(model, fused)
+
+
+def _fusion_key(model: OccModel, cfg: PipelineConfig) -> tuple:
+    """What a sample's fused volume depends on beside the sample: every
+    parameter's bytes, the grid and the fusion sizes."""
+    return model.params.tobytes(), cfg.grid, cfg.fusion
 
 
 def sample_loss(model: OccModel, sample: Sample, cfg: PipelineConfig) -> LossBreakdown:
     """Forward-only total loss at coarse resolution, on one thread: the
-    training loop runs samples on the pool, and pools do not nest."""
-    _, _, logits = forward_coarse(model, sample, cfg, threads=1)
+    training loop runs samples on the pool, and pools do not nest.
+
+    Leaves the fused volume's data on ``sample.scored``, read-only and keyed
+    by ``_fusion_key``, for the next ``sample_gradients`` call: in active
+    training the parameters do not move between the re-scoring pass and
+    the next epoch's first mini-batch. It holds one coarse volume per
+    sample (C x coarse voxels x 8 B) until it is used or replaced.
+    """
+    fused, _, logits = forward_coarse(model, sample, cfg, threads=1)
+    fused.data.flags.writeable = False
+    sample.scored = _fusion_key(model, cfg), fused.data
     breakdown, _ = total_loss_logits(logits, sample.coarse_labels.ravel())
     return breakdown
 
@@ -270,8 +290,24 @@ def sample_loss(model: OccModel, sample: Sample, cfg: PipelineConfig) -> LossBre
 def sample_gradients(model: OccModel, sample: Sample, cfg: PipelineConfig):
     """Loss plus the full parameter gradient vector for one sample, on one
     thread like ``sample_loss``; the fine head is not trained, so its slice
-    is zero."""
-    fused, cache, logits = forward_coarse(model, sample, cfg, threads=1)
+    is zero.
+
+    Takes the volume ``sample_loss`` left on the sample when its key is
+    this call's, and clears it either way. A hit skips the fusion forward's
+    block pass: the volume is the bytes that pass would give, and the cache
+    and coarse logits are rebuilt from the sample and the volume as the
+    forward builds them, so the result is the same bytes as a miss.
+    """
+    scored, sample.scored = sample.scored, None
+    if scored is not None and scored[0] == _fusion_key(model, cfg):
+        fused = VoxelFeatureVolume(data=scored[1])
+        cache = fusion_cache(
+            sample.lidar_volume, sample.maps, sample.refs, sample.proj,
+            model.attention, cfg.grid,
+        )
+        logits = _coarse_logits(model, fused)
+    else:
+        fused, cache, logits = forward_coarse(model, sample, cfg, threads=1)
     breakdown, g_logits = total_loss_logits(logits, sample.coarse_labels.ravel())
     feats = fused.data.reshape(-1, fused.channels)
     grad = OccModel.over(None, cfg)

@@ -26,7 +26,9 @@ def score_samples(
     model: OccModel, dataset, cfg: PipelineConfig, threads: int | None = None
 ) -> list:
     """Forward-only total loss per sample, on up to ``threads`` threads;
-    never mutates parameters."""
+    never mutates parameters. Each sample keeps its fused volume for the
+    next ``sample_gradients`` call at the same parameters (``sample_loss``),
+    so the next epoch's first mini-batch runs no fusion forward."""
     losses = map_samples(lambda s: sample_loss(model, s, cfg), dataset, threads)
     scores = [b.total for b in losses]
     if not np.all(np.isfinite(scores)):
@@ -50,7 +52,8 @@ def train_epoch(
     epoch: int,
     threads: int | None = None,
 ):
-    """One pass of seeded mini-batch gradient descent over the active set.
+    """One pass of seeded mini-batch gradient descent over the active set,
+    distinct ids of ``dataset`` (``ConfigError`` otherwise).
 
     A batch's per-sample gradients run on up to ``threads`` threads and are
     summed in batch order, so the result does not depend on ``threads``.
@@ -60,6 +63,10 @@ def train_epoch(
     ids = sorted(active_ids)
     if not ids:
         raise ConfigError("active set must not be empty")
+    if ids[0] < 0 or ids[-1] >= len(dataset):
+        raise ConfigError(f"active ids must lie in [0, {len(dataset)}), got {ids[0]}..{ids[-1]}")
+    if len(set(ids)) < len(ids):  # a batch would hold one sample twice
+        raise ConfigError("active ids must not repeat")
     rng = np.random.default_rng([tc.seed & 0xFFFFFFFFFFFFFFFF, 0x7EA1, epoch])
     order = [ids[i] for i in rng.permutation(len(ids))]
     losses = []

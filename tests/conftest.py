@@ -7,6 +7,8 @@ import tracemalloc
 
 import pytest
 
+from occkit import fusion
+
 
 @pytest.fixture
 def four_cpus(monkeypatch):
@@ -14,10 +16,24 @@ def four_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
 
 
-def traced_peak(fn) -> int:
+@pytest.fixture
+def block_passes(monkeypatch):
+    """A list that grows by one per fusion forward block pass: ``occ_fuse``
+    runs its blocks in one ``map_samples`` call."""
+    passes = []
+    real = fusion.map_samples
+    monkeypatch.setattr(fusion, "map_samples",
+                        lambda fn, items, threads: passes.append(1) or real(fn, items, threads))
+    return passes
+
+
+def traced_peak(fn, before=lambda: None) -> int:
     """Peak bytes that tracemalloc sees while ``fn()`` runs. A first,
-    untraced call leaves out what only the first call allocates."""
+    untraced call leaves out what only the first call allocates;
+    ``before()`` runs untraced ahead of each call."""
+    before()
     fn()
+    before()
     tracemalloc.start()
     try:
         fn()

@@ -198,6 +198,24 @@ def test_sample_peak_memory(fn, limit_mib):
     sample = prepare_sample(preset("tiny", seed=0), cfg)
     model = OccModel.create(cfg)
     assert traced_peak(lambda: fn(model, sample, cfg)) <= limit_mib * 2**20
+    # A gradient call leaves no volume behind, so its untraced first call
+    # cannot turn the traced one into a hit: both run the whole forward.
+    assert (sample.scored is None) == (fn is sample_gradients)
+
+
+def test_scored_sample_gradients_peak_memory(block_passes):
+    # A gradient call right after the scoring pass takes the fused volume
+    # that ``sample_loss`` left (64 KiB at tiny, allocated before the trace)
+    # and runs no forward block: it builds the cache and runs the backward.
+    # Measured on tiny seed 0: 4.00 MiB, against 4.06 MiB for a full call;
+    # the bound is the full call's.
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    sample = prepare_sample(preset("tiny", seed=0), cfg)
+    model = OccModel.create(cfg)
+    peak = traced_peak(lambda: sample_gradients(model, sample, cfg),
+                       before=lambda: sample_loss(model, sample, cfg))
+    assert len(block_passes) == 2  # the two scoring calls; neither gradient call ran one
+    assert peak <= 4.75 * 2**20
 
 
 def _fusion_case(name, seed=0):
@@ -258,7 +276,7 @@ def test_fusion_peak_memory_on_two_threads(four_cpus):
     # (4.7 MiB at small) and the voxel sums; each thread then holds one
     # block of ~2048 visible rows (~1.8 MiB of temporaries with its 0.5 MiB
     # patch buffer), and no block has partial sums. Measured on small seed
-    # 0: 10.8 MiB, where one thread peaks at 10.1 MiB and the same sample's
+    # 0: 10.8 MiB, where one thread peaks at 8.9 MiB and the same sample's
     # decode at 12.1 MiB. The budget, set when two cameras with their own
     # tables and partials were in flight (12.7 MiB), is unchanged.
     cfg = PipelineConfig.for_preset("small", seed=0)

@@ -135,6 +135,17 @@ def test_train_epoch_rejects_empty_active_set(cfg, dataset):
         train_epoch(OccModel.create(cfg), dataset, [], cfg, epoch=0)
 
 
+def test_train_epoch_rejects_ids_off_the_dataset_or_repeated(cfg, dataset):
+    # -1 would train the last sample, and a repeated id would put one
+    # sample in two pool items at once.
+    model = OccModel.create(cfg)
+    before = model.params.tobytes()
+    for ids in ([-1], [len(dataset)], [0, 0]):
+        with pytest.raises(ConfigError, match="active ids"):
+            train_epoch(model, dataset, ids, cfg, epoch=0)
+    assert model.params.tobytes() == before
+
+
 def test_non_finite_loss_raises(cfg, dataset):
     model = OccModel.create(cfg)
     vec = model.to_vector()
@@ -217,6 +228,62 @@ def test_sample_loss_matches_gradient_breakdown(cfg, dataset):
     fwd = sample_loss(model, dataset[1], cfg)
     bwd, _ = sample_gradients(model, dataset[1], cfg)
     assert fwd.total == pytest.approx(bwd.total, abs=1e-12)
+
+
+def _unscored(dataset):
+    """Copies of the samples that hold no scored volume."""
+    return [dataclasses.replace(s) for s in dataset]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_scoring_hands_its_volumes_to_the_next_gradients(
+    cfg, dataset, block_passes, threads, four_cpus
+):
+    # One mini-batch right after the scoring pass takes each sample's volume
+    # from it: n passes for the pair, not n + k, and the bytes of a model
+    # that was never scored.
+    ids = [0, 2]
+    plain = OccModel.create(cfg)
+    train_epoch(plain, _unscored(dataset), ids, cfg, epoch=0, threads=threads)
+    assert len(block_passes) == len(ids)
+    samples, model = _unscored(dataset), OccModel.create(cfg)
+    block_passes.clear()
+    score_samples(model, samples, cfg, threads)
+    train_epoch(model, samples, ids, cfg, epoch=0, threads=threads)
+    assert len(block_passes) == len(samples)
+    assert model.params.tobytes() == plain.params.tobytes()
+    assert [s.scored is None for s in samples] == [True, False, True]
+
+
+def test_gradients_recompute_unless_the_scored_volume_matches(cfg, dataset, block_passes):
+    model = OccModel.create(cfg)
+    sample = _unscored(dataset)[0]
+
+    def after_scoring(m, c):
+        """(block passes, gradient bytes) of ``sample_gradients`` at ``m``
+        and ``c`` right after ``model`` scored the sample at ``cfg``."""
+        sample_loss(model, sample, cfg)
+        block_passes.clear()
+        _, grad = sample_gradients(m, sample, c)
+        assert sample.scored is None
+        return len(block_passes), grad.tobytes()
+
+    def unscored(m, c):
+        return sample_gradients(m, _unscored([sample])[0], c)[1].tobytes()
+
+    assert after_scoring(model, cfg) == (0, unscored(model, cfg))
+    bumped = OccModel.over(model.params.copy(), cfg)
+    bumped.params[0] = np.nextafter(bumped.params[0], np.inf)  # one ulp of attention.w_out
+    assert after_scoring(bumped, cfg) == (1, unscored(bumped, cfg))
+    lo, hi = cfg.grid.min_corner, cfg.grid.max_corner
+    moved = dataclasses.replace(cfg, grid=dataclasses.replace(
+        cfg.grid, min_corner=(lo[0] + 1.0, *lo[1:]), max_corner=(hi[0] + 1.0, *hi[1:])))
+    assert after_scoring(model, moved) == (1, unscored(model, moved))
+    sample_loss(model, sample, cfg)
+    sample_gradients(model, sample, cfg)  # takes the volume
+    block_passes.clear()
+    again = sample_gradients(model, sample, cfg)[1].tobytes()
+    assert (len(block_passes), again) == (1, unscored(model, cfg))
 
 
 def test_pool_size_caps_at_threads_cpus_and_items(four_cpus):
