@@ -69,10 +69,12 @@ def _load_sample(sample_dir, cfg):
     gt = gridmod.read_occg(gt_path, cfg.decoder.n_class)
     g = cfg.grid
     _check_frame(gt, gt_path, (g.fine_dims, g.voxel_size, g.min_corner), "the config's fine grid")
-    images = [
-        scenes.read_ppm(os.path.join(sample_dir, f"cam_{cam.cam_id}.ppm"))
-        for cam in spec.rig
-    ]
+    paths = [os.path.join(sample_dir, f"cam_{cam.cam_id}.ppm") for cam in spec.rig]
+    images = [scenes.read_ppm(path) for path in paths]
+    for path, img in zip(paths[1:], images[1:]):
+        if img.shape != images[0].shape:  # the feature maps must share one shape
+            (h0, w0, _), (h, w, _) = images[0].shape, img.shape
+            raise DataError(f"{path}: image size {w}x{h} differs from {paths[0]}'s {w0}x{h0}")
     return prepare_sample(spec, cfg, cloud=cloud, images=images, gt=gt)
 
 

@@ -10,8 +10,6 @@ every learnable parameter.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,20 +128,21 @@ def _patches(table: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray
     return out.reshape(*rows.shape, 4, -1)
 
 
-def _attn_backward(g, cache, params: AttentionParams, grads: AttentionParams):
-    """Accumulate parameter gradients for one batched attention call.
+def _attn_backward(rows, build, data, params: AttentionParams, grads: AttentionParams):
+    """Accumulate one camera's parameter gradients into ``grads``.
 
-    ``g`` is (n, C) or ``Rows``. Each block gathers its corners from the
-    raw map's ``corner_patches``, shared by every head, and from the
-    forward's ``_head_tables``.
+    ``rows`` (n,) are the camera's rows, walked ``_BLOCK`` at a time;
+    ``build(r)`` gives the (queries, upstream gradients, pixels) of a
+    block's rows ``r``, so no (n, C+3) array is held. Each block gathers
+    its corners from the raw map ``data``'s ``corner_patches``, shared by
+    every head, and from the forward's ``_head_tables``, both built once.
     """
-    q, pix, data = cache
     h, w, c = data.shape
     tables = corner_patches(data.reshape(-1, c), h, w), _head_tables([data], params)
     buf = _gather_buffer(params)
-    for s in range(0, len(q), _BLOCK):
-        blk = slice(s, s + _BLOCK)
-        _backward_block(q[blk], g[blk], pix[blk], tables, (h, w), params, buf, grads)
+    for s in range(0, len(rows), _BLOCK):
+        qb, gb, pixb = build(rows[s : s + _BLOCK])
+        _backward_block(qb, gb, pixb, tables, (h, w), params, buf, grads)
 
 
 def _backward_block(qb, gb, pixb, tables, shape, params: AttentionParams, buf, grads):
@@ -182,33 +181,10 @@ def _projection_grads(gb, attn, idx, wts, raw_table, params: AttentionParams, bu
         grads.w_out[i] += gb.T @ (raw[:, i] @ params.w_val[i].T)
 
 
-@dataclass
-class Rows:
-    """Per-point rows of the reference points ``points``, built a block at a
-    time: ``self[blk]`` is ``build(*arrays, points[blk])``. The queries,
-    pixels and upstream gradients of a camera are read this way, so no
-    (n, ...) array of them is ever held."""
-
-    build: Callable  # (*arrays, (b,) reference point rows) -> (b, ...) array
-    arrays: tuple  # what build reads
-    points: np.ndarray  # (n,)
-
-    def __len__(self):
-        return len(self.points)
-
-    def __getitem__(self, blk):
-        return self.build(*self.arrays, self.points[blk])
-
-
 def _query(voxel_feat, point_voxel, positions, lo, extent, r):
     """Each point's voxel LiDAR feature, then its grid-normalized position."""
     feat, pos = np.take(voxel_feat, point_voxel[r], axis=0), np.take(positions, r, axis=0)
     return np.concatenate([feat, (pos - lo) / extent], axis=1)
-
-
-def _upstream(g_voxel, weights, point_voxel, r):
-    """Each point's voxel gradient times its averaging weight."""
-    return weights[r, None] * np.take(g_voxel, point_voxel[r], axis=0)
 
 
 @dataclass
@@ -227,18 +203,6 @@ class FusionCache:
     maps: list  # each camera's (h, w, C) map data
     fallback_mask: np.ndarray  # (nz, ny, nx) bool
     lidar: np.ndarray  # (nz, ny, nx, C)
-
-    @property
-    def per_camera(self) -> list:
-        """(Rows of queries, Rows of pixels, map data) per camera seeing any
-        point, made on each access: the forward's blocks never hold them."""
-        cameras = []
-        for valid, pixels, data in zip(self.proj.valid, self.proj.pixels, self.maps):
-            sel = np.flatnonzero(valid)
-            if len(sel):
-                pix = Rows(operator.getitem, (pixels,), sel)
-                cameras.append((Rows(_query, self.query, sel), pix, data))
-        return cameras
 
 
 def _visibility(valid: np.ndarray, refs: VoxelPoints):
@@ -381,16 +345,26 @@ def fusion_backward(grad_volume: np.ndarray, cache: FusionCache, grads: Attentio
     into ``grads`` in place.
 
     ``grad_volume`` is the upstream gradient, shaped like the fused volume's
-    data.
+    data. The cameras run one at a time, each over its visible points in
+    ``_BLOCK``-row blocks; a point's upstream gradient is its voxel's
+    gradient times its averaging weight.
     """
     if cache is None:
         raise DataError("fusion backward requires the forward cache")
     g = np.asarray(grad_volume, dtype=np.float64)
     if g.shape != cache.lidar.shape:
         raise ConfigError("upstream gradient shape mismatch")
-    keys = cache.voxel_keys
-    upstream = g[keys[:, 2], keys[:, 1], keys[:, 0]], cache.weights, cache.point_voxel
-    for q, pix, data in cache.per_camera:
-        _attn_backward(Rows(_upstream, upstream, q.points), (q, pix, data), cache.params, grads)
+    keys, weights, point_voxel = cache.voxel_keys, cache.weights, cache.point_voxel
+    g_voxel = g[keys[:, 2], keys[:, 1], keys[:, 0]]
+    for valid, pixels, data in zip(cache.proj.valid, cache.proj.pixels, cache.maps):
+        rows = np.flatnonzero(valid)
+        if not len(rows):
+            continue
+
+        def build(r):
+            upstream = weights[r, None] * np.take(g_voxel, point_voxel[r], axis=0)
+            return _query(*cache.query, r), upstream, pixels[r]
+
+        _attn_backward(rows, build, data, cache.params, grads)
     fb = cache.fallback_mask
     grads.w_fallback += g[fb].T @ cache.lidar[fb]

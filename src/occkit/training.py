@@ -57,7 +57,8 @@ def train_epoch(
 
     A batch's per-sample gradients run on up to ``threads`` threads and are
     summed in batch order, so the result does not depend on ``threads``.
-    Mutates the model in place; returns the epoch's mean training loss.
+    Mutates the model in place and drops every scored volume but the first
+    batch's; returns the epoch's mean training loss.
     """
     tc = cfg.training
     ids = sorted(active_ids)
@@ -69,6 +70,8 @@ def train_epoch(
         raise ConfigError("active ids must not repeat")
     rng = np.random.default_rng([tc.seed & 0xFFFFFFFFFFFFFFFF, 0x7EA1, epoch])
     order = [ids[i] for i in rng.permutation(len(ids))]
+    for sid in set(range(len(dataset))) - set(order[: tc.batch_size]):
+        dataset[sid].scored = None  # only the first batch runs before a step
     losses = []
     for start in range(0, len(order), tc.batch_size):
         batch = order[start : start + tc.batch_size]

@@ -12,7 +12,7 @@ from occkit.decoder import LinearHead, entropy_batch
 from occkit.errors import ConfigError, DataError
 from occkit.fusion import (
     AttentionParams,
-    Rows,
+    _attn_backward,
     _gather_buffer,
     _gathers,
     _generate,
@@ -55,10 +55,10 @@ def deform_attn(query, pixel, fmap: FeatureMap, params: AttentionParams) -> np.n
 
 def attn_forward(q, pix, data, params: AttentionParams):
     """Deformable attention of every row on one feature map, in blocks of
-    2048 rows: (out (n, C), the cache ``_attn_backward`` takes). ``q`` (n,
-    C+3) and ``pix`` (n, 2) are arrays or ``Rows``. This is the fusion
-    forward's per-camera form: each camera took its own queries, offsets
-    and softmax."""
+    2048 rows: (out (n, C), the cache ``attn_backward`` takes). ``q`` (n,
+    C+3) and ``pix`` (n, 2) are arrays. This is the fusion forward's
+    per-camera form: each camera took its own queries, offsets and
+    softmax."""
     m, k = params.n_heads, params.n_keys
     h, w, _ = data.shape
     table, buf = _head_tables([data], params), _gather_buffer(params)
@@ -75,6 +75,13 @@ def attn_forward(q, pix, data, params: AttentionParams):
             np.einsum("nikj,nikjc->nc", wts[sub], _patches(table, idx[sub], buf), out=ob[sub])
     return out, (q, pix, data)
 
+def attn_backward(g, cache, params: AttentionParams, grads: AttentionParams):
+    """Add the parameter gradients of an ``attn_forward`` call on one camera,
+    with upstream gradient ``g`` (n, C), into ``grads``: the fusion
+    backward's per-camera kernel over rows 0..n-1 of the arrays."""
+    q, pix, data = cache
+    _attn_backward(np.arange(len(g)), lambda r: (q[r], g[r], pix[r]), data, params, grads)
+
 def fuse_per_camera(f_l, maps, refs, proj, params: AttentionParams, grid: GridConfig):
     """``occ_fuse``'s fused data as a loop over the cameras: each camera's
     visible points through ``attn_forward``, times their averaging weights,
@@ -88,7 +95,7 @@ def fuse_per_camera(f_l, maps, refs, proj, params: AttentionParams, grid: GridCo
     for valid, pixels, fmap in zip(proj.valid, proj.pixels, maps.maps):
         sel = np.flatnonzero(valid)
         if len(sel):
-            out, _ = attn_forward(Rows(_query, query, sel), pixels[sel], fmap.data, params)
+            out, _ = attn_forward(_query(*query, sel), pixels[sel], fmap.data, params)
             out *= weights[sel][:, None]
             v = point_voxel[sel]
             starts = np.flatnonzero(np.concatenate([[True], v[1:] != v[:-1]]))

@@ -28,7 +28,6 @@ from occkit.decoder import (
 )
 from occkit.fusion import (
     AttentionParams,
-    _attn_backward,
     fusion_backward,
     occ_fuse,
 )
@@ -65,7 +64,16 @@ from occkit.pointprep import (
 )
 from occkit.scenes import N_CLASS, preset
 from occkit.training import active_train, score_samples, select_topk, train_epoch
-from oracles import attn_forward, bilinear, build_query, deform_attn, entropy, fps, voxel_bounds
+from oracles import (
+    attn_backward,
+    attn_forward,
+    bilinear,
+    build_query,
+    deform_attn,
+    entropy,
+    fps,
+    voxel_bounds,
+)
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -248,7 +256,7 @@ def test_criterion_03_attention_identity_and_gradients():
         g_up = r.normal(size=(1, c))
         _, cache = attn_forward(q, pix, data, params)
         grads = OccModel.over(None, fd_cfg)
-        _attn_backward(g_up, cache, params, grads.attention)
+        attn_backward(g_up, cache, params, grads.attention)
         gvec = grads.params
         vec = model.params
         for i in r.choice(n_attn, 6, replace=False):

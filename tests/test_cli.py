@@ -526,8 +526,9 @@ def test_malformed_cloud_exits_two(tmp_path, capsys, name, raw):
 @pytest.mark.parametrize(
     "raw",
     [b"", b"P6\n4 3\n", b"P6 4 x 255\n", b"P6 0 3 255\n", b"P6 4 3 0\n" + bytes(36),
-     b"P6 " + b"9" * 5000 + b" 3 255\n"],
-    ids=["empty", "short_header", "not_integer", "zero_width", "maxval_zero", "huge_width"],
+     b"P6 " + b"9" * 5000 + b" 3 255\n", b"P6 4 3 255\n" + bytes(36)],
+    ids=["empty", "short_header", "not_integer", "zero_width", "maxval_zero", "huge_width",
+         "other_size"],  # well formed, but not the size of the sample's other image
 )
 def test_malformed_image_exits_two(data_dir, tmp_path, capsys, raw):
     sample = tmp_path / "sample"

@@ -10,13 +10,19 @@ from occkit.errors import ConfigError
 from occkit.fusion import (
     _BLOCK,
     AttentionParams,
-    _attn_backward,
     fusion_backward,
     occ_fuse,
 )
 from occkit.grid import GridConfig, VoxelFeatureVolume, VoxelPoints
 from occkit.pipeline import FusionConfig, OccModel, PipelineConfig
-from oracles import attn_forward, bilinear, build_query, deform_attn, fuse_per_camera
+from oracles import (
+    attn_backward,
+    attn_forward,
+    bilinear,
+    build_query,
+    deform_attn,
+    fuse_per_camera,
+)
 
 C = 4
 
@@ -174,13 +180,13 @@ def test_attn_blocks_match_single_rows(n, shape):
     g = rng.normal(size=(n, C))
     out, cache = attn_forward(q, pix, data, params)
     grads = OccModel.over(None, fusion_cfg())
-    _attn_backward(g, cache, params, grads.attention)
+    attn_backward(g, cache, params, grads.attention)
 
     rows = np.zeros((n, C))
     expect = OccModel.over(None, fusion_cfg())
     for i in range(n):
         rows[i], row_cache = attn_forward(q[i : i + 1], pix[i : i + 1], data, params)
-        _attn_backward(g[i : i + 1], row_cache, params, expect.attention)
+        attn_backward(g[i : i + 1], row_cache, params, expect.attention)
     np.testing.assert_allclose(out, rows, rtol=0, atol=1e-15)
     for name, a in grads.tensors().items():
         b = expect.tensors()[name]

@@ -9,7 +9,7 @@ from occkit.cli import run_command
 from occkit.errors import ConfigError
 from occkit import cameras, fusion
 from occkit.cameras import project_all, project_batch
-from occkit.fusion import occ_fuse
+from occkit.fusion import fusion_backward, occ_fuse
 from occkit.pipeline import (
     OccModel,
     PipelineConfig,
@@ -50,6 +50,11 @@ TINY_SEED0_JSON_DIGESTS = {
 # 6 % of the samples leave the feature map. The fusion backward feeds it bit
 # for bit; update it only for an intended change of gradients.
 TINY_SEED0_GRAD_DIGEST = "dd5b9403c8913b72512852a25f23f5bf1e00bd7c5caf3606785238b155984d51"
+# sha256 of the attention gradients that fusion_backward adds on the small
+# _fusion_case at seed 0 (random generators, 4 cameras, several _BLOCK-row
+# blocks per camera) for a seeded upstream gradient. Its per-block partial
+# sums feed it bit for bit; update it only for an intended change of gradients.
+SMALL_SEED0_FUSION_GRAD_DIGEST = "039a6e13293d39de564fa074842446f11a2327751f45b69bb75ac1c0842e815f"
 
 
 def _digest(arrays):
@@ -163,7 +168,7 @@ def test_fusion_cache_is_compact():
     cfg = PipelineConfig.for_preset("tiny", seed=0)
     sample = prepare_sample(preset("tiny", seed=0), cfg)
     _, cache, _ = forward_coarse(OccModel.create(cfg), sample, cfg)
-    assert cache.per_camera
+    assert cache.proj.valid.any()  # a camera sees a point: the backward has rows to build
     queries_nbytes = len(cache.point_voxel) * (cfg.fusion.channels + 3) * 8
     assert _nbytes(cache) <= 2 * queries_nbytes
 
@@ -235,6 +240,15 @@ def _fuse_bytes(case, threads):
     s, cfg, attention = case
     fused, cache = occ_fuse(s.lidar_volume, s.maps, s.refs, s.proj, attention, cfg.grid, threads)
     return [(a.dtype.str, a.shape, a.tobytes()) for a in [fused.data, *_arrays(cache)]]
+
+
+def test_fusion_backward_golden_digest():
+    s, cfg, attention = _fusion_case("small")
+    _, cache = occ_fuse(s.lidar_volume, s.maps, s.refs, s.proj, attention, cfg.grid, 1)
+    grad = OccModel.over(None, cfg)
+    g_volume = np.random.default_rng(5).normal(size=cache.lidar.shape)
+    fusion_backward(g_volume, cache, grad.attention)
+    assert _digest([grad.params]) == SMALL_SEED0_FUSION_GRAD_DIGEST
 
 
 @pytest.mark.parametrize("name", ["tiny", "small"])

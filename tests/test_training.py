@@ -241,7 +241,7 @@ def test_scoring_hands_its_volumes_to_the_next_gradients(
 ):
     # One mini-batch right after the scoring pass takes each sample's volume
     # from it: n passes for the pair, not n + k, and the bytes of a model
-    # that was never scored.
+    # that was never scored. The sample outside the batch keeps no volume.
     ids = [0, 2]
     plain = OccModel.create(cfg)
     train_epoch(plain, _unscored(dataset), ids, cfg, epoch=0, threads=threads)
@@ -252,7 +252,30 @@ def test_scoring_hands_its_volumes_to_the_next_gradients(
     train_epoch(model, samples, ids, cfg, epoch=0, threads=threads)
     assert len(block_passes) == len(samples)
     assert model.params.tobytes() == plain.params.tobytes()
-    assert [s.scored is None for s in samples] == [True, False, True]
+    assert [s.scored is None for s in samples] == [True, True, True]
+
+
+def test_train_epoch_keeps_scored_volumes_for_its_first_batch_only(cfg, dataset, monkeypatch):
+    # Only the first mini-batch runs at the scoring parameters. The volumes
+    # of the other samples, in a later batch or outside the active set, are
+    # dropped before it runs, and none is left when the epoch returns.
+    one = dataclasses.replace(cfg, training=dataclasses.replace(cfg.training, batch_size=1))
+    samples, model = _unscored(dataset), OccModel.create(one)
+    calls, real = [], training.sample_gradients
+
+    def spy(m, sample, c):
+        """Record which sample runs and which samples hold a volume."""
+        sid = next(i for i, s in enumerate(samples) if s is sample)
+        calls.append((sid, [s.scored is not None for s in samples]))
+        return real(m, sample, c)
+
+    monkeypatch.setattr(training, "sample_gradients", spy)
+    score_samples(model, samples, one, threads=1)
+    train_epoch(model, samples, [0, 2], one, epoch=0, threads=1)
+    (first, held_first), (_, held_second) = calls
+    assert held_first == [sid == first for sid in range(len(samples))]
+    assert held_second == [False] * len(samples)
+    assert all(s.scored is None for s in samples)
 
 
 def test_gradients_recompute_unless_the_scored_volume_matches(cfg, dataset, block_passes):
