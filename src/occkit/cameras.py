@@ -65,7 +65,6 @@ def _matrix(m, n) -> np.ndarray:
 class FeatureMap:
     """One camera's 2D feature map, stored row-major (y, x, c)."""
 
-    camera_id: str
     data: np.ndarray
 
     def __post_init__(self):
@@ -110,7 +109,6 @@ class ProjectedReference:
     is its feature-map coordinate.
     """
 
-    cam_ids: list
     valid: np.ndarray  # (n_cam, P) bool
     pixels: np.ndarray  # (n_cam, P, 2)
 
@@ -158,11 +156,7 @@ def project_all(refs: VoxelPoints, rig, feat_sizes) -> ProjectedReference:
     for c, (cam, fs) in enumerate(zip(rig, feat_sizes)):
         for s, e in zip([0, *stops], stops):
             project_batch(pts[s:e], cam, fs, out=(valid[c, s:e], pixels[c, s:e]))
-    return ProjectedReference(
-        cam_ids=[cam.cam_id for cam in rig],
-        valid=valid,
-        pixels=pixels,
-    )
+    return ProjectedReference(valid=valid, pixels=pixels)
 
 
 def bilinear_batch(data: np.ndarray, pixels: np.ndarray) -> np.ndarray:

@@ -69,17 +69,17 @@ def encode_lidar(
     return VoxelFeatureVolume(data=data)
 
 
-def encode_images(images, cam_ids, params: EncoderParams) -> FeatureMapSet:
+def encode_images(images, params: EncoderParams) -> FeatureMapSet:
     """Embed the color of every pixel of each RGB image.
 
     ``images`` are (h, w, 3) float arrays in [0, 1], all the same size
     (``FeatureMapSet`` checks it).
     """
     maps = []
-    for img, cam_id in zip(images, cam_ids):
+    for img in images:
         img = np.asarray(img, dtype=np.float64)
         if img.ndim != 3 or img.shape[2] != 3:
             raise ConfigError("images must be (h, w, 3)")
         feat = np.tanh(img @ params.pixel_embed.T)
-        maps.append(FeatureMap(camera_id=cam_id, data=feat))
+        maps.append(FeatureMap(data=feat))
     return FeatureMapSet(maps=maps)

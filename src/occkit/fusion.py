@@ -281,7 +281,7 @@ def occ_fuse(
     c = params.channels
     if f_l.channels != c or (maps.maps and maps.channels != c):
         raise ConfigError("channel mismatch between volumes, maps and params")
-    if len(proj.cam_ids) != len(maps.maps):
+    if len(proj.valid) != len(maps.maps):
         raise ConfigError("projection table and feature maps disagree on rig size")
     nx, ny, nz = grid.coarse_dims
     if f_l.dims != (nx, ny, nz):
@@ -358,8 +358,6 @@ def fusion_backward(grad_volume: np.ndarray, cache: FusionCache, grads: Attentio
     g_voxel = g[keys[:, 2], keys[:, 1], keys[:, 0]]
     for valid, pixels, data in zip(cache.proj.valid, cache.proj.pixels, cache.maps):
         rows = np.flatnonzero(valid)
-        if not len(rows):
-            continue
 
         def build(r):
             upstream = weights[r, None] * np.take(g_voxel, point_voxel[r], axis=0)

@@ -247,39 +247,30 @@ def bin_points(cloud, cfg: GridConfig):
     return points, len(pts) - len(src)
 
 
+# Corner offsets (dx, dy, dz) of a trilinear cell, x fastest, as in
+# cameras.bilinear_corners' corner order.
+_CORNERS = np.array([[j & 1, j >> 1 & 1, j >> 2] for j in range(8)])
+
+
 def trilinear_sample_batch(vol: VoxelFeatureVolume, pos: np.ndarray) -> np.ndarray:
     """Trilinearly interpolate a feature volume at (n, 3) voxel-center coordinates.
 
     Each row of ``pos`` is (x, y, z) with 0 at the center of voxel (0, 0, 0);
-    values outside the center lattice are clamped.
+    values outside the center lattice are clamped. Each sample's eight cell
+    corners (``_CORNERS`` added to its lower corner, clamped to the last
+    voxel of each axis) are gathered from the flat (nz*ny*nx, C) data in one
+    call and weighed by the products of ``f`` and ``1 - f`` they select.
     """
     pos = np.asarray(pos, dtype=np.float64).reshape(-1, 3)
     nx, ny, nz = vol.dims
-    dims = np.array([nx, ny, nz], dtype=np.float64)
+    dims = np.array([nx, ny, nz])
     p = np.clip(pos, 0.0, dims - 1.0)
-    i0 = np.clip(np.floor(p).astype(np.int64), 0, np.maximum(dims.astype(int) - 2, 0))
-    f = p - i0
-    x0, y0, z0 = i0[:, 0], i0[:, 1], i0[:, 2]
-    x1 = np.minimum(x0 + 1, nx - 1)
-    y1 = np.minimum(y0 + 1, ny - 1)
-    z1 = np.minimum(z0 + 1, nz - 1)
-    fx, fy, fz = f[:, 0, None], f[:, 1, None], f[:, 2, None]
-    d = vol.data
-    c000 = d[z0, y0, x0]
-    c100 = d[z0, y0, x1]
-    c010 = d[z0, y1, x0]
-    c110 = d[z0, y1, x1]
-    c001 = d[z1, y0, x0]
-    c101 = d[z1, y0, x1]
-    c011 = d[z1, y1, x0]
-    c111 = d[z1, y1, x1]
-    c00 = c000 * (1 - fx) + c100 * fx
-    c10 = c010 * (1 - fx) + c110 * fx
-    c01 = c001 * (1 - fx) + c101 * fx
-    c11 = c011 * (1 - fx) + c111 * fx
-    c0 = c00 * (1 - fy) + c10 * fy
-    c1 = c01 * (1 - fy) + c11 * fy
-    return c0 * (1 - fz) + c1 * fz
+    i0 = np.clip(np.floor(p).astype(np.int64), 0, np.maximum(dims - 2, 0))
+    f = (p - i0)[:, None]
+    x, y, z = np.moveaxis(np.minimum(i0[:, None] + _CORNERS, dims - 1), 2, 0)  # each (n, 8)
+    corners = vol.data.reshape(-1, vol.channels)[(z * ny + y) * nx + x]  # (n, 8, C)
+    wts = np.where(_CORNERS, f, 1 - f).prod(axis=2)  # (n, 8)
+    return np.einsum("nj,njc->nc", wts, corners)
 
 
 def split_voxel(coarse_index, factor: int, cfg: GridConfig):

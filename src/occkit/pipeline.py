@@ -232,7 +232,7 @@ def prepare_sample(
     enc = EncoderParams.create(cfg.fusion.channels, seed=cfg.fusion.seed)
     bins, _ = bin_points(cloud, cfg.grid)
     f_l = encode_lidar(bins, cloud, enc, cfg.grid)
-    maps = encode_images(images, [cam.cam_id for cam in spec.rig], enc)
+    maps = encode_images(images, enc)
     refs = preprocess(bins, cloud, cfg.preprocess, cfg.grid)
     feat_sizes = [(m.width, m.height) for m in maps.maps]
     proj = project_all(refs, spec.rig, feat_sizes)

@@ -92,7 +92,8 @@ def train_epoch(
 def active_train(model: OccModel, dataset, cfg: PipelineConfig, threads: int | None = None):
     """Full active loop: epoch 0 uses every sample; afterwards each epoch
     trains on the previous resampling's top-K set, then re-scores the whole
-    dataset to pick the next one, each on up to ``threads`` threads.
+    dataset to pick the next one, each on up to ``threads`` threads. The last
+    score pass's volumes are dropped, as no epoch follows to read them.
     Returns (model, [EpochRecord])."""
     tc = cfg.training
     n = len(dataset)
@@ -113,4 +114,6 @@ def active_train(model: OccModel, dataset, cfg: PipelineConfig, threads: int | N
             )
         )
         active = next_active
+    for sample in dataset:
+        sample.scored = None
     return model, history

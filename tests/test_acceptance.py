@@ -232,8 +232,8 @@ def test_criterion_03_attention_identity_and_gradients():
         data = rng.normal(size=(7, 6, c))
         pix = rng.uniform(0.0, 5.0, 2)
         q = rng.normal(size=c + 3)
-        out = deform_attn(q, pix, FeatureMap(camera_id="x", data=data), ident)
-        np.testing.assert_array_equal(out, bilinear(FeatureMap(camera_id="x", data=data), pix))
+        out = deform_attn(q, pix, FeatureMap(data=data), ident)
+        np.testing.assert_array_equal(out, bilinear(FeatureMap(data=data), pix))
 
     h = 1e-5
     fd_cfg = dataclasses.replace(fast_cfg(), fusion=FusionConfig(channels=c, n_heads=2, n_keys=3))
@@ -282,12 +282,11 @@ def test_criterion_03_attention_identity_and_gradients():
         )
         refs = raw_points(keys, [3, 3, 3], positions)
         proj = ProjectedReference(
-            cam_ids=["a", "b"],
             valid=r.uniform(size=(2, 9)) < 0.75,
             pixels=r.uniform(1.5, 5.5, (2, 9, 2)),
         )
         maps = FeatureMapSet(
-            maps=[FeatureMap(camera_id=cid, data=r.normal(size=(8, 8, c))) for cid in "ab"]
+            maps=[FeatureMap(data=r.normal(size=(8, 8, c))) for _ in range(2)]
         )
         f_l = VoxelFeatureVolume(data=r.normal(size=(2, 2, 2, c)))
         g_up = r.normal(size=f_l.data.shape)
@@ -398,14 +397,12 @@ def test_criterion_04_averaging_laws():
     # duplicating the rig leaves the fused volume unchanged (inner mean)
     proj = project_all(base, spec.rig, feat_sizes)
     proj2 = ProjectedReference(
-        cam_ids=proj.cam_ids + [c + "_dup" for c in proj.cam_ids],
         valid=np.concatenate([proj.valid, proj.valid], axis=0),
         pixels=np.concatenate([proj.pixels, proj.pixels], axis=0),
     )
     maps2 = FeatureMapSet(
         maps=sample.maps.maps
-        + [FeatureMap(camera_id=m.camera_id + "_dup", data=m.data.copy())
-           for m in sample.maps.maps]
+        + [FeatureMap(data=m.data.copy()) for m in sample.maps.maps]
     )
     fused_dup, _ = occ_fuse(sample.lidar_volume, maps2, base, proj2, params, cfg.grid)
     np.testing.assert_allclose(fused_a.data, fused_dup.data, atol=1e-12)
@@ -419,21 +416,20 @@ def test_criterion_04_averaging_laws():
     ))
     keys = np.array([[0, 0, 0]])
     positions = np.array([[0.4, 0.6, 0.5], [0.6, 0.4, 0.5]])
-    fmap = FeatureMap(camera_id="a", data=rng.normal(size=(8, 8, c)))
+    fmap = FeatureMap(data=rng.normal(size=(8, 8, c)))
     f_l = VoxelFeatureVolume(data=rng.normal(size=(2, 2, 2, c)))
     pixels = rng.uniform(2.0, 5.0, size=(1, 2, 2))
     refs = raw_points(keys, [2], positions)
 
-    def fuse_with(cam_ids, valid, pix, maps):
-        proj1 = ProjectedReference(cam_ids=cam_ids, valid=valid, pixels=pix)
+    def fuse_with(valid, pix, maps):
+        proj1 = ProjectedReference(valid=valid, pixels=pix)
         fused, _ = occ_fuse(f_l, FeatureMapSet(maps=maps), refs, proj1,
                             small_params, grid)
         return fused.data[0, 0, 0]
 
-    one = fuse_with(["a"], np.array([[True, True]]), pixels, [fmap])
-    twin = FeatureMap(camera_id="a2", data=fmap.data.copy())
+    one = fuse_with(np.array([[True, True]]), pixels, [fmap])
+    twin = FeatureMap(data=fmap.data.copy())
     two = fuse_with(
-        ["a", "a2"],
         np.array([[True, True], [True, True]]),
         np.concatenate([pixels, pixels], axis=0),
         [fmap, twin],
@@ -443,7 +439,7 @@ def test_criterion_04_averaging_laws():
     # two points with one projection each average to (f1 + f2) / 2
     valid = np.array([[True, False], [False, True]])
     pix2 = np.concatenate([pixels, pixels], axis=0)
-    split = fuse_with(["a", "a2"], valid, pix2, [fmap, twin])
+    split = fuse_with(valid, pix2, [fmap, twin])
     q1 = build_query(f_l.data[0, 0, 0], positions[0], grid)
     q2 = build_query(f_l.data[0, 0, 0], positions[1], grid)
     f1 = deform_attn(q1, pixels[0, 0], fmap, small_params)

@@ -27,10 +27,10 @@ def project(point, cam: CameraModel, feat_size=None):
 
 
 def projections_of(self: ProjectedReference, flat_point: int):
-    """(cam_id, pixel) pairs for one flat point row, in rig order."""
+    """(rig position, pixel) pairs for one flat point row, in rig order."""
     return [
-        (self.cam_ids[c], self.pixels[c, flat_point].copy())
-        for c in range(len(self.cam_ids))
+        (c, self.pixels[c, flat_point].copy())
+        for c in range(len(self.valid))
         if self.valid[c, flat_point]
     ]
 
@@ -58,7 +58,7 @@ def test_camera_validation():
 def test_feature_map_set_rejects_maps_of_another_shape(shape):
     """The fusion samples every map from one stacked table, so a rig's maps
     share their height, width and channels."""
-    maps = [FeatureMap("a", np.zeros((4, 6, 2))), FeatureMap("b", np.zeros(shape))]
+    maps = [FeatureMap(np.zeros((4, 6, 2))), FeatureMap(np.zeros(shape))]
     with pytest.raises(ConfigError, match="shape"):
         FeatureMapSet(maps)
     assert FeatureMapSet(maps[:1] * 2).channels == 2
@@ -186,7 +186,7 @@ def test_project_all_stereo_overlap():
 
 def test_bilinear_integer_and_center():
     rng = np.random.default_rng(2)
-    fmap = FeatureMap(camera_id="c", data=rng.normal(size=(4, 5, 3)))
+    fmap = FeatureMap(data=rng.normal(size=(4, 5, 3)))
     np.testing.assert_allclose(bilinear(fmap, (2, 3)), fmap.data[3, 2])
     center = bilinear(fmap, (1.5, 2.5))
     block = fmap.data[2:4, 1:3].reshape(4, 3)
@@ -194,22 +194,22 @@ def test_bilinear_integer_and_center():
 
 
 def test_bilinear_constant_and_linearity():
-    const = FeatureMap(camera_id="c", data=np.full((3, 3, 2), 0.7))
+    const = FeatureMap(data=np.full((3, 3, 2), 0.7))
     np.testing.assert_allclose(bilinear(const, (0.31, 1.87)), 0.7)
     rng = np.random.default_rng(3)
     m1 = rng.normal(size=(4, 4, 2))
     m2 = rng.normal(size=(4, 4, 2))
     p = (1.3, 2.1)
-    lhs = bilinear(FeatureMap(camera_id="c", data=2.0 * m1 - 0.5 * m2), p)
-    rhs = 2.0 * bilinear(FeatureMap(camera_id="c", data=m1), p) - 0.5 * bilinear(
-        FeatureMap(camera_id="c", data=m2), p
+    lhs = bilinear(FeatureMap(data=2.0 * m1 - 0.5 * m2), p)
+    rhs = 2.0 * bilinear(FeatureMap(data=m1), p) - 0.5 * bilinear(
+        FeatureMap(data=m2), p
     )
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_bilinear_clamps():
     rng = np.random.default_rng(4)
-    fmap = FeatureMap(camera_id="c", data=rng.normal(size=(3, 3, 1)))
+    fmap = FeatureMap(data=rng.normal(size=(3, 3, 1)))
     np.testing.assert_allclose(bilinear(fmap, (-3.0, 1.0)), bilinear(fmap, (0.0, 1.0)))
     np.testing.assert_allclose(bilinear(fmap, (9.0, 9.0)), fmap.data[2, 2])
 

@@ -248,7 +248,7 @@ def test_decode_matches_voxel_loop_oracle(seed):
     nx, ny, nz = grid.coarse_dims
     fused = VoxelFeatureVolume(data=rng.normal(size=(nz, ny, nx, c)))
     maps = FeatureMapSet(
-        maps=[FeatureMap(cam.cam_id, data=rng.normal(size=(9, 13, c))) for cam in spec.rig]
+        maps=[FeatureMap(data=rng.normal(size=(9, 13, c))) for _ in spec.rig]
     )
     heads = Heads(
         coarse=LinearHead(weight=rng.normal(size=(4, c)), bias=rng.normal(size=4)),

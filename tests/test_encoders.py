@@ -97,7 +97,7 @@ def test_encode_images_constant_image():
     params = EncoderParams.create(2, seed=5)
     rgb = np.array([0.2, 0.5, 0.9])
     img = np.broadcast_to(rgb, (3, 5, 3)).copy()
-    feat = encode_images([img], ["c"], params).maps[0].data
+    feat = encode_images([img], params).maps[0].data
     expect = np.broadcast_to(np.tanh(rgb @ params.pixel_embed.T), (3, 5, 2))
     np.testing.assert_allclose(feat, expect, atol=1e-14)
 
@@ -105,8 +105,6 @@ def test_encode_images_constant_image():
 def test_encode_images_errors():
     params = EncoderParams.create(2, seed=0)
     with pytest.raises(ConfigError):
-        encode_images([np.zeros((4, 4))], ["c"], params)  # not rgb
+        encode_images([np.zeros((4, 4))], params)  # not rgb
     with pytest.raises(ConfigError):
-        encode_images(
-            [np.zeros((4, 4, 3)), np.zeros((4, 6, 3))], ["a", "b"], params
-        )  # size mismatch
+        encode_images([np.zeros((4, 4, 3)), np.zeros((4, 6, 3))], params)  # size mismatch

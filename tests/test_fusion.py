@@ -72,7 +72,7 @@ def attn_oracle(query, pixel, data, params):
     q = np.asarray(query, dtype=np.float64)
     off = (params.offset_gen @ q).reshape(m, k, 2)
     logits = (params.weight_gen @ q).reshape(m, k)
-    fmap = FeatureMap(camera_id="o", data=data)
+    fmap = FeatureMap(data=data)
     out = np.zeros(params.channels)
     for mi in range(m):
         e = np.exp(logits[mi] - logits[mi].max())
@@ -126,8 +126,8 @@ def test_deform_attn_zero_init_samples_reference():
     data = rng.normal(size=(6, 7, C))
     pix = (2.3, 3.1)
     q = rng.normal(size=C + 3)
-    out = deform_attn(q, pix, FeatureMap(camera_id="c", data=data), params)
-    x = bilinear(FeatureMap(camera_id="c", data=data), pix)
+    out = deform_attn(q, pix, FeatureMap(data=data), params)
+    x = bilinear(FeatureMap(data=data), pix)
     expect = sum(params.w_out[m] @ (params.w_val[m] @ x) for m in range(params.n_heads))
     np.testing.assert_allclose(out, expect, atol=1e-12)
 
@@ -139,7 +139,7 @@ def test_deform_attn_matches_oracle():
         data = rng.normal(size=(8, 9, C))
         q = rng.normal(size=C + 3)
         pix = rng.uniform(1.0, 6.0, 2)
-        out = deform_attn(q, pix, FeatureMap(camera_id="c", data=data), params)
+        out = deform_attn(q, pix, FeatureMap(data=data), params)
         np.testing.assert_allclose(out, attn_oracle(q, pix, data, params), atol=1e-12)
 
 
@@ -150,9 +150,9 @@ def test_deform_attn_linear_in_feature_map():
     m2 = rng.normal(size=(6, 6, C))
     q = rng.normal(size=C + 3)
     pix = (2.2, 2.8)
-    lhs = deform_attn(q, pix, FeatureMap(camera_id="c", data=3.0 * m1 - 2.0 * m2), params)
-    rhs = 3.0 * deform_attn(q, pix, FeatureMap(camera_id="c", data=m1), params) - 2.0 * deform_attn(
-        q, pix, FeatureMap(camera_id="c", data=m2), params
+    lhs = deform_attn(q, pix, FeatureMap(data=3.0 * m1 - 2.0 * m2), params)
+    rhs = 3.0 * deform_attn(q, pix, FeatureMap(data=m1), params) - 2.0 * deform_attn(
+        q, pix, FeatureMap(data=m2), params
     )
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -207,17 +207,8 @@ def _fusion_case(seed, n_vox=3, pts_per_vox=4, n_cam=2, vis_prob=0.8):
     n_pts = len(positions)
     valid = rng.uniform(size=(n_cam, n_pts)) < vis_prob
     pixels = rng.uniform(1.5, 5.5, size=(n_cam, n_pts, 2))
-    proj = ProjectedReference(
-        cam_ids=[f"cam{i}" for i in range(n_cam)],
-        valid=valid,
-        pixels=pixels,
-    )
-    maps = FeatureMapSet(
-        maps=[
-            FeatureMap(camera_id=f"cam{i}", data=rng.normal(size=(8, 8, C)))
-            for i in range(n_cam)
-        ]
-    )
+    proj = ProjectedReference(valid=valid, pixels=pixels)
+    maps = FeatureMapSet(maps=[FeatureMap(data=rng.normal(size=(8, 8, C))) for _ in range(n_cam)])
     f_l = VoxelFeatureVolume(data=rng.normal(size=(2, 2, 2, C)))
     return grid, refs, proj, maps, f_l
 
@@ -236,7 +227,7 @@ def fuse_oracle(f_l, maps, refs, proj, params, grid):
         point_means = []
         for p in np.nonzero(point_voxel == v)[0]:
             samples = []
-            for c in range(len(proj.cam_ids)):
+            for c in range(len(proj.valid)):
                 if proj.valid[c, p]:
                     samples.append(
                         attn_oracle(q_all[p], proj.pixels[c, p], maps.maps[c].data, params)
@@ -294,8 +285,8 @@ def test_backward_recomputes_the_forwards_offsets_and_logits(seen, monkeypatch):
     refs = grouped(keys, point_voxel, positions)
     valid = np.ones((2, len(point_voxel)), dtype=bool)
     valid[1, np.sort(rng.permutation(len(point_voxel))[seen:])] = False
-    proj = ProjectedReference(["a", "b"], valid, rng.uniform(1.5, 5.5, (2, len(point_voxel), 2)))
-    maps = FeatureMapSet([FeatureMap(cid, rng.normal(size=(8, 8, c))) for cid in "ab"])
+    proj = ProjectedReference(valid, rng.uniform(1.5, 5.5, (2, len(point_voxel), 2)))
+    maps = FeatureMapSet([FeatureMap(rng.normal(size=(8, 8, c))) for _ in range(2)])
     f_l = VoxelFeatureVolume(data=rng.normal(size=(2, 2, 2, c)))
     calls, generate = [], fusion._generate
 
@@ -325,7 +316,6 @@ def test_occ_fuse_point_permutation_invariant():
     order = perm[np.argsort(refs.point_voxel[perm], kind="stable")]
     refs2 = grouped(refs.keys, refs.point_voxel[order], refs.positions[order])
     proj2 = ProjectedReference(
-        cam_ids=proj.cam_ids,
         valid=proj.valid[:, order],
         pixels=proj.pixels[:, order],
     )
@@ -340,17 +330,10 @@ def test_occ_fuse_duplicate_rig_no_change():
     params = random_params(6)
     fused, _ = occ_fuse(f_l, maps, refs, proj, params, grid)
     proj2 = ProjectedReference(
-        cam_ids=proj.cam_ids + [c + "_twin" for c in proj.cam_ids],
         valid=np.concatenate([proj.valid, proj.valid], axis=0),
         pixels=np.concatenate([proj.pixels, proj.pixels], axis=0),
     )
-    maps2 = FeatureMapSet(
-        maps=maps.maps
-        + [
-            FeatureMap(camera_id=m.camera_id + "_twin", data=m.data.copy())
-            for m in maps.maps
-        ]
-    )
+    maps2 = FeatureMapSet(maps=maps.maps + [FeatureMap(data=m.data.copy()) for m in maps.maps])
     fused2, _ = occ_fuse(f_l, maps2, refs, proj2, params, grid)
     np.testing.assert_allclose(fused.data, fused2.data, atol=1e-12)
 
@@ -365,9 +348,9 @@ def test_occ_fuse_two_point_hand_case():
     refs = grouped(keys, [0, 0], positions)
     valid = np.array([[True, True], [True, False]])
     pixels = rng.uniform(2.0, 5.0, size=(2, 2, 2))
-    proj = ProjectedReference(cam_ids=["a", "b"], valid=valid, pixels=pixels)
+    proj = ProjectedReference(valid=valid, pixels=pixels)
     maps = FeatureMapSet(
-        maps=[FeatureMap(camera_id=c, data=rng.normal(size=(8, 8, C))) for c in "ab"]
+        maps=[FeatureMap(data=rng.normal(size=(8, 8, C))) for _ in range(2)]
     )
     f_l = VoxelFeatureVolume(data=rng.normal(size=(2, 2, 2, C)))
     fused, _ = occ_fuse(f_l, maps, refs, proj, params, grid)

@@ -11,6 +11,7 @@ from occkit.grid import (
     bin_points,
     read_occg,
     split_voxel,
+    trilinear_sample_batch,
     voxel_indices,
     write_occg,
 )
@@ -183,6 +184,36 @@ def test_trilinear_clamps_out_of_range():
     np.testing.assert_allclose(
         trilinear_sample(vol, (-5, 0, 0)), trilinear_sample(vol, (0, 0, 0))
     )
+
+
+def test_trilinear_reproduces_multilinear_volumes_and_clamps_upper_faces():
+    # Trilinear interpolation is exact on a+bx+cy+dz+exy+fyz+gxz+hxyz, so a
+    # volume set from one on the center lattice is the field itself inside
+    # it; the expected values come from the field, not from the sampler.
+    rng = np.random.default_rng(7)
+    nx, ny, nz = 4, 3, 5
+    coef = rng.normal(size=(8, 2))
+
+    def field(x, y, z):
+        return np.stack([x**0, x, y, z, x * y, y * z, x * z, x * y * z], axis=-1) @ coef
+
+    z, y, x = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
+    vol = VoxelFeatureVolume(data=field(x * 1.0, y * 1.0, z * 1.0))
+    pos = rng.uniform(0.0, [nx - 1, ny - 1, nz - 1], size=(300, 3))
+    np.testing.assert_allclose(trilinear_sample_batch(vol, pos), field(*pos.T), rtol=0, atol=1e-12)
+
+    # One voxel along y: any y reads that voxel, and x and z past their
+    # upper faces read their last centers.
+    d = _volume((3, 1, 2), 2, rng).data
+    flat = VoxelFeatureVolume(data=d)
+    past = np.array([[9.0, 4.0, 6.0], [2.5, 0.7, 0.25], [0.5, 3.0, 1.0], [5.0, 0.0, 1.0]])
+    expect = [
+        d[1, 0, 2],
+        0.75 * d[0, 0, 2] + 0.25 * d[1, 0, 2],
+        0.5 * (d[1, 0, 0] + d[1, 0, 1]),
+        d[1, 0, 2],
+    ]
+    np.testing.assert_allclose(trilinear_sample_batch(flat, past), expect, rtol=0, atol=1e-12)
 
 
 def test_split_voxel_counts(unit_grid):

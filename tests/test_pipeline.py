@@ -251,6 +251,33 @@ def test_fusion_backward_golden_digest():
     assert _digest([grad.params]) == SMALL_SEED0_FUSION_GRAD_DIGEST
 
 
+def test_a_blind_camera_fuses_and_backs_up_as_a_rig_without_it():
+    # A camera that sees no point adds no row to the forward or the backward,
+    # so its map and projection rows change neither the fused nor the
+    # gradient bytes.
+    s, cfg, attention = _fusion_case("tiny")
+    assert s.proj.valid[1].any()
+    blind = s.proj.valid.copy()
+    blind[1] = False
+    keep = [c for c in range(len(blind)) if c != 1]
+    rigs = [
+        (s.maps.maps, cameras.ProjectedReference(blind, s.proj.pixels)),
+        (
+            [s.maps.maps[c] for c in keep],
+            cameras.ProjectedReference(blind[keep], s.proj.pixels[keep]),
+        ),
+    ]
+    g_volume = np.random.default_rng(5).normal(size=s.lidar_volume.data.shape)
+    runs = []
+    for maps, proj in rigs:
+        maps = cameras.FeatureMapSet(maps)
+        fused, cache = occ_fuse(s.lidar_volume, maps, s.refs, proj, attention, cfg.grid, 1)
+        grad = OccModel.over(None, cfg)
+        fusion_backward(g_volume, cache, grad.attention)
+        runs.append((fused.data.tobytes(), grad.params.tobytes()))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("name", ["tiny", "small"])
 def test_fusion_is_byte_equal_at_any_thread_count(name, four_cpus):
     case = _fusion_case(name)

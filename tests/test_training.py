@@ -278,6 +278,15 @@ def test_train_epoch_keeps_scored_volumes_for_its_first_batch_only(cfg, dataset,
     assert all(s.scored is None for s in samples)
 
 
+def test_active_train_leaves_no_scored_volume(dataset):
+    # Each epoch ends with a score pass; the last one has no epoch after it
+    # to hand its volumes to, so none may be held once the loop returns.
+    cfg = small_cfg(epochs=2, k_percent=50.0)
+    samples = _unscored(dataset)
+    active_train(OccModel.create(cfg), samples, cfg)
+    assert [s.scored for s in samples] == [None] * len(samples)
+
+
 def test_gradients_recompute_unless_the_scored_volume_matches(cfg, dataset, block_passes):
     model = OccModel.create(cfg)
     sample = _unscored(dataset)[0]
