@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_arrays
 from .grid import VoxelPoints
 
 NEAR_PLANE = 1e-3  # meters; points closer than this are treated as invisible
@@ -26,8 +26,7 @@ class CameraModel:
     image_size: tuple[int, int]  # (width, height) pixels
 
     def __post_init__(self):
-        self.intrinsics = _matrix(self.intrinsics, 3)
-        self.extrinsics = _matrix(self.extrinsics, 4)
+        check_arrays(self, {"intrinsics": (3, 3), "extrinsics": (4, 4)})
         self.image_size = (int(self.image_size[0]), int(self.image_size[1]))
         if self.intrinsics[0, 0] <= 0 or self.intrinsics[1, 1] <= 0:
             raise ConfigError("focal lengths must be positive")
@@ -52,13 +51,6 @@ class CameraModel:
     @property
     def cy(self):
         return self.intrinsics[1, 2]
-
-
-def _matrix(m, n) -> np.ndarray:
-    a = np.asarray(m, dtype=np.float64)
-    if a.shape != (n, n) or not np.all(np.isfinite(a)):
-        raise ConfigError(f"camera matrix must be {n}x{n} and finite, not {a.shape}")
-    return a
 
 
 @dataclass

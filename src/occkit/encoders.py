@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_arrays
 from .grid import GridConfig, VoxelFeatureVolume, VoxelPoints
 from .cameras import FeatureMap, FeatureMapSet
 
@@ -26,14 +26,7 @@ class EncoderParams:
 
     def __post_init__(self):
         c = self.channels
-        shapes = {"point_embed": (c, 4), "voxel_mix": (c, c), "pixel_embed": (c, 3)}
-        for name, shape in shapes.items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            setattr(self, name, arr)
-            if arr.shape != shape:
-                raise ConfigError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"{name} must be finite")
+        check_arrays(self, {"point_embed": (c, 4), "voxel_mix": (c, c), "pixel_embed": (c, 3)})
 
     @classmethod
     def create(cls, channels: int, seed: int = 0):

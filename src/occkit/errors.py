@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the check of parameter arrays."""
+
+import numpy as np
 
 
 class OcckitError(Exception):
@@ -7,6 +9,19 @@ class OcckitError(Exception):
 
 class ConfigError(OcckitError):
     """Invalid configuration (bad hyperparameters, inconsistent shapes)."""
+
+
+def check_arrays(obj, shapes: dict) -> None:
+    """Make each field ``name`` of ``obj`` a float64 array; ConfigError
+    unless it has shape ``shapes[name]`` and is finite. An array that is
+    float64 already is kept, not copied, so views stay views."""
+    for name, shape in shapes.items():
+        arr = np.asarray(getattr(obj, name), dtype=np.float64)
+        setattr(obj, name, arr)
+        if arr.shape != shape:
+            raise ConfigError(f"{name} must have shape {shape}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{name} must be finite")
 
 
 class DataError(OcckitError):

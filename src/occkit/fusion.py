@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, check_arrays
 from .grid import GridConfig, VoxelFeatureVolume, VoxelPoints
 from .cameras import FeatureMapSet, ProjectedReference, bilinear_corners, corner_patches
 from .objectives import slice_sum, softmax
@@ -44,17 +44,7 @@ class AttentionParams:
     w_fallback: np.ndarray  # (C, C)
 
     def __post_init__(self):
-        self.w_out = np.asarray(self.w_out, dtype=np.float64)
-        self.w_val = np.asarray(self.w_val, dtype=np.float64)
-        self.offset_gen = np.asarray(self.offset_gen, dtype=np.float64)
-        self.weight_gen = np.asarray(self.weight_gen, dtype=np.float64)
-        self.w_fallback = np.asarray(self.w_fallback, dtype=np.float64)
-        for name, shape in self.shapes(self.n_heads, self.n_keys, self.channels).items():
-            arr = getattr(self, name)
-            if arr.shape != shape:
-                raise ConfigError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"{name} must be finite")
+        check_arrays(self, self.shapes(self.n_heads, self.n_keys, self.channels))
 
     @staticmethod
     def shapes(n_heads: int, n_keys: int, channels: int) -> dict:
@@ -349,8 +339,6 @@ def fusion_backward(grad_volume: np.ndarray, cache: FusionCache, grads: Attentio
     ``_BLOCK``-row blocks; a point's upstream gradient is its voxel's
     gradient times its averaging weight.
     """
-    if cache is None:
-        raise DataError("fusion backward requires the forward cache")
     g = np.asarray(grad_volume, dtype=np.float64)
     if g.shape != cache.lidar.shape:
         raise ConfigError("upstream gradient shape mismatch")

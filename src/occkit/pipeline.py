@@ -86,32 +86,43 @@ class PipelineConfig:
 class OccModel:
     """All learnable parameters as one flat float64 vector, ``params``.
 
-    ``attention`` and ``heads`` are reshaped views of it, so writing into
-    ``params`` moves them and the reverse.
+    ``tensors`` holds every tensor by name, in ``params`` order, each a
+    reshaped view of it; ``attention`` and ``heads`` hold the same views, so
+    writing into ``params`` moves them and the reverse.
     """
 
     params: np.ndarray
+    tensors: dict
     attention: AttentionParams
     heads: Heads
 
     @classmethod
     def over(cls, params: np.ndarray | None, cfg: PipelineConfig) -> "OccModel":
         """The model of ``cfg`` whose tensors are views of ``params``, or of
-        a new zero vector when ``params`` is None. The layout is the order of
-        ``tensors()``."""
+        a new zero vector when ``params`` is None. The table of names and
+        shapes below is the layout of ``params``."""
         f, n, c = cfg.fusion, cfg.decoder.n_class, cfg.fusion.channels
         attention = AttentionParams.shapes(f.n_heads, f.n_keys, c)
-        shapes = [*attention.values(), (n, c), (n,), (n, 2 * c), (n,)]
-        ends = np.cumsum([math.prod(s) for s in shapes])
+        shapes = {f"attention.{name}": shape for name, shape in attention.items()}
+        shapes.update({"heads.coarse_weight": (n, c), "heads.coarse_bias": (n,),
+                       "heads.fine_weight": (n, 2 * c), "heads.fine_bias": (n,)})
+        ends = np.cumsum([math.prod(s) for s in shapes.values()])
         if params is None:
             params = np.zeros(ends[-1])
         if params.shape != (ends[-1],):
             raise ConfigError(f"{params.size} parameters, not {ends[-1]}")
-        views = [a.reshape(s) for a, s in zip(np.split(params, ends[:-1]), shapes)]
+        parts = np.split(params, ends[:-1])
+        t = {name: a.reshape(s) for (name, s), a in zip(shapes.items(), parts)}
         return cls(
             params=params,
-            attention=AttentionParams(f.n_heads, f.n_keys, c, *views[:5]),
-            heads=Heads(coarse=LinearHead(*views[5:7]), fine=LinearHead(*views[7:])),
+            tensors=t,
+            attention=AttentionParams(
+                f.n_heads, f.n_keys, c, **{name: t[f"attention.{name}"] for name in attention}
+            ),
+            heads=Heads(
+                coarse=LinearHead(t["heads.coarse_weight"], t["heads.coarse_bias"]),
+                fine=LinearHead(t["heads.fine_weight"], t["heads.fine_bias"]),
+            ),
         )
 
     @classmethod
@@ -129,21 +140,6 @@ class OccModel:
             t[...] = rng.uniform(-0.1, 0.1, t.shape)
         return model
 
-    def tensors(self) -> dict:
-        """Every tensor by name, in ``params`` order."""
-        a, h = self.attention, self.heads
-        return {
-            "attention.w_out": a.w_out,
-            "attention.w_val": a.w_val,
-            "attention.offset_gen": a.offset_gen,
-            "attention.weight_gen": a.weight_gen,
-            "attention.w_fallback": a.w_fallback,
-            "heads.coarse_weight": h.coarse.weight,
-            "heads.coarse_bias": h.coarse.bias,
-            "heads.fine_weight": h.fine.weight,
-            "heads.fine_bias": h.fine.bias,
-        }
-
     def to_vector(self) -> np.ndarray:
         return self.params.copy()
 
@@ -155,7 +151,7 @@ class OccModel:
 
     def param_hash(self) -> str:
         digest = hashlib.sha256()
-        for name, a in self.tensors().items():
+        for name, a in self.tensors.items():
             digest.update(name.encode())
             digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
         return digest.hexdigest()

@@ -380,6 +380,19 @@ def test_corrupt_scene_exits_two(data_dir, tmp_path, capsys, corrupt):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_malformed_intrinsics_exit_two_naming_them(data_dir, tmp_path, capsys):
+    sample = tmp_path / "sample"
+    shutil.copytree(data_dir / "sample_000", sample)
+    scene = sample / "scene.json"
+    two_by_two = _edit_scene(lambda s: s["rig"][0].update(intrinsics=[[28.0, 0.0], [0.0, 28.0]]))
+    scene.write_text(two_by_two(scene.read_text()))
+    assert run("predict", "--preset", "tiny", "--sample", str(sample),
+               "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.endswith("intrinsics must have shape (3, 3), got (2, 2)\n")
+
+
 def _edit_config(edit):
     def corrupt(text):
         cfg = json.loads(text)
@@ -478,11 +491,27 @@ def test_split_factor_off_the_grid_stride_exits_two(data_dir, tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("rate", ["nan", "inf"])
-def test_non_finite_learning_rate_flag_exits_one(data_dir, tmp_path, capsys, rate):
-    assert run("train", "--data", str(data_dir), "--learning-rate", rate,
-               "--out", str(tmp_path / "o")) == 1
-    assert capsys.readouterr().err == "error: learning_rate must be positive and finite\n"
+OUT_OF_RANGE_FLAGS = {  # a flag and value, and the error they print
+    "learning_rate_nan": ("train", "--learning-rate", "nan",
+                          "learning_rate must be positive and finite"),
+    "learning_rate_inf": ("train", "--learning-rate", "inf",
+                          "learning_rate must be positive and finite"),
+    "epochs_zero": ("train", "--epochs", "0", "epochs must be >= 1"),
+    "batch_size_zero": ("train", "--batch-size", "0", "batch_size must be >= 1"),
+    "k_percent_zero": ("train", "--k-percent", "0", "k_percent must lie in (0, 100]"),
+    "theta_zero": ("preprocess", "--theta", "0", "theta must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", OUT_OF_RANGE_FLAGS.values(), ids=OUT_OF_RANGE_FLAGS.keys())
+def test_out_of_range_flag_exits_one(data_dir, tmp_path, capsys, case):
+    command, flag, value, message = case
+    if command == "train":
+        source = ["--data", str(data_dir)]
+    else:
+        source = ["--cloud", str(data_dir / "sample_000" / "cloud.ocfp")]
+    assert run(command, *source, flag, value, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 

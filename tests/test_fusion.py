@@ -105,8 +105,8 @@ def test_vector_roundtrip():
     model = OccModel.create(cfg)
     model.apply_vector(np.random.default_rng(0).normal(size=model.params.size))
     back = OccModel.over(model.to_vector(), cfg)
-    for name, a in model.tensors().items():
-        np.testing.assert_array_equal(a, back.tensors()[name])
+    for name, a in model.tensors.items():
+        np.testing.assert_array_equal(a, back.tensors[name])
     with pytest.raises(ConfigError):
         OccModel.over(model.to_vector()[:-1], cfg)
 
@@ -188,8 +188,8 @@ def test_attn_blocks_match_single_rows(n, shape):
         rows[i], row_cache = attn_forward(q[i : i + 1], pix[i : i + 1], data, params)
         attn_backward(g[i : i + 1], row_cache, params, expect.attention)
     np.testing.assert_allclose(out, rows, rtol=0, atol=1e-15)
-    for name, a in grads.tensors().items():
-        b = expect.tensors()[name]
+    for name, a in grads.tensors.items():
+        b = expect.tensors[name]
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
 
 
@@ -402,8 +402,23 @@ def test_fusion_gradients_finite_difference():
             assert abs(grads[i] - fd) <= 1e-4 * max(1.0, abs(fd)), (seed, i, grads[i], fd)
 
 
-def test_occ_fuse_rejects_channel_mismatch():
+FUSION_MISMATCHES = {  # the inconsistent input, and what the error says
+    "channels": "channel mismatch",
+    "rig_size": "disagree on rig size",
+    "lidar_dims": "LiDAR volume dims",
+    "upstream_shape": "upstream gradient shape",
+}
+
+
+@pytest.mark.parametrize("case", FUSION_MISMATCHES)
+def test_fusion_rejects_mismatched_inputs(case):
     grid, refs, proj, maps, f_l = _fusion_case(0)
-    params = OccModel.create(fusion_cfg(channels=C + 1)).attention
-    with pytest.raises(ConfigError):
-        occ_fuse(f_l, maps, refs, proj, params, grid)
+    cfg = fusion_cfg(channels=C + 1 if case == "channels" else C)
+    params = OccModel.create(cfg).attention
+    if case == "rig_size":
+        proj = ProjectedReference(valid=proj.valid[:1], pixels=proj.pixels[:1])
+    if case == "lidar_dims":
+        f_l = VoxelFeatureVolume(data=np.zeros((3, 2, 2, C)))
+    with pytest.raises(ConfigError, match=FUSION_MISMATCHES[case]):
+        _, cache = occ_fuse(f_l, maps, refs, proj, params, grid)  # consistent inputs pass
+        fusion_backward(np.zeros((3, 2, 2, C)), cache, OccModel.over(None, cfg).attention)

@@ -22,7 +22,7 @@ from occkit.pipeline import (
 )
 from occkit.pointprep import PreprocessConfig
 from occkit.pool import map_samples
-from occkit.scenes import _make_camera, preset
+from occkit.scenes import _make_camera, cast_lidar, preset
 from conftest import traced_peak
 from oracles import fuse_per_camera
 
@@ -117,7 +117,7 @@ def test_gradient_golden_digest():
 
 def test_model_tensors_are_views_of_one_vector():
     model = OccModel.create(PipelineConfig.for_preset("tiny", seed=0))
-    flat = np.concatenate([t.ravel() for t in model.tensors().values()])
+    flat = np.concatenate([t.ravel() for t in model.tensors.values()])
     np.testing.assert_array_equal(flat, model.params)
     model.params[:] = np.arange(model.params.size)
     w_out, fine_bias = model.attention.w_out, model.heads.fine.bias
@@ -187,6 +187,21 @@ def test_empty_cloud_runs_end_to_end():
     fused, cache, logits = forward_coarse(OccModel.create(cfg), sample, cfg)
     assert cache.fallback_mask.all()
     assert np.all(np.isfinite(fused.data)) and np.all(np.isfinite(logits))
+
+
+def test_lidar_cast_that_hits_nothing_runs_end_to_end():
+    spec = preset("tiny", seed=0)
+    lidar = dataclasses.replace(spec.lidar, elevation_range=(1.4, 1.5))  # above every box
+    spec = dataclasses.replace(spec, lidar=lidar)
+    cloud = cast_lidar(spec)
+    assert cloud.shape == (0, 4) and cloud.dtype == np.float64
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    sample = prepare_sample(spec, cfg)
+    assert sample.cloud.shape == (0, 4) and sample.refs.count > 0  # synthetic points only
+    fused, fine, _, coarse = predict(OccModel.create(cfg), sample, cfg)
+    assert np.all(np.isfinite(fused.data))
+    assert fine.labels.shape == sample.gt_fine.labels.shape
+    assert coarse.labels.shape == sample.coarse_labels.shape
 
 
 @pytest.mark.parametrize("fn,limit_mib", [(sample_gradients, 4.75), (sample_loss, 4.4)])

@@ -4,7 +4,6 @@ or DataError, never another exception."""
 import struct
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from occkit.errors import DataError

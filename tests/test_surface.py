@@ -1,7 +1,8 @@
 """The surface of ``src/occkit`` is what runs: every function, method and
 class it defines is referenced from ``src/occkit`` or ``perfbench/``, every
-import in ``src/occkit`` is used and made at module level, and every option
-a subcommand parses is read by its handler.
+import in ``src/occkit`` and ``tests/`` is used, every one in ``src/occkit``
+is made at module level, and every option a subcommand parses is read by
+its handler.
 
 References are found by name, as an ``ast.Name``, an attribute or an
 imported name, so a definition is kept alive by any use of its name,
@@ -20,6 +21,7 @@ from occkit.cli import build_parser
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "occkit").glob("*.py"))
 USERS = SRC + sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _tree(path):
@@ -73,7 +75,9 @@ def _imported(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-@pytest.mark.parametrize("path", SRC, ids=[p.name for p in SRC])
+@pytest.mark.parametrize(
+    "path", SRC + TESTS, ids=[p.name for p in SRC] + [f"tests/{p.name}" for p in TESTS]
+)
 def test_every_import_is_used(path):
     tree = _tree(path)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
