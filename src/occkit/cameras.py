@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_arrays
-from .grid import VoxelPoints
+from .grid import VoxelPoints, row_product
 
 NEAR_PLANE = 1e-3  # meters; points closer than this are treated as invisible
 _PROJECT_ROWS = 16384  # points per projection chunk: the temporaries stay a chunk's
@@ -114,7 +114,7 @@ def project_batch(points: np.ndarray, cam: CameraModel, feat_size, out=None):
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     valid, px = out or (np.empty(len(pts), dtype=bool), np.empty((len(pts), 2)))
-    cam_pts = pts @ cam.extrinsics[:3, :3].T
+    cam_pts = row_product(pts, cam.extrinsics[:3, :3].T)
     for i, t in enumerate(cam.extrinsics[:3, 3]):  # a broadcast add loops over 3 per row
         np.add(cam_pts[:, i], t, out=cam_pts[:, i])
     z = cam_pts[:, 2]
@@ -137,16 +137,15 @@ def project_all(refs: VoxelPoints, rig, feat_sizes) -> ProjectedReference:
     ``feat_sizes`` lists the (width, height) of each camera's feature map.
     Each camera walks the points in chunks of ``_PROJECT_ROWS``, written
     straight into the arrays allocated here, so the temporaries stay a
-    chunk's. Every point's bits are the same at any chunk of at least two
-    rows. NumPy sends a one-row matmul to another BLAS path, whose last bits
-    can differ, so a one-row remainder joins the last chunk.
+    chunk's. ``project_batch`` rotates by a ``row_product``, so every
+    point's bits are the same at any chunk size.
     """
     pts = refs.positions
     valid = np.empty((len(rig), len(pts)), dtype=bool)
     pixels = np.empty((len(rig), len(pts), 2))
-    stops = [*range(_PROJECT_ROWS, len(pts) - 1, _PROJECT_ROWS), len(pts)]
     for c, (cam, fs) in enumerate(zip(rig, feat_sizes)):
-        for s, e in zip([0, *stops], stops):
+        for s in range(0, len(pts), _PROJECT_ROWS):
+            e = s + _PROJECT_ROWS
             project_batch(pts[s:e], cam, fs, out=(valid[c, s:e], pixels[c, s:e]))
     return ProjectedReference(valid=valid, pixels=pixels)
 

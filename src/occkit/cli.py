@@ -139,6 +139,7 @@ class FusedReport:
 def _cmd_preprocess(args):
     cfg = _load_config(args)
     pp = dataclasses.replace(cfg.preprocess, **_given(args, "tau", "theta", "empty_fill"))
+    cfg = dataclasses.replace(cfg, preprocess=pp)  # checks theta against the grid
     cloud = pointprep.read_cloud(args.cloud)
     bins, dropped = gridmod.bin_points(cloud, cfg.grid)
     refs = pointprep.preprocess(bins, cloud, pp, cfg.grid)

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_arrays
-from .grid import GridConfig, VoxelFeatureVolume, VoxelPoints
+from .grid import GridConfig, VoxelFeatureVolume, VoxelPoints, row_product
 from .cameras import FeatureMapSet, ProjectedReference, bilinear_corners, corner_patches
 from .objectives import slice_sum, softmax
 from .pool import map_samples
 
-_BLOCK = 1024  # rows per backward block and per generator product; temporaries stay in cache
+_BLOCK = 1024  # rows per backward block; its temporaries stay in cache
 _FWD_ROWS = 2 * _BLOCK  # about this many visible (point, camera) rows per forward block
 _GATHER = 128  # rows per corner-patch gather within a block; each gather is (rows, m, k, 4C)
 
@@ -63,22 +63,13 @@ def _generate(q: np.ndarray, params: AttentionParams):
     """Sampling offsets (n, m * k * 2) and softmax attention (n, m, k) of
     query rows ``q`` (n, C+3).
 
-    Offsets and logits come from the stacked generators' product, taken
-    ``_BLOCK`` rows at a time. NumPy's one-row product takes another BLAS
-    path, with other bits than the row gets in a longer product, so a
-    one-row tail joins the part before it and a lone row is multiplied as
-    two copies of itself: a row's offsets and logits are the same bits
-    however the rows are split, in the forward's blocks and the backward's.
-    The offsets are a view of the product, with the logits beside them.
+    Offsets and logits come from one ``row_product`` with the stacked
+    generators, so a row's offsets and logits are the same bits however the
+    rows are split, in the forward's blocks and the backward's. The offsets
+    are a view of the product, with the logits beside them.
     """
     m, k = params.n_heads, params.n_keys
-    gens = np.concatenate([params.offset_gen, params.weight_gen]).T
-    gen = np.empty((len(q), gens.shape[1]))
-    if len(q) == 1:
-        gen[:] = (np.concatenate([q, q]) @ gens)[:1]
-    starts = list(range(0, len(q) - 1, _BLOCK))
-    for s, e in zip(starts, starts[1:] + [len(q)]):
-        np.matmul(q[s:e], gens, out=gen[s:e])
+    gen = row_product(q, np.concatenate([params.offset_gen, params.weight_gen]).T)
     # The logits are copied out contiguous: NumPy loops over short strided rows slowly.
     attn = softmax(np.ascontiguousarray(gen[:, m * k * 2 :]).reshape(-1, m, k), axis=2)
     return gen[:, : m * k * 2], attn

@@ -25,6 +25,13 @@ def _as_vec3(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64).reshape(3)
 
 
+def row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, with a lone row multiplied as two copies of itself: NumPy
+    sends a one-row product down another BLAS path, whose last bits differ,
+    so a row gets the same bits however the rows around it are split."""
+    return a @ b if len(a) != 1 else (np.concatenate([a, a]) @ b)[:1]
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Axis-aligned voxel grid with a coarse stride.

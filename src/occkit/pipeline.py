@@ -67,6 +67,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.decoder.split_factor != self.grid.stride:
             raise ConfigError("decoder split_factor must equal the grid stride")
+        if self.preprocess.theta * math.prod(self.grid.coarse_dims) > np.iinfo(np.intp).max:
+            raise ConfigError("theta times the coarse voxels is more points than NumPy can index")
 
     @classmethod
     def for_preset(cls, name: str, seed: int = 0, delta: float = 0.3) -> "PipelineConfig":

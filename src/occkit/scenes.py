@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .grid import GridConfig, OccupancyGrid
+from .grid import GridConfig, OccupancyGrid, row_product
 from .cameras import CameraModel, look_at_extrinsics
 from . import jsonio
 
@@ -69,13 +69,11 @@ def _box_rows(points: np.ndarray, box: Box) -> np.ndarray:
     """Box-frame coordinates of (n, 3) world points, as (3, n) rows.
 
     NumPy loops over a 3-wide axis one short row at a time, so the center is
-    subtracted a column at a time and callers work along the rows. The
-    matmul takes the whole array: a one-row product goes down another BLAS
-    path, whose last bits can differ."""
+    subtracted a column at a time and callers work along the rows."""
     rel = np.empty(points.shape)
     for i, c in enumerate(box.center):
         np.subtract(points[:, i], c, out=rel[:, i])
-    return (rel @ _box_rotation(box).T).T.copy()
+    return row_product(rel, _box_rotation(box).T).T.copy()
 
 
 def rasterize_gt(spec: SceneSpec) -> OccupancyGrid:
@@ -101,10 +99,10 @@ def _ray_box_hits(origins: np.ndarray, dirs: np.ndarray, box: Box):
     """Slab-test ray/box intersection; returns (hit mask, entry distance).
 
     The per-axis max, min and or are exact chains over ``_box_rows``' rows.
-    Both matmuls take the whole ray array, origins included (see there).
+    ``origins`` may be one (1, 3) row shared by every ray.
     """
     o = _box_rows(origins, box)
-    d = (dirs @ _box_rotation(box).T).T.copy()
+    d = row_product(dirs, _box_rotation(box).T).T.copy()
     half = np.asarray(box.size)[:, None] / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = (-half - o) / d
@@ -125,11 +123,10 @@ def _ray_box_hits(origins: np.ndarray, dirs: np.ndarray, box: Box):
 def _nearest_hits(origin: np.ndarray, dirs: np.ndarray, boxes):
     """Per ray from ``origin``, the distance to and index of the nearest box
     it hits (inf and -1 for a ray that hits none)."""
-    origins = np.broadcast_to(origin, dirs.shape)
     best_t = np.full(len(dirs), np.inf)
     best_box = np.full(len(dirs), -1, dtype=np.int64)
     for bi, box in enumerate(boxes):
-        hit, t = _ray_box_hits(origins, dirs, box)
+        hit, t = _ray_box_hits(origin.reshape(1, 3), dirs, box)
         closer = hit & (t < best_t)
         best_t[closer] = t[closer]
         best_box[closer] = bi

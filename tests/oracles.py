@@ -220,9 +220,10 @@ def preprocess_per_voxel(
 def ray_box_hits(origins: np.ndarray, dirs: np.ndarray, box: Box):
     """Slab-test ray/box intersection with the per-axis max, min and any
     taken as reductions over the 3-wide axis; returns (hit mask, entry
-    distance)."""
+    distance). A shared (1, 3) origin is copied to one row per ray, so its
+    transform is a row of the n-row product."""
     rot = _box_rotation(box)
-    o = (origins - np.asarray(box.center)) @ rot.T
+    o = (np.broadcast_to(origins, dirs.shape) - np.asarray(box.center)) @ rot.T
     d = dirs @ rot.T
     half = np.asarray(box.size) / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):

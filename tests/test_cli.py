@@ -365,9 +365,11 @@ def _edit_scene(edit):
         _edit_scene(lambda s: s["rig"][0].update(image_size=[True, 24])),
         _edit_scene(lambda s: s.update(rig=[])),
         _edit_scene(lambda s: s["rig"][1].update(cam_id=s["rig"][0]["cam_id"])),
+        _edit_scene(lambda s: s["rig"][0].update(image_size=[0, 24])),
+        _edit_scene(lambda s: s["lidar"].update(noise_sigma=-0.01)),
     ],
     ids=["not_json", "class_id_not_int", "class_id_zero", "image_size_bool", "empty_rig",
-         "shared_cam_id"],
+         "shared_cam_id", "image_size_zero", "noise_sigma_negative"],
 )
 def test_corrupt_scene_exits_two(data_dir, tmp_path, capsys, corrupt):
     sample = tmp_path / "sample"
@@ -377,7 +379,7 @@ def test_corrupt_scene_exits_two(data_dir, tmp_path, capsys, corrupt):
     assert run("predict", "--preset", "tiny", "--sample", str(sample),
                "--out", str(tmp_path / "o")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_malformed_intrinsics_exit_two_naming_them(data_dir, tmp_path, capsys):
@@ -424,6 +426,7 @@ MALFORMED_CONFIG = {
     "unknown_key": _edit_config(_rename_empty_fill),
     "tau_real": _edit_config(lambda c: c["preprocess"].update(tau=5.7)),
     "theta_string": _edit_config(lambda c: c["preprocess"].update(theta="20")),
+    "theta_numpy_cannot_index": _edit_config(lambda c: c["preprocess"].update(theta=10**21)),
     "image_stride_bool": _edit_config(lambda c: c.update(image_stride=True)),  # a removed key
     "learning_rate_inf": _infinite_learning_rate,
 }
@@ -491,6 +494,7 @@ def test_split_factor_off_the_grid_stride_exits_two(data_dir, tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
+THETA_TOO_LARGE = "theta times the coarse voxels is more points than NumPy can index"
 OUT_OF_RANGE_FLAGS = {  # a flag and value, and the error they print
     "learning_rate_nan": ("train", "--learning-rate", "nan",
                           "learning_rate must be positive and finite"),
@@ -500,6 +504,8 @@ OUT_OF_RANGE_FLAGS = {  # a flag and value, and the error they print
     "batch_size_zero": ("train", "--batch-size", "0", "batch_size must be >= 1"),
     "k_percent_zero": ("train", "--k-percent", "0", "k_percent must lie in (0, 100]"),
     "theta_zero": ("preprocess", "--theta", "0", "theta must be >= 1"),
+    "theta_past_int64": ("preprocess", "--theta", str(10**21), THETA_TOO_LARGE),
+    "theta_int64_max": ("preprocess", "--theta", str(2**63 - 1), THETA_TOO_LARGE),
 }
 
 

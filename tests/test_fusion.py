@@ -268,10 +268,10 @@ def test_occ_fuse_blocks_of_one_point_voxels(rows, monkeypatch):
 @pytest.mark.parametrize("seen", [1, _BLOCK + 1])
 def test_backward_recomputes_the_forwards_offsets_and_logits(seen, monkeypatch):
     """NumPy's one-row product takes another BLAS path. The first camera
-    sees ``_BLOCK + 1`` points, so the forward's generator product has a
-    one-row tail and the backward a one-row block; the second camera sees
-    ``seen``. With generators whose products round, the backward must still
-    give every query row the offsets and attention the forward gave it."""
+    sees ``_BLOCK + 1`` points, so the backward has a one-row block, while
+    the forward splits the rows by voxels; the second camera sees ``seen``.
+    With generators whose products round, the backward must still give
+    every query row the offsets and attention the forward gave it."""
     c, rng = 16, np.random.default_rng(seen)
     cfg = fusion_cfg(channels=c, heads=2, keys=4)
     params = OccModel.create(cfg).attention

@@ -10,6 +10,7 @@ from occkit.grid import (
     VoxelFeatureVolume,
     bin_points,
     read_occg,
+    row_product,
     split_voxel,
     trilinear_sample_batch,
     voxel_indices,
@@ -31,6 +32,22 @@ def test_grid_config_validation():
         GridConfig(min_corner=(0, 0, 0), max_corner=(1, 1, 1), voxel_size=0.3)
     with pytest.raises(ConfigError):
         GridConfig(min_corner=(0, 0, 0), max_corner=(1, 1, 1), voxel_size=0.5, stride=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 2049])
+def test_row_product_gives_a_row_the_same_bits_at_any_split(n):
+    # NumPy's one-row product takes another BLAS path, whose last bits
+    # differ from the row's in a longer product; row_product must hide that.
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(n, 19)), rng.normal(size=(19, 24))
+    whole = row_product(a, b)
+    assert whole.shape == (n, 24)
+    np.testing.assert_allclose(whole, a @ b, rtol=1e-12, atol=1e-12)
+    for i in range(n):
+        assert row_product(a[i : i + 1], b).tobytes() == whole[i].tobytes()
+    for s in range(1, n):
+        parts = np.concatenate([row_product(a[:s], b), row_product(a[s:], b)])
+        assert parts.tobytes() == whole.tobytes()
 
 
 INF = float("inf")
