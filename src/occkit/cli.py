@@ -162,7 +162,7 @@ def _cmd_preprocess(args):
 def _cmd_fuse(args):
     model, cfg = _model_for(args)
     sample = _load_sample(args.sample, cfg)
-    fused, _, _ = forward_coarse(model, sample, cfg, args.threads)
+    fused, _ = forward_coarse(model, sample, cfg, args.threads)
     os.makedirs(args.out, exist_ok=True)
     report = FusedReport(dims=fused.dims, channels=fused.channels, blob="fused.f64")
     with open(os.path.join(args.out, report.blob), "wb") as fh:
@@ -221,7 +221,7 @@ def _cmd_bench(args):
     model, cfg = _model_for(args)
     sample = _load_sample(args.sample, cfg)
     # The fused volume does not depend on delta; compute it once per sweep.
-    fused, _, _ = forward_coarse(model, sample, cfg, args.threads)
+    fused, _ = forward_coarse(model, sample, cfg, args.threads)
     rows = []
     for delta in BENCH_DELTAS:
         dec = dataclasses.replace(cfg.decoder, delta=delta)

@@ -127,19 +127,24 @@ def _attn_backward(rows, build, data, params: AttentionParams, grads: AttentionP
 
 
 def _backward_block(qb, gb, pixb, tables, shape, params: AttentionParams, buf, grads):
-    """One row block of ``_attn_backward``; the gradient products span the
-    whole block, and its temporaries die with the call."""
+    """One row block of ``_attn_backward``, in one gather pass: each slice
+    samples the raw map per head, for ``w_val`` and ``w_out``, and dots the
+    head table's corners with ``gb``. Temporaries die with the call."""
     raw_table, table = tables
-    m, k = params.n_heads, params.n_keys
+    m, k, c = params.n_heads, params.n_keys, params.channels
     loc, attn = _generate(qb, params)
     loc += np.tile(pixb, m * k)  # the sampling locations, in place of the offsets
     idx, wts, clamp = bilinear_corners(shape, loc.reshape(-1, m, k, 2), slopes=True)
     fx, fy, gx, gy, in_x, in_y = clamp
-    _projection_grads(gb, attn, idx, wts, raw_table, params, buf, grads)
-    idx += np.arange(params.n_heads)[:, None] * (shape[0] * shape[1])  # head i's rows
-    dots = np.empty(wts.shape)  # gradient in each corner weight
+    heads = np.arange(m)[:, None] * (shape[0] * shape[1])  # head i's first row in ``table``
+    raw, dots = np.empty((len(qb), m, c)), np.empty(wts.shape)  # dots: gradient in each weight
     for sub in _gathers(len(qb)):
-        np.einsum("nikjc,nc->nikj", _patches(table, idx[sub], buf), gb[sub], out=dots[sub])
+        cw = attn[sub, ..., None] * wts[sub]
+        np.einsum("nikj,nikjc->nic", cw, _patches(raw_table, idx[sub], buf), out=raw[sub])
+        np.einsum("nikjc,nc->nikj", _patches(table, idx[sub] + heads, buf), gb[sub], out=dots[sub])
+    for i in range(m):
+        grads.w_val[i] += (gb @ params.w_out[i]).T @ raw[:, i]
+        grads.w_out[i] += gb.T @ (raw[:, i] @ params.w_val[i].T)
     g_attn = np.einsum("nikj,nikj->nik", wts, dots)
     g_logits = attn * (g_attn - slice_sum(attn * g_attn, 2))
     grads.weight_gen += g_logits.reshape(len(qb), -1).T @ qb
@@ -148,18 +153,6 @@ def _backward_block(qb, gb, pixb, tables, shape, params: AttentionParams, buf, g
     np.multiply(attn, (-d0 * gy + d1 * gy - d2 * fy + d3 * fy) * in_x, out=g_loc[..., 0])
     np.multiply(attn, (-d0 * gx - d1 * fx + d2 * gx + d3 * fx) * in_y, out=g_loc[..., 1])
     grads.offset_gen += g_loc.reshape(len(qb), -1).T @ qb
-
-
-def _projection_grads(gb, attn, idx, wts, raw_table, params: AttentionParams, buf, grads):
-    """Add one block's ``w_val`` and ``w_out`` gradients, from each head's
-    sample of the raw map, gathered from its ``corner_patches``."""
-    raw = np.empty((len(gb), params.n_heads, params.channels))
-    for sub in _gathers(len(gb)):
-        cw = attn[sub, ..., None] * wts[sub]
-        np.einsum("nikj,nikjc->nic", cw, _patches(raw_table, idx[sub], buf), out=raw[sub])
-    for i in range(params.n_heads):
-        grads.w_val[i] += (gb @ params.w_out[i]).T @ raw[:, i]
-        grads.w_out[i] += gb.T @ (raw[:, i] @ params.w_val[i].T)
 
 
 def _query(voxel_feat, point_voxel, positions, lo, extent, r):

@@ -69,6 +69,18 @@ class PipelineConfig:
             raise ConfigError("decoder split_factor must equal the grid stride")
         if self.preprocess.theta * math.prod(self.grid.coarse_dims) > np.iinfo(np.intp).max:
             raise ConfigError("theta times the coarse voxels is more points than NumPy can index")
+        if sum(map(math.prod, self.tensor_shapes().values())) > np.iinfo(np.intp).max:
+            raise ConfigError("the model has more parameters than NumPy can index")
+
+    def tensor_shapes(self) -> dict:
+        """Name -> shape of every model tensor, in the order of
+        ``OccModel.params``: the layout of the parameter vector."""
+        f, n, c = self.fusion, self.decoder.n_class, self.fusion.channels
+        attention = AttentionParams.shapes(f.n_heads, f.n_keys, c)
+        shapes = {f"attention.{name}": shape for name, shape in attention.items()}
+        shapes.update({"heads.coarse_weight": (n, c), "heads.coarse_bias": (n,),
+                       "heads.fine_weight": (n, 2 * c), "heads.fine_bias": (n,)})
+        return shapes
 
     @classmethod
     def for_preset(cls, name: str, seed: int = 0, delta: float = 0.3) -> "PipelineConfig":
@@ -101,13 +113,9 @@ class OccModel:
     @classmethod
     def over(cls, params: np.ndarray | None, cfg: PipelineConfig) -> "OccModel":
         """The model of ``cfg`` whose tensors are views of ``params``, or of
-        a new zero vector when ``params`` is None. The table of names and
-        shapes below is the layout of ``params``."""
-        f, n, c = cfg.fusion, cfg.decoder.n_class, cfg.fusion.channels
-        attention = AttentionParams.shapes(f.n_heads, f.n_keys, c)
-        shapes = {f"attention.{name}": shape for name, shape in attention.items()}
-        shapes.update({"heads.coarse_weight": (n, c), "heads.coarse_bias": (n,),
-                       "heads.fine_weight": (n, 2 * c), "heads.fine_bias": (n,)})
+        a new zero vector when ``params`` is None, laid out by
+        ``cfg.tensor_shapes()``."""
+        f, shapes = cfg.fusion, cfg.tensor_shapes()
         ends = np.cumsum([math.prod(s) for s in shapes.values()])
         if params is None:
             params = np.zeros(ends[-1])
@@ -115,12 +123,11 @@ class OccModel:
             raise ConfigError(f"{params.size} parameters, not {ends[-1]}")
         parts = np.split(params, ends[:-1])
         t = {name: a.reshape(s) for (name, s), a in zip(shapes.items(), parts)}
+        attention = {k.split(".")[1]: a for k, a in t.items() if k.startswith("attention.")}
         return cls(
             params=params,
             tensors=t,
-            attention=AttentionParams(
-                f.n_heads, f.n_keys, c, **{name: t[f"attention.{name}"] for name in attention}
-            ),
+            attention=AttentionParams(f.n_heads, f.n_keys, f.channels, **attention),
             heads=Heads(
                 coarse=LinearHead(t["heads.coarse_weight"], t["heads.coarse_bias"]),
                 fine=LinearHead(t["heads.fine_weight"], t["heads.fine_bias"]),
@@ -196,7 +203,7 @@ class Sample:
     proj: object  # ProjectedReference
     gt_fine: OccupancyGrid
     coarse_labels: np.ndarray  # (nz, ny, nx) int64
-    # (key, read-only fused data) that ``sample_loss`` left for ``sample_gradients``
+    # (key, read-only fused data) that ``sample_loss`` left for ``forward_coarse``
     scored: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
@@ -253,13 +260,20 @@ def _coarse_logits(model: OccModel, fused: VoxelFeatureVolume) -> np.ndarray:
 def forward_coarse(
     model: OccModel, sample: Sample, cfg: PipelineConfig, threads: int | None = None
 ):
-    """Fused volume and coarse logits, the fusion on up to ``threads``
-    threads; returns (fused, cache, logits)."""
-    fused, cache = occ_fuse(
-        sample.lidar_volume, sample.maps, sample.refs, sample.proj,
-        model.attention, cfg.grid, threads,
-    )
-    return fused, cache, _coarse_logits(model, fused)
+    """The sample's fused volume and fusion cache at the model's
+    parameters, the fusion on up to ``threads`` threads; returns (fused,
+    cache).
+
+    When ``sample.scored`` holds a volume at this call's ``_fusion_key``,
+    returns that read-only volume and runs no block pass: it is the bytes
+    the pass would give, and ``fusion_cache`` builds the cache from the
+    sample as the forward does. It only reads ``sample.scored``.
+    """
+    inputs = sample.lidar_volume, sample.maps, sample.refs, sample.proj, model.attention, cfg.grid
+    scored = sample.scored
+    if scored is not None and scored[0] == _fusion_key(model, cfg):
+        return VoxelFeatureVolume(data=scored[1]), fusion_cache(*inputs)
+    return occ_fuse(*inputs, threads)
 
 
 def _fusion_key(model: OccModel, cfg: PipelineConfig) -> tuple:
@@ -273,39 +287,27 @@ def sample_loss(model: OccModel, sample: Sample, cfg: PipelineConfig) -> LossBre
     training loop runs samples on the pool, and pools do not nest.
 
     Leaves the fused volume's data on ``sample.scored``, read-only and keyed
-    by ``_fusion_key``, for the next ``sample_gradients`` call: in active
+    by ``_fusion_key``, for the next ``forward_coarse`` call: in active
     training the parameters do not move between the re-scoring pass and
     the next epoch's first mini-batch. It holds one coarse volume per
-    sample (C x coarse voxels x 8 B) until it is used or replaced.
+    sample (C x coarse voxels x 8 B) until it is cleared or replaced.
     """
-    fused, _, logits = forward_coarse(model, sample, cfg, threads=1)
+    fused, _ = forward_coarse(model, sample, cfg, threads=1)
     fused.data.flags.writeable = False
     sample.scored = _fusion_key(model, cfg), fused.data
-    breakdown, _ = total_loss_logits(logits, sample.coarse_labels.ravel())
+    breakdown, _ = total_loss_logits(_coarse_logits(model, fused), sample.coarse_labels.ravel())
     return breakdown
 
 
 def sample_gradients(model: OccModel, sample: Sample, cfg: PipelineConfig):
     """Loss plus the full parameter gradient vector for one sample, on one
     thread like ``sample_loss``; the fine head is not trained, so its slice
-    is zero.
-
-    Takes the volume ``sample_loss`` left on the sample when its key is
-    this call's, and clears it either way. A hit skips the fusion forward's
-    block pass: the volume is the bytes that pass would give, and the cache
-    and coarse logits are rebuilt from the sample and the volume as the
-    forward builds them, so the result is the same bytes as a miss.
+    is zero. Clears ``sample.scored``, which ``forward_coarse`` may have
+    taken the volume from: the parameters move after the step.
     """
-    scored, sample.scored = sample.scored, None
-    if scored is not None and scored[0] == _fusion_key(model, cfg):
-        fused = VoxelFeatureVolume(data=scored[1])
-        cache = fusion_cache(
-            sample.lidar_volume, sample.maps, sample.refs, sample.proj,
-            model.attention, cfg.grid,
-        )
-        logits = _coarse_logits(model, fused)
-    else:
-        fused, cache, logits = forward_coarse(model, sample, cfg, threads=1)
+    fused, cache = forward_coarse(model, sample, cfg, threads=1)
+    sample.scored = None
+    logits = _coarse_logits(model, fused)
     breakdown, g_logits = total_loss_logits(logits, sample.coarse_labels.ravel())
     feats = fused.data.reshape(-1, fused.channels)
     grad = OccModel.over(None, cfg)
@@ -319,7 +321,7 @@ def sample_gradients(model: OccModel, sample: Sample, cfg: PipelineConfig):
 def predict(model: OccModel, sample: Sample, cfg: PipelineConfig, threads: int | None = None):
     """Full prediction: fused volume, fine grid, op report and coarse grid.
     The fusion runs on up to ``threads`` threads (None: the CPUs)."""
-    fused, _, _ = forward_coarse(model, sample, cfg, threads)
+    fused, _ = forward_coarse(model, sample, cfg, threads)
     fine_grid, report, coarse = decode(
         fused, sample.maps, sample.scene.rig, model.heads, cfg.decoder, cfg.grid
     )

@@ -27,7 +27,7 @@ def score_samples(
 ) -> list:
     """Forward-only total loss per sample, on up to ``threads`` threads;
     never mutates parameters. Each sample keeps its fused volume for the
-    next ``sample_gradients`` call at the same parameters (``sample_loss``),
+    next ``forward_coarse`` call at the same parameters (``sample_loss``),
     so the next epoch's first mini-batch runs no fusion forward."""
     losses = map_samples(lambda s: sample_loss(model, s, cfg), dataset, threads)
     scores = [b.total for b in losses]

@@ -167,7 +167,7 @@ def test_fusion_cache_is_compact():
     # longer holds: it builds them a block at a time.
     cfg = PipelineConfig.for_preset("tiny", seed=0)
     sample = prepare_sample(preset("tiny", seed=0), cfg)
-    _, cache, _ = forward_coarse(OccModel.create(cfg), sample, cfg)
+    _, cache = forward_coarse(OccModel.create(cfg), sample, cfg)
     assert cache.proj.valid.any()  # a camera sees a point: the backward has rows to build
     queries_nbytes = len(cache.point_voxel) * (cfg.fusion.channels + 3) * 8
     assert _nbytes(cache) <= 2 * queries_nbytes
@@ -184,7 +184,9 @@ def test_empty_cloud_runs_end_to_end():
     cfg.preprocess = PreprocessConfig(tau=5, theta=20, empty_fill=0)
     sample = prepare_sample(preset("tiny", seed=0), cfg, cloud=np.zeros((0, 4)))
     assert sample.refs.count == 0 and sample.proj.valid.shape == (2, 0)
-    fused, cache, logits = forward_coarse(OccModel.create(cfg), sample, cfg)
+    model = OccModel.create(cfg)
+    fused, cache = forward_coarse(model, sample, cfg)
+    logits = model.heads.coarse.logits(fused.data.reshape(-1, fused.channels))
     assert cache.fallback_mask.all()
     assert np.all(np.isfinite(fused.data)) and np.all(np.isfinite(logits))
 
@@ -236,6 +238,36 @@ def test_scored_sample_gradients_peak_memory(block_passes):
                        before=lambda: sample_loss(model, sample, cfg))
     assert len(block_passes) == 2  # the two scoring calls; neither gradient call ran one
     assert peak <= 4.75 * 2**20
+
+
+@pytest.mark.parametrize("read", [forward_coarse, predict])
+def test_scored_volume_is_read_in_place(read, block_passes):
+    # ``forward_coarse`` and ``predict`` at the scoring parameters take the
+    # volume ``sample_loss`` left, with no block pass and the bytes of a
+    # sample never scored, and leave it for the next gradient call. One ulp
+    # off those parameters, both recompute and still leave it.
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    sample = prepare_sample(preset("tiny", seed=0), cfg)
+    model = OccModel.create(cfg)
+    bumped = OccModel.over(model.params.copy(), cfg)
+    bumped.params[0] = np.nextafter(bumped.params[0], np.inf)  # one ulp of attention.w_out
+
+    def run(m, s):
+        """(block passes, bytes of every array) of ``read`` at ``m`` on ``s``."""
+        block_passes.clear()
+        out = read(m, s, cfg)
+        arrays = _arrays(out[1]) if read is forward_coarse else (out[1].labels, out[3].labels)
+        return len(block_passes), [a.tobytes() for a in (out[0].data, *arrays)]
+
+    for m, passes in [(model, 0), (bumped, 1)]:
+        fresh = run(m, dataclasses.replace(sample))  # a copy holds no scored volume
+        sample_loss(model, sample, cfg)
+        scored = sample.scored
+        assert run(m, sample) == (passes, fresh[1])
+        assert sample.scored is scored
+        block_passes.clear()
+        sample_gradients(model, sample, cfg)
+        assert (len(block_passes), sample.scored) == (0, None)
 
 
 def _fusion_case(name, seed=0):
