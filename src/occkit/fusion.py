@@ -139,12 +139,13 @@ def _backward_block(qb, gb, pixb, tables, shape, params: AttentionParams, buf, g
     heads = np.arange(m)[:, None] * (shape[0] * shape[1])  # head i's first row in ``table``
     raw, dots = np.empty((len(qb), m, c)), np.empty(wts.shape)  # dots: gradient in each weight
     for sub in _gathers(len(qb)):
-        cw = attn[sub, ..., None] * wts[sub]
-        np.einsum("nikj,nikjc->nic", cw, _patches(raw_table, idx[sub], buf), out=raw[sub])
+        np.einsum("nikj,nikjc->nic", attn[sub, ..., None] * wts[sub],
+                  _patches(raw_table, idx[sub], buf), out=raw[sub])
         np.einsum("nikjc,nc->nikj", _patches(table, idx[sub] + heads, buf), gb[sub], out=dots[sub])
     for i in range(m):
         grads.w_val[i] += (gb @ params.w_out[i]).T @ raw[:, i]
         grads.w_out[i] += gb.T @ (raw[:, i] @ params.w_val[i].T)
+    del raw  # (n, m, C): freed before the weight and location temporaries
     g_attn = np.einsum("nikj,nikj->nik", wts, dots)
     g_logits = attn * (g_attn - slice_sum(attn * g_attn, 2))
     grads.weight_gen += g_logits.reshape(len(qb), -1).T @ qb

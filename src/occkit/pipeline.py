@@ -69,8 +69,8 @@ class PipelineConfig:
             raise ConfigError("decoder split_factor must equal the grid stride")
         if self.preprocess.theta * math.prod(self.grid.coarse_dims) > np.iinfo(np.intp).max:
             raise ConfigError("theta times the coarse voxels is more points than NumPy can index")
-        if sum(map(math.prod, self.tensor_shapes().values())) > np.iinfo(np.intp).max:
-            raise ConfigError("the model has more parameters than NumPy can index")
+        if 8 * sum(map(math.prod, self.tensor_shapes().values())) > np.iinfo(np.intp).max:
+            raise ConfigError("the model's parameters need more bytes than NumPy can allocate")
 
     def tensor_shapes(self) -> dict:
         """Name -> shape of every model tensor, in the order of

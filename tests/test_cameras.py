@@ -52,6 +52,10 @@ def test_camera_validation():
     bad[0, 1] = 0.5
     with pytest.raises(ConfigError):
         make_cam(ext=bad)
+    with pytest.raises(ConfigError, match="feature map must be"):
+        FeatureMap(np.zeros((4, 4)))
+    with pytest.raises(ConfigError, match="parallel to up"):
+        look_at_extrinsics((0, 0, 0), (0, 0, 5))
 
 
 @pytest.mark.parametrize("shape", [(5, 6, 2), (4, 7, 2), (4, 6, 3)])

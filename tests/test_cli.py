@@ -427,8 +427,9 @@ MALFORMED_CONFIG = {
     "tau_real": _edit_config(lambda c: c["preprocess"].update(tau=5.7)),
     "theta_string": _edit_config(lambda c: c["preprocess"].update(theta="20")),
     "theta_numpy_cannot_index": _edit_config(lambda c: c["preprocess"].update(theta=10**21)),
-    "channels_1e10_numpy_cannot_index": _edit_config(lambda c: c["fusion"].update(channels=10**10)),
-    "channels_1e12_numpy_cannot_index": _edit_config(lambda c: c["fusion"].update(channels=10**12)),
+    "channels_1e9_numpy_cannot_allocate": _edit_config(lambda c: c["fusion"].update(channels=10**9)),
+    "channels_1e10_numpy_cannot_allocate": _edit_config(lambda c: c["fusion"].update(channels=10**10)),
+    "channels_1e12_numpy_cannot_allocate": _edit_config(lambda c: c["fusion"].update(channels=10**12)),
     "image_stride_bool": _edit_config(lambda c: c.update(image_stride=True)),  # a removed key
     "learning_rate_inf": _infinite_learning_rate,
 }

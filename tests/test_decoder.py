@@ -35,6 +35,10 @@ def test_config_validation():
         DecoderConfig(delta=0.5, split_factor=0, n_class=3)
     with pytest.raises(ConfigError):
         DecoderConfig(delta=0.5, split_factor=2, n_class=1)
+    with pytest.raises(ConfigError, match="shapes inconsistent"):
+        LinearHead(np.zeros((3, 4)), np.zeros(4))
+    with pytest.raises(ConfigError, match="expects 4 input features, got 5"):
+        LinearHead(np.zeros((3, 4)), np.zeros(3)).logits(np.zeros((2, 5)))
 
 
 def test_classify_is_softmax_of_logits():

@@ -32,6 +32,13 @@ def test_grid_config_validation():
         GridConfig(min_corner=(0, 0, 0), max_corner=(1, 1, 1), voxel_size=0.3)
     with pytest.raises(ConfigError):
         GridConfig(min_corner=(0, 0, 0), max_corner=(1, 1, 1), voxel_size=0.5, stride=0)
+    with pytest.raises(ConfigError, match="4-dimensional"):
+        VoxelFeatureVolume(np.zeros((2, 2, 2)))
+    with pytest.raises(ConfigError, match="3-dimensional"):
+        OccupancyGrid(np.zeros((2, 2)), 1.0, (0, 0, 0))
+    grid = GridConfig(min_corner=(0, 0, 0), max_corner=(1, 1, 1), voxel_size=0.5)
+    with pytest.raises(ConfigError, match="factor"):
+        split_voxel((0, 0, 0), 0, grid)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1023, 1024, 1025, 2049])

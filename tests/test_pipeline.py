@@ -207,7 +207,7 @@ def test_lidar_cast_that_hits_nothing_runs_end_to_end():
 
 
 @pytest.mark.parametrize("fn,limit_mib", [(sample_gradients, 4.75), (sample_loss, 4.4)])
-def test_sample_peak_memory(fn, limit_mib):
+def test_sample_peak_memory(fn, limit_mib, block_passes):
     # Two samples are in flight at once when training runs on two threads,
     # so a sample's transient arrays are kept small: the corner patches are
     # gathered a few rows at a time and no (P, C+3) query array is built.
@@ -219,10 +219,12 @@ def test_sample_peak_memory(fn, limit_mib):
     cfg = PipelineConfig.for_preset("tiny", seed=0)
     sample = prepare_sample(preset("tiny", seed=0), cfg)
     model = OccModel.create(cfg)
-    assert traced_peak(lambda: fn(model, sample, cfg)) <= limit_mib * 2**20
-    # A gradient call leaves no volume behind, so its untraced first call
-    # cannot turn the traced one into a hit: both run the whole forward.
-    assert (sample.scored is None) == (fn is sample_gradients)
+    # A loss call leaves its volume on the sample, and the next call would
+    # read it: clearing it before each call makes both run the whole forward.
+    peak = traced_peak(lambda: fn(model, sample, cfg),
+                       before=lambda: setattr(sample, "scored", None))
+    assert len(block_passes) == 2  # one forward pass per call, the traced one too
+    assert peak <= limit_mib * 2**20
 
 
 def test_scored_sample_gradients_peak_memory(block_passes):

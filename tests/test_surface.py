@@ -1,9 +1,8 @@
 """The surface of ``src/occkit`` is what runs: every function, method and
 class it defines is referenced from ``src/occkit`` or ``perfbench/``, every
 import in ``src/occkit`` and ``tests/`` is used, every one in ``src/occkit``
-is made at module level, and every option a subcommand parses is read by
-its handler. The API guards no other test reaches raise ``ConfigError``,
-and every name perfbench's tracer binds exists in ``occkit``.
+is made at module level, every option a subcommand parses is read by its
+handler, and every name perfbench's tracer binds exists in ``occkit``.
 
 References are found by name, as an ``ast.Name``, an attribute or an
 imported name, so a definition is kept alive by any use of its name,
@@ -18,15 +17,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from occkit.cameras import FeatureMap, look_at_extrinsics
 from occkit.cli import build_parser
-from occkit.decoder import LinearHead
-from occkit.errors import ConfigError
-from occkit.grid import OccupancyGrid, VoxelFeatureVolume, split_voxel
-from occkit.scenes import preset
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "occkit").glob("*.py"))
@@ -144,26 +137,6 @@ def test_every_cli_option_is_read():
         unread += [f"{command} {action.option_strings[0]}" for action in parser._actions
                    if action.dest != "help" and action.dest not in reads]
     assert unread == []
-
-
-GUARDS = {
-    "feature_map_not_3d": (lambda: FeatureMap(np.zeros((4, 4))), "feature map must be"),
-    "look_at_along_up": (lambda: look_at_extrinsics((0, 0, 0), (0, 0, 5)), "parallel to up"),
-    "head_bias_shape": (lambda: LinearHead(np.zeros((3, 4)), np.zeros(4)), "shapes inconsistent"),
-    "head_input_width": (
-        lambda: LinearHead(np.zeros((3, 4)), np.zeros(3)).logits(np.zeros((2, 5))),
-        "expects 4 input features, got 5",
-    ),
-    "volume_not_4d": (lambda: VoxelFeatureVolume(np.zeros((2, 2, 2))), "4-dimensional"),
-    "labels_not_3d": (lambda: OccupancyGrid(np.zeros((2, 2)), 1.0, (0, 0, 0)), "3-dimensional"),
-    "split_factor_zero": (lambda: split_voxel((0, 0, 0), 0, preset("tiny").grid), "factor"),
-}
-
-
-@pytest.mark.parametrize("call,match", GUARDS.values(), ids=GUARDS.keys())
-def test_api_guard_raises_config_error(call, match):
-    with pytest.raises(ConfigError, match=match):
-        call()
 
 
 def test_perfbench_tracer_binds_occkit_names(monkeypatch):
