@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .grid import (
     GridConfig,
     OccupancyGrid,
@@ -129,6 +129,8 @@ def decode(
     nx, ny, nz = grid.coarse_dims
     feats = fused.data.reshape(-1, fused.channels)  # flat order: z, y, x
     logits = heads.coarse.logits(feats)
+    if not np.isfinite(logits).all():
+        raise NumericalError("the coarse logits are not finite")
     probs = softmax(logits, axis=-1)
     coarse_labels = probs.argmax(axis=-1)
     candidates = coarse_labels != 0

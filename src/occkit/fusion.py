@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_arrays
+from .errors import ConfigError, NumericalError, check_arrays
 from .grid import GridConfig, VoxelFeatureVolume, VoxelPoints, row_product
 from .cameras import FeatureMapSet, ProjectedReference, bilinear_corners, corner_patches
 from .objectives import slice_sum, softmax
@@ -37,8 +37,7 @@ class AttentionParams:
     n_heads: int
     n_keys: int
     channels: int
-    w_out: np.ndarray  # (m, C, C)
-    w_val: np.ndarray  # (m, C, C)
+    w_head: np.ndarray  # (m, C, C): each head's value and output projections as one map
     offset_gen: np.ndarray  # (m * k * 2, C + 3)
     weight_gen: np.ndarray  # (m * k, C + 3)
     w_fallback: np.ndarray  # (C, C)
@@ -51,8 +50,7 @@ class AttentionParams:
         """Shape of each parameter tensor, in field order."""
         m, k, c = n_heads, n_keys, channels
         return {
-            "w_out": (m, c, c),
-            "w_val": (m, c, c),
+            "w_head": (m, c, c),
             "offset_gen": (m * k * 2, c + 3),
             "weight_gen": (m * k, c + 3),
             "w_fallback": (c, c),
@@ -83,15 +81,13 @@ def _gather_buffer(params: AttentionParams) -> np.ndarray:
 def _head_tables(maps: list, params: AttentionParams) -> np.ndarray:
     """Every camera's and head's corner-patch table, stacked: (n * m * h *
     w, 4C) for ``n`` (h, w, C) maps. From row ``(c * m + i) * h * w`` it
-    patches ``T_i = flat @ (w_out[i] @ w_val[i]).T``, map ``c`` with both of
-    head ``i``'s projections folded in."""
+    patches ``T_i = flat @ w_head[i].T``, map ``c`` with head ``i``'s map
+    folded in."""
     h, w, c = maps[0].shape
-    table = np.empty((len(maps) * params.n_heads, h, w, 4 * c))
-    heads = iter(table)
-    for data in maps:
-        flat = data.reshape(-1, c)
-        for w_out, w_val in zip(params.w_out, params.w_val):
-            corner_patches(flat @ (w_out @ w_val).T, h, w, next(heads))
+    table = np.empty((len(maps), params.n_heads, h, w, 4 * c))
+    for data, tables in zip(maps, table):
+        for w_head, out in zip(params.w_head, tables):
+            corner_patches(data.reshape(-1, c) @ w_head.T, h, w, out)
     return table.reshape(-1, 4 * c)
 
 
@@ -115,37 +111,34 @@ def _attn_backward(rows, build, data, params: AttentionParams, grads: AttentionP
     ``rows`` (n,) are the camera's rows, walked ``_BLOCK`` at a time;
     ``build(r)`` gives the (queries, upstream gradients, pixels) of a
     block's rows ``r``, so no (n, C+3) array is held. Each block gathers
-    its corners from the raw map ``data``'s ``corner_patches``, shared by
-    every head, and from the forward's ``_head_tables``, both built once.
+    its corners from the raw map ``data``'s ``corner_patches``, built once
+    and shared by every head.
     """
     h, w, c = data.shape
-    tables = corner_patches(data.reshape(-1, c), h, w), _head_tables([data], params)
-    buf = _gather_buffer(params)
+    table, buf = corner_patches(data.reshape(-1, c), h, w), _gather_buffer(params)
     for s in range(0, len(rows), _BLOCK):
         qb, gb, pixb = build(rows[s : s + _BLOCK])
-        _backward_block(qb, gb, pixb, tables, (h, w), params, buf, grads)
+        _backward_block(qb, gb, pixb, table, (h, w), params, buf, grads)
 
 
-def _backward_block(qb, gb, pixb, tables, shape, params: AttentionParams, buf, grads):
+def _backward_block(qb, gb, pixb, table, shape, params: AttentionParams, buf, grads):
     """One row block of ``_attn_backward``, in one gather pass: each slice
-    samples the raw map per head, for ``w_val`` and ``w_out``, and dots the
-    head table's corners with ``gb``. Temporaries die with the call."""
-    raw_table, table = tables
+    samples the raw map per head, for ``w_head``, and dots its corners with
+    ``gb`` pulled back through each head's map. Temporaries die with the call."""
     m, k, c = params.n_heads, params.n_keys, params.channels
     loc, attn = _generate(qb, params)
     loc += np.tile(pixb, m * k)  # the sampling locations, in place of the offsets
     idx, wts, clamp = bilinear_corners(shape, loc.reshape(-1, m, k, 2), slopes=True)
     fx, fy, gx, gy, in_x, in_y = clamp
-    heads = np.arange(m)[:, None] * (shape[0] * shape[1])  # head i's first row in ``table``
+    # One matmul per head: an einsum over the heads runs several times slower.
+    g_head = np.stack([gb @ w_head for w_head in params.w_head], 1)  # (n, m, C)
     raw, dots = np.empty((len(qb), m, c)), np.empty(wts.shape)  # dots: gradient in each weight
     for sub in _gathers(len(qb)):
-        np.einsum("nikj,nikjc->nic", attn[sub, ..., None] * wts[sub],
-                  _patches(raw_table, idx[sub], buf), out=raw[sub])
-        np.einsum("nikjc,nc->nikj", _patches(table, idx[sub] + heads, buf), gb[sub], out=dots[sub])
-    for i in range(m):
-        grads.w_val[i] += (gb @ params.w_out[i]).T @ raw[:, i]
-        grads.w_out[i] += gb.T @ (raw[:, i] @ params.w_val[i].T)
-    del raw  # (n, m, C): freed before the weight and location temporaries
+        patches = _patches(table, idx[sub], buf)
+        np.einsum("nikj,nikjc->nic", attn[sub, ..., None] * wts[sub], patches, out=raw[sub])
+        np.einsum("nikjc,nic->nikj", patches, g_head[sub], out=dots[sub])
+    grads.w_head += [gb.T @ raw[:, i] for i in range(m)]
+    del raw, g_head  # (n, m, C) each: freed before the weight and location temporaries
     g_attn = np.einsum("nikj,nikj->nik", wts, dots)
     g_logits = attn * (g_attn - slice_sum(attn * g_attn, 2))
     grads.weight_gen += g_logits.reshape(len(qb), -1).T @ qb
@@ -251,7 +244,8 @@ def occ_fuse(
     corner patches. A block adds each (camera, voxel) run's sum into the
     voxel sums, in camera order, and no other block touches its voxels, so
     the blocks run on up to ``threads`` threads (None: the CPUs) with the
-    same bytes at any count. Returns (fused VoxelFeatureVolume, FusionCache).
+    same bytes at any count. Returns (fused VoxelFeatureVolume, FusionCache);
+    a fused value that is not finite raises NumericalError.
     """
     c = params.channels
     if f_l.channels != c or (maps.maps and maps.channels != c):
@@ -312,6 +306,8 @@ def occ_fuse(
     data[keys[:, 2], keys[:, 1], keys[:, 0]] = accum  # a key no camera sees falls back below
     fallback = cache.fallback_mask
     data[fallback] = f_l.data[fallback] @ params.w_fallback.T
+    if not np.isfinite(data).all():
+        raise NumericalError("the fused volume is not finite")
     return VoxelFeatureVolume(data=data), cache
 
 

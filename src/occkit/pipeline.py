@@ -142,8 +142,9 @@ class OccModel:
         a, h = model.attention, model.heads
         seed = cfg.fusion.seed & 0xFFFFFFFFFFFFFFFF
         rng = np.random.default_rng([seed, 0xA77E])
-        for t in (a.w_out, a.w_val, a.w_fallback):
-            t[...] = rng.uniform(-0.1, 0.1, t.shape)
+        out, value, a.w_fallback[...] = (rng.uniform(-0.1, 0.1, t.shape)
+                                         for t in (a.w_head, a.w_head, a.w_fallback))
+        a.w_head[...] = [o @ v for o, v in zip(out, value)]  # an output times a value projection
         rng = np.random.default_rng([seed, 0x4EAD])
         for t in (h.coarse.weight, h.fine.weight):
             t[...] = rng.uniform(-0.1, 0.1, t.shape)

@@ -221,8 +221,7 @@ def test_criterion_03_attention_identity_and_gradients():
         n_heads=1,
         n_keys=1,
         channels=c,
-        w_out=np.eye(c)[None],
-        w_val=np.eye(c)[None],
+        w_head=np.eye(c)[None],
         offset_gen=np.zeros((2, c + 3)),
         weight_gen=np.zeros((1, c + 3)),
         w_fallback=np.zeros((c, c)),

@@ -524,16 +524,31 @@ def test_out_of_range_flag_exits_one(data_dir, tmp_path, capsys, case):
     assert not (tmp_path / "o").exists()
 
 
-def test_diverging_training_exits_three_and_writes_nothing(data_dir, tmp_path, capsys):
-    data = tmp_path / "data"
-    shutil.copytree(data_dir / "sample_000", data / "sample_000")
-    shutil.copy(data_dir / "config.json", data / "config.json")
+@pytest.mark.parametrize(
+    "command,params,message",
+    [
+        ("predict", lambda p: p * 1e300, "the coarse logits are not finite"),
+        ("bench", lambda p: p * 1e300, "the coarse logits are not finite"),
+        ("fuse", lambda p: np.full_like(p, 1e308), "the fused volume is not finite"),
+    ],
+    ids=["predict", "bench", "fuse"],
+)
+def test_overflowing_checkpoint_exits_three_and_writes_nothing(
+    data_dir, tmp_path, capsys, command, params, message
+):
+    # Finite parameters that overflow the forward: a fresh model's times 1e300
+    # gives a finite fused volume but infinite coarse logits; every parameter
+    # at 1e308 overflows the fused volume itself.
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    model = OccModel.create(cfg)
+    model.params[:] = params(model.params)
+    save_checkpoint(tmp_path / "ckpt", model, cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert run("train", "--data", str(data), "--learning-rate", "1e300",
-                   "--out", str(tmp_path / "o")) == 3
+        assert run(command, "--sample", str(data_dir / "sample_000"),
+                   "--ckpt", str(tmp_path / "ckpt"), "--out", str(tmp_path / "o")) == 3
     assert [str(w.message) for w in caught] == []  # the overflow on the way is no warning
-    assert capsys.readouterr().err == "numerical failure: non-finite score on sample 0\n"
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -716,9 +731,12 @@ def _old_checkpoint_dir(ckpt):
         _edit_checkpoint(lambda c: c["params"].pop()),
         _edit_checkpoint(lambda c: c["params"].__setitem__(3, "inf")),
         _edit_checkpoint(lambda c: c["params"].__setitem__(3, "0.5")),
+        # before each head's two projections were folded into one map, a
+        # checkpoint held one more (heads, C, C) tensor ahead of the rest
+        _edit_checkpoint(lambda c: c["params"].__setitem__(slice(0, 0), [0.0] * 2 * 16 * 16)),
     ],
     ids=["not_json", "empty_object", "missing_file", "old_directory", "size_mismatch",
-         "non_finite", "string_element"],
+         "non_finite", "string_element", "pre_fold"],
 )
 def test_corrupt_checkpoint_exits_two(data_dir, tmp_path, capsys, corrupt):
     cfg = PipelineConfig.for_preset("tiny", seed=0)

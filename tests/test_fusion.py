@@ -58,8 +58,7 @@ def random_params(seed, heads=2, keys=3, scale=0.2):
         n_heads=heads,
         n_keys=keys,
         channels=C,
-        w_out=rng.normal(scale=scale, size=(heads, C, C)),
-        w_val=rng.normal(scale=scale, size=(heads, C, C)),
+        w_head=rng.normal(scale=scale, size=(heads, C, C)),
         offset_gen=rng.normal(scale=scale, size=(heads * keys * 2, C + 3)),
         weight_gen=rng.normal(scale=scale, size=(heads * keys, C + 3)),
         w_fallback=rng.normal(scale=scale, size=(C, C)),
@@ -79,9 +78,8 @@ def attn_oracle(query, pixel, data, params):
         a = e / e.sum()
         acc = np.zeros(params.channels)
         for ki in range(k):
-            x = bilinear(fmap, np.asarray(pixel) + off[mi, ki])
-            acc += a[ki] * (params.w_val[mi] @ x)
-        out += params.w_out[mi] @ acc
+            acc += a[ki] * bilinear(fmap, np.asarray(pixel) + off[mi, ki])
+        out += params.w_head[mi] @ acc
     return out
 
 
@@ -92,8 +90,7 @@ def test_params_shape_validation():
             n_heads=p.n_heads,
             n_keys=p.n_keys,
             channels=C,
-            w_out=p.w_out,
-            w_val=p.w_val,
+            w_head=p.w_head,
             offset_gen=p.offset_gen[:, :-1],
             weight_gen=p.weight_gen,
             w_fallback=p.w_fallback,
@@ -120,7 +117,7 @@ def test_build_query_normalization():
 
 def test_deform_attn_zero_init_samples_reference():
     """Zero generators: offsets vanish and weights are uniform, so the output
-    is sum_m w_out_m @ w_val_m @ x(p)."""
+    is sum_m w_head_m @ x(p)."""
     params = OccModel.create(fusion_cfg(keys=4, seed=7)).attention
     rng = np.random.default_rng(0)
     data = rng.normal(size=(6, 7, C))
@@ -128,7 +125,7 @@ def test_deform_attn_zero_init_samples_reference():
     q = rng.normal(size=C + 3)
     out = deform_attn(q, pix, FeatureMap(data=data), params)
     x = bilinear(FeatureMap(data=data), pix)
-    expect = sum(params.w_out[m] @ (params.w_val[m] @ x) for m in range(params.n_heads))
+    expect = sum(params.w_head[m] @ x for m in range(params.n_heads))
     np.testing.assert_allclose(out, expect, atol=1e-12)
 
 

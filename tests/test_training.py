@@ -305,7 +305,7 @@ def test_gradients_recompute_unless_the_scored_volume_matches(cfg, dataset, bloc
 
     assert after_scoring(model, cfg) == (0, unscored(model, cfg))
     bumped = OccModel.over(model.params.copy(), cfg)
-    bumped.params[0] = np.nextafter(bumped.params[0], np.inf)  # one ulp of attention.w_out
+    bumped.params[0] = np.nextafter(bumped.params[0], np.inf)  # one ulp of attention.w_head
     assert after_scoring(bumped, cfg) == (1, unscored(bumped, cfg))
     lo, hi = cfg.grid.min_corner, cfg.grid.max_corner
     moved = dataclasses.replace(cfg, grid=dataclasses.replace(
