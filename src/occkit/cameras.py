@@ -155,7 +155,7 @@ def bilinear_batch(data: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     h, w, c = data.shape
     idx, wts = bilinear_corners((h, w), np.asarray(pixels, dtype=np.float64).reshape(-1, 2))
     patches = np.take(corner_patches(data.reshape(-1, c), h, w), idx, axis=0)
-    return np.einsum("nj,njc->nc", wts, patches.reshape(len(idx), 4, c))
+    return np.matmul(wts.reshape(-1, 1, 4), patches.reshape(-1, 4, c))[:, 0]
 
 
 def corner_patches(table: np.ndarray, h: int, w: int, out=None) -> np.ndarray:

@@ -91,18 +91,24 @@ def _head_tables(maps: list, params: AttentionParams) -> np.ndarray:
     return table.reshape(-1, 4 * c)
 
 
-def _gathers(n: int) -> list:
-    """Slices of ``_GATHER`` rows that cover a block of ``n`` rows."""
-    return [slice(t, t + _GATHER) for t in range(0, n, _GATHER)]
+def _gathers(table: np.ndarray, idx: np.ndarray, buf: np.ndarray):
+    """Each slice ``sub`` of ``_GATHER`` rows of ``idx`` (n, m, k) with its
+    corner patches ``table[idx[sub]]`` as (rows, m·k·4, C), written into
+    ``buf``. Every row lies in the table, so mode "clip" clips nothing; it
+    lets ``take`` write straight into ``buf``."""
+    for t in range(0, len(idx), _GATHER):
+        rows = idx[t : t + _GATHER]
+        out = buf[: len(rows)]
+        np.take(table, rows, axis=0, out=out, mode="clip")
+        yield slice(t, t + _GATHER), out.reshape(len(rows), -1, table.shape[1] // 4)
 
 
-def _patches(table: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """The corner patches ``table[rows]`` of (n, m, k) rows as (n, m, k, 4, C),
-    written into ``buf``. Every row lies in the table, so mode "clip" clips
-    nothing; it lets ``take`` write straight into ``buf``."""
-    out = buf[: len(rows)]
-    np.take(table, rows, axis=0, out=out, mode="clip")
-    return out.reshape(*rows.shape, 4, -1)
+def _contract(wts, idx, table, buf, out):
+    """``out`` (n, C): the weights ``wts`` (n, m, k, 4) times the patches
+    ``table[idx]``, a stacked (1, m·k·4) @ (m·k·4, C) matmul per slice. Each
+    row is its own BLAS call, so its bits do not depend on the slice."""
+    for sub, patches in _gathers(table, idx, buf):
+        np.matmul(wts[sub].reshape(len(patches), 1, -1), patches, out=out[sub, None])
 
 
 def _attn_backward(rows, build, data, params: AttentionParams, grads: AttentionParams):
@@ -133,10 +139,11 @@ def _backward_block(qb, gb, pixb, table, shape, params: AttentionParams, buf, gr
     # One matmul per head: an einsum over the heads runs several times slower.
     g_head = np.stack([gb @ w_head for w_head in params.w_head], 1)  # (n, m, C)
     raw, dots = np.empty((len(qb), m, c)), np.empty(wts.shape)  # dots: gradient in each weight
-    for sub in _gathers(len(qb)):
-        patches = _patches(table, idx[sub], buf)
-        np.einsum("nikj,nikjc->nic", attn[sub, ..., None] * wts[sub], patches, out=raw[sub])
-        np.einsum("nikjc,nic->nikj", patches, g_head[sub], out=dots[sub])
+    aw = attn[..., None] * wts  # each corner's attention-weighted share
+    for sub, patches in _gathers(table, idx, buf):  # stacked matmuls, one per (row, head)
+        patches = patches.reshape(-1, k * 4, c)
+        np.matmul(aw[sub].reshape(-1, 1, k * 4), patches, out=raw[sub].reshape(-1, 1, c))
+        np.matmul(patches, g_head[sub].reshape(-1, c, 1), out=dots[sub].reshape(-1, k * 4, 1))
     grads.w_head += [gb.T @ raw[:, i] for i in range(m)]
     del raw, g_head  # (n, m, C) each: freed before the weight and location temporaries
     g_attn = np.einsum("nikj,nikj->nik", wts, dots)
@@ -288,9 +295,8 @@ def occ_fuse(
         attn = np.take(attn, pt, axis=0)
         for corner in np.moveaxis(wts, 3, 0):  # each corner's attention-weighted share
             corner *= attn
-        out, buf = np.empty((len(r), c)), _gather_buffer(params)
-        for sub in _gathers(len(r)):
-            np.einsum("nikj,nikjc->nc", wts[sub], _patches(table, idx[sub], buf), out=out[sub])
+        out = np.empty((len(r), c))
+        _contract(wts, idx, table, _gather_buffer(params), out)
         out *= weights[r][:, None]
         v = point_voxel[r]
         runs = np.flatnonzero(np.diff(cam * n_vox + v, prepend=-1))  # each run's first row

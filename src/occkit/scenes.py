@@ -77,21 +77,20 @@ def _box_rows(points: np.ndarray, box: Box) -> np.ndarray:
 
 
 def rasterize_gt(spec: SceneSpec) -> OccupancyGrid:
-    """Label each fine voxel by the last-listed box containing its center."""
-    nx, ny, nz = spec.grid.fine_dims
-    gx, gy, gz = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
-    centers = spec.grid.lo + (
-        np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1) + 0.5
-    ) * spec.grid.voxel_size
-    labels = np.zeros(nx * ny * nz, dtype=np.uint8)
+    """Label each fine voxel by the last-listed box containing its center,
+    testing only the centers within a voxel of the box's axis-aligned range."""
+    g = spec.grid
+    axes = [lo + (np.arange(n) + 0.5) * g.voxel_size for lo, n in zip(g.lo, g.fine_dims)]
+    labels = np.zeros(g.fine_dims, dtype=np.uint8)  # (nx, ny, nz)
     for box in spec.objects:  # later boxes overwrite earlier ones
-        within = np.abs(_box_rows(centers, box)) <= np.asarray(box.size)[:, None] / 2.0
-        labels[within[0] & within[1] & within[2]] = box.class_id
-    grid3 = labels.reshape(nx, ny, nz).transpose(2, 1, 0)
+        reach = np.abs(_box_rotation(box)).T @ np.asarray(box.size) / 2 + g.voxel_size
+        near = tuple(slice(*np.searchsorted(ax, [m - r, m + r]))
+                     for ax, m, r in zip(axes, box.center, reach))
+        pts = np.stack(np.meshgrid(*[ax[k] for ax, k in zip(axes, near)], indexing="ij"), 3)
+        within = np.abs(_box_rows(pts.reshape(-1, 3), box)) <= np.asarray(box.size)[:, None] / 2
+        labels[near][(within[0] & within[1] & within[2]).reshape(pts.shape[:3])] = box.class_id
     return OccupancyGrid(
-        labels=grid3, voxel_size=spec.grid.voxel_size, min_corner=spec.grid.min_corner
+        labels=labels.transpose(2, 1, 0), voxel_size=g.voxel_size, min_corner=g.min_corner
     )
 
 

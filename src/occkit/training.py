@@ -22,6 +22,16 @@ class EpochRecord:
     scores: list[float]  # every sample's score, by sample id
 
 
+def _naming(fn, where: str):
+    """``fn``; a ``NumericalError`` it raises names the item: ``where.format(item)``."""
+    def run(item):
+        try:
+            return fn(item)
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} {where.format(item)}") from None
+    return run
+
+
 def score_samples(
     model: OccModel, dataset, cfg: PipelineConfig, threads: int | None = None
 ) -> list:
@@ -29,7 +39,8 @@ def score_samples(
     never mutates parameters. Each sample keeps its fused volume for the
     next ``forward_coarse`` call at the same parameters (``sample_loss``),
     so the next epoch's first mini-batch runs no fusion forward."""
-    losses = map_samples(lambda s: sample_loss(model, s, cfg), dataset, threads)
+    loss = _naming(lambda sid: sample_loss(model, dataset[sid], cfg), "on sample {}")
+    losses = map_samples(loss, range(len(dataset)), threads)
     scores = [b.total for b in losses]
     if not np.all(np.isfinite(scores)):
         raise NumericalError(f"non-finite score on sample {np.argmin(np.isfinite(scores))}")
@@ -72,17 +83,15 @@ def train_epoch(
     order = [ids[i] for i in rng.permutation(len(ids))]
     for sid in set(range(len(dataset))) - set(order[: tc.batch_size]):
         dataset[sid].scored = None  # only the first batch runs before a step
-    losses = []
+    losses, where = [], f"on sample {{}} at epoch {epoch}"
     for start in range(0, len(order), tc.batch_size):
         batch = order[start : start + tc.batch_size]
         grad = np.zeros_like(model.params)
-        grads = map_samples(lambda sid: sample_gradients(model, dataset[sid], cfg), batch, threads)
+        grad_of = _naming(lambda sid: sample_gradients(model, dataset[sid], cfg), where)
+        grads = map_samples(grad_of, batch, threads)
         for sid, (breakdown, g) in zip(batch, grads):
             if not np.isfinite(breakdown.total):
-                raise NumericalError(
-                    f"non-finite loss {breakdown.total} on sample {sid} "
-                    f"at epoch {epoch}"
-                )
+                raise NumericalError(f"non-finite loss {breakdown.total} {where.format(sid)}")
             losses.append(breakdown.total)
             grad += g
         model.params -= tc.learning_rate * (grad / len(batch))

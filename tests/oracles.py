@@ -13,11 +13,10 @@ from occkit.errors import ConfigError, DataError
 from occkit.fusion import (
     AttentionParams,
     _attn_backward,
+    _contract,
     _gather_buffer,
-    _gathers,
     _generate,
     _head_tables,
-    _patches,
     _query,
     _visibility,
 )
@@ -70,9 +69,7 @@ def attn_forward(q, pix, data, params: AttentionParams):
         idx, wts = bilinear_corners((h, w), loc.reshape(-1, m, k, 2))
         idx += np.arange(m)[:, None] * (h * w)  # head i's rows
         wts *= attn[..., None]
-        ob = out[blk]
-        for sub in _gathers(len(ob)):
-            np.einsum("nikj,nikjc->nc", wts[sub], _patches(table, idx[sub], buf), out=ob[sub])
+        _contract(wts, idx, table, buf, out[blk])
     return out, (q, pix, data)
 
 def attn_backward(g, cache, params: AttentionParams, grads: AttentionParams):

@@ -49,12 +49,12 @@ TINY_SEED0_JSON_DIGESTS = {
 # non-zero offset and weight generators: the keys of a head differ and about
 # 6 % of the samples leave the feature map. The fusion backward feeds it bit
 # for bit; update it only for an intended change of gradients.
-TINY_SEED0_GRAD_DIGEST = "0c5cf642bdff9fa6f4cb080c1cbfdccdca90408df836f5dc14374ad743c7fb5c"
+TINY_SEED0_GRAD_DIGEST = "ec6b19aeaf525966acfdf2ee6df5a633583d5cbde33ee0d978dc30f4c4daa841"
 # sha256 of the attention gradients that fusion_backward adds on the small
 # _fusion_case at seed 0 (random generators, 4 cameras, several _BLOCK-row
 # blocks per camera) for a seeded upstream gradient. Its per-block partial
 # sums feed it bit for bit; update it only for an intended change of gradients.
-SMALL_SEED0_FUSION_GRAD_DIGEST = "e71be4a609be6ab48500c8f2e09179b708f32082ac237ddcf7205c53068aafe4"
+SMALL_SEED0_FUSION_GRAD_DIGEST = "30b2c7178eb875e30e4f32952818906b95e7daa3d7646f4c72467041112ddda0"
 
 
 def _digest(arrays):
@@ -359,6 +359,22 @@ def test_forward_block_size_changes_no_byte(name, four_cpus, monkeypatch):
             m.setattr(fusion, attr, rows)
             runs += [_fuse_bytes(case, threads) for threads in (1, 2)]
     assert all(run == runs[0] for run in runs[1:])
+
+
+@pytest.mark.parametrize("name", ["tiny", "small"])
+def test_gather_size_changes_no_gradient_byte(name, monkeypatch):
+    # The backward twin of the test above: a slice's stacked products are
+    # one per (row, head), so the rows per gather change no gradient byte.
+    s, cfg, attention = _fusion_case(name)
+    _, cache = occ_fuse(s.lidar_volume, s.maps, s.refs, s.proj, attention, cfg.grid, 1)
+    g_volume = np.random.default_rng(5).normal(size=cache.lidar.shape)
+    runs = []
+    for rows in (64, 128, 512):
+        monkeypatch.setattr(fusion, "_GATHER", rows)
+        grad = OccModel.over(None, cfg)
+        fusion_backward(g_volume, cache, grad.attention)
+        runs.append(grad.params.tobytes())
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_fusion_peak_memory_on_two_threads(four_cpus):

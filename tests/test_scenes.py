@@ -201,8 +201,20 @@ def test_synthesis_matches_axis_reduction_oracles(name, monkeypatch):
     want = synth()
     for a, b in zip(got[0] + got[1], want[0] + want[1]):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    for s in specs:
+    # Two boxes past the grid's edges, and a one-voxel grid: its box's
+    # range holds one center, which takes row_product's lone-row path.
+    (x0, y0, z0), (x1, _, z1) = specs[-1].grid.lo, specs[-1].grid.hi
+    edge = [Box(1, (x1 - 0.1, y0 + 0.1, z1 - 0.1), (0.6, 0.5, 0.8), 0.7, (1, 1, 1)),
+            Box(2, (x0 - 0.2, 0.3, (z0 + z1) / 2), (1.0, 0.4, 0.3), 2.1, (1, 1, 1))]
+    one = GridConfig((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), 0.1)
+    rasters = [*specs, dataclasses.replace(specs[-1], objects=[*specs[-1].objects, *edge]),
+               dataclasses.replace(specs[0], grid=one, objects=[Box(3, (0.06, 0.04, 0.05),
+                                                                    (0.2, 0.2, 0.2), 0.4, (1, 1, 1))])]
+    for s in rasters:
         assert rasterize_gt(s).labels.tobytes() == oracles.rasterize_gt(s).labels.tobytes()
+    assert rasterize_gt(rasters[-1]).labels.tolist() == [[[3]]]
+    labels = rasterize_gt(rasters[-2]).labels  # (nz, ny, nx)
+    assert 2 in labels[:, :, 0] and 1 in labels[:, :, -1]
 
 
 def test_cast_lidar_points_on_surface():

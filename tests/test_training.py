@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import sys
 import threading
@@ -151,18 +152,22 @@ def test_non_finite_loss_raises(cfg, dataset):
     vec = model.to_vector()
     vec[0] = np.nan
     model.apply_vector(vec)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="fused volume is not finite on sample 0 at epoch 0"):
         train_epoch(model, dataset, [0], cfg, epoch=0)
 
 
 def test_non_finite_score_raises(cfg, dataset, four_cpus):
     # No thread warns: helper threads do not inherit the caller's np.errstate.
-    model = OccModel.create(cfg)
-    model.heads.coarse.bias[0] = np.inf
-    for threads in (1, 4):
+    # A NaN in w_head makes the fused volume not finite before a score exists.
+    biased, nan_head = OccModel.create(cfg), OccModel.create(cfg)
+    biased.heads.coarse.bias[0] = np.inf
+    nan_head.attention.w_head[0, 0, 0] = np.nan
+    cases = [(biased, "non-finite score on sample 0"),
+             (nan_head, "fused volume is not finite on sample 0$")]
+    for (model, match), threads in itertools.product(cases, (1, 4)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="score on sample 0"):
+            with pytest.raises(NumericalError, match=match):
                 score_samples(model, dataset, cfg, threads)
 
 
