@@ -153,7 +153,7 @@ def project_all(refs: VoxelPoints, rig, feat_sizes) -> ProjectedReference:
 def bilinear_batch(data: np.ndarray, pixels: np.ndarray) -> np.ndarray:
     """Clamped 4-neighbor bilinear samples (n, C) of a (h, w, C) map at (n, 2) pixels."""
     h, w, c = data.shape
-    idx, wts = bilinear_corners((h, w), np.asarray(pixels, dtype=np.float64).reshape(-1, 2))
+    idx, wts = bilinear_corners((h, w), np.array(pixels, dtype=np.float64).reshape(-1, 2))
     patches = np.take(corner_patches(data.reshape(-1, c), h, w), idx, axis=0)
     return np.matmul(wts.reshape(-1, 1, 4), patches.reshape(-1, 4, c))[:, 0]
 
@@ -176,7 +176,8 @@ def corner_patches(table: np.ndarray, h: int, w: int, out=None) -> np.ndarray:
 def bilinear_corners(shape, pixels: np.ndarray, slopes: bool = False):
     """Clamped bilinear sampling geometry on a row-major (h, w) map.
 
-    ``pixels`` is (..., 2) in (x, y). Returns (idx, wts): the flat index of
+    ``pixels`` is (..., 2) in (x, y), and comes back overwritten with each
+    sample's cell fractions (fx, fy). Returns (idx, wts): the flat index of
     each sample's top-left corner (x0, y0), a row of ``corner_patches``, and
     the (..., 4) interpolation weights of the corners (x0, y0), (x1, y0),
     (x0, y1), (x1, y1). With ``slopes`` it also returns (fx, fy, gx, gy, in_x,
@@ -184,7 +185,10 @@ def bilinear_corners(shape, pixels: np.ndarray, slopes: bool = False):
     (-gx, -fx, gx, fx) in y where ``in_y``, and 0 off the map (clamp subgradient).
     """
     h, w = shape
-    x, y = np.maximum(0.0, pixels[..., 0]), np.maximum(0.0, pixels[..., 1])  # np.clip's bits
+    x, y = pixels[..., 0], pixels[..., 1]
+    if slopes:
+        in_x, in_y = (x >= 0.0) & (x <= w - 1.0), (y >= 0.0) & (y <= h - 1.0)
+    np.maximum(0.0, pixels, out=pixels)  # 0.0 first: np.clip's bits, -0.0 included
     np.minimum(x, w - 1.0, out=x)
     np.minimum(y, h - 1.0, out=y)
     # x, y >= 0, so the integer cast floors
@@ -192,16 +196,18 @@ def bilinear_corners(shape, pixels: np.ndarray, slopes: bool = False):
     np.minimum(x0, max(w - 2, 0), out=x0)
     np.minimum(y0, max(h - 2, 0), out=y0)
     fx, fy = np.subtract(x, x0, out=x), np.subtract(y, y0, out=y)
-    gx, gy = 1 - fx, 1 - fy
     wts = np.empty(x.shape + (4,))
-    for j, (a, b) in enumerate([(gx, gy), (fx, gy), (gx, fy), (fx, fy)]):
-        np.multiply(a, b, out=wts[..., j])
+    w0, w1, w2, w3 = np.moveaxis(wts, -1, 0)  # each built in its slot: no 1 - fx array
+    np.subtract(1, fx, out=w0)
+    np.subtract(1, fy, out=w1)
+    np.multiply(w0, fy, out=w2)  # (1 - fx) * fy
+    np.multiply(fx, fy, out=w3)
+    w0 *= w1  # (1 - fx) * (1 - fy)
+    w1 *= fx  # (1 - fy) * fx
     idx = np.add(np.multiply(y0, w, out=y0), x0, out=y0)  # y0 * w + x0
     if not slopes:
         return idx, wts
-    in_x = (pixels[..., 0] >= 0.0) & (pixels[..., 0] <= w - 1.0)
-    in_y = (pixels[..., 1] >= 0.0) & (pixels[..., 1] <= h - 1.0)
-    return idx, wts, (fx, fy, gx, gy, in_x, in_y)
+    return idx, wts, (fx, fy, 1 - fx, 1 - fy, in_x, in_y)
 
 
 def look_at_extrinsics(eye, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:

@@ -21,7 +21,7 @@ from .objectives import slice_sum, softmax
 from .pool import map_samples
 
 _BLOCK = 1024  # rows per backward block; its temporaries stay in cache
-_FWD_ROWS = 2 * _BLOCK  # about this many visible (point, camera) rows per forward block
+_FWD_ROWS = 4 * _BLOCK  # about this many visible (point, camera) rows per forward block
 _GATHER = 128  # rows per corner-patch gather within a block; each gather is (rows, m, k, 4C)
 
 
@@ -283,23 +283,26 @@ def occ_fuse(
         loc, attn = _generate(_query(*cache.query, r), params)
         # The rows are camera-major, each camera's in point order, so each
         # (camera, voxel) run is one segment. ``take`` gathers rows several
-        # times faster than fancy indexing.
+        # times faster than fancy indexing. Per-row arrays are dropped before
+        # the contraction, the block's peak, so a row costs ~470 B.
         cam, pt = np.nonzero(proj.valid[:, r])
         r = r[pt]
+        v = point_voxel[r]
+        runs = np.flatnonzero(np.diff(cam * n_vox + v, prepend=-1))  # each run's first row
         loc = np.take(loc, pt, axis=0).reshape(-1, m, k, 2)
         pix = np.take(proj.pixels.reshape(-1, 2), cam * refs.count + r, axis=0)
-        for col, p in zip(np.moveaxis(loc, 3, 0), pix.T):  # a broadcast add loops over 2 per row
-            col += p[:, None, None]  # the sampling locations
+        for j in range(2):  # a broadcast add loops over 2 per row
+            loc[..., j] += pix[:, j, None, None]  # the sampling locations
         idx, wts = bilinear_corners((h, w), loc)
+        del loc, pix
         idx += np.take(first, cam, axis=0)[..., None]  # the rows of the camera's heads
         attn = np.take(attn, pt, axis=0)
-        for corner in np.moveaxis(wts, 3, 0):  # each corner's attention-weighted share
-            corner *= attn
+        for j in range(4):  # each corner's attention-weighted share
+            wts[..., j] *= attn
+        del cam, pt, attn
         out = np.empty((len(r), c))
         _contract(wts, idx, table, _gather_buffer(params), out)
         out *= weights[r][:, None]
-        v = point_voxel[r]
-        runs = np.flatnonzero(np.diff(cam * n_vox + v, prepend=-1))  # each run's first row
         # ``add.at`` adds in row order, so each voxel's runs in camera order.
         np.add.at(accum, v[runs], np.add.reduceat(out, runs, axis=0))
 

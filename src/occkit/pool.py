@@ -1,6 +1,6 @@
 """A deterministic thread pool: ``map_samples`` runs one function over a
-list of independent items (the samples of a mini-batch, the cameras of a
-fusion forward) and returns the results in item order, so every caller
+list of independent items (the samples of a mini-batch, the voxel blocks
+of a fusion forward) and returns the results in item order, so every caller
 reduces them in a fixed order whatever the thread count."""
 
 from __future__ import annotations

@@ -237,7 +237,7 @@ def test_bilinear_batch_is_a_plain_four_row_gather(shape):
     wts = np.stack([(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy], axis=1)
     rows = data.reshape(-1, 3)[np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1], 1)]
 
-    idx, got_wts = bilinear_corners((h, w), pixels)
+    idx, got_wts = bilinear_corners((h, w), pixels.copy())  # it overwrites its pixels
     np.testing.assert_array_equal(idx, y0 * w + x0)
     np.testing.assert_array_equal(got_wts, wts)
     np.testing.assert_array_equal(
@@ -246,3 +246,32 @@ def test_bilinear_batch_is_a_plain_four_row_gather(shape):
     np.testing.assert_array_equal(
         bilinear_batch(data, pixels), np.matmul(wts.reshape(-1, 1, 4), rows)[:, 0]
     )
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (6, 1), (5, 7)])
+def test_bilinear_corners_works_in_its_pixels(shape):
+    """``bilinear_corners`` clamps and takes the fractions in its caller's
+    array: with or without slopes it gives the same corners and weights,
+    off the map, on its borders and at -0.0, and leaves the fractions in
+    ``pixels``. ``bilinear_batch`` works on a copy of its caller's array."""
+    h, w = shape
+    rng = np.random.default_rng(h * 10 + w)
+    pixels = rng.uniform(-2.0, max(h, w) + 2.0, size=(300, 2))
+    pixels[:6] = [[0.0, 0.0], [-0.0, -0.0], [w - 1.0, h - 1.0], [w - 1.0, -0.0],
+                  [-0.0, h - 1.0], [w - 0.5, h - 0.5]]
+    # The clamp's signed zeros: a 1-wide axis's minimum makes -0.0 into +0.0.
+    x = np.minimum(np.maximum(0.0, pixels[:, 0]), w - 1.0)
+    y = np.minimum(np.maximum(0.0, pixels[:, 1]), h - 1.0)
+    fx = x - np.clip(np.floor(x).astype(np.int64), 0, max(w - 2, 0))
+    fy = y - np.clip(np.floor(y).astype(np.int64), 0, max(h - 2, 0))
+
+    plain, sloped = pixels.copy(), pixels.copy()
+    idx, wts = bilinear_corners((h, w), plain)
+    s_idx, s_wts, _ = bilinear_corners((h, w), sloped, slopes=True)
+    assert idx.tobytes() == s_idx.tobytes() and wts.tobytes() == s_wts.tobytes()
+    for out in (plain, sloped):
+        assert out.tobytes() == np.stack([fx, fy], axis=1).tobytes()
+
+    held = pixels.copy()
+    bilinear_batch(rng.normal(size=(h, w, 3)), pixels)
+    assert pixels.tobytes() == held.tobytes()

@@ -212,10 +212,11 @@ def test_sample_peak_memory(fn, limit_mib, block_passes):
     # so a sample's transient arrays are kept small: the corner patches are
     # gathered a few rows at a time and no (P, C+3) query array is built.
     # The forward holds the stacked table of both cameras' heads (1.5 MiB
-    # at tiny) and one block of ~2048 visible rows (~1.8 MiB of
-    # temporaries), with no partial sums; the backward holds one camera's
-    # tables and a block of 1024 rows. Measured on tiny seed 0: 4.0 MiB for
-    # the gradients and 3.7 MiB for the loss.
+    # at tiny) and one block of ~4096 visible rows (~1.9 MiB of
+    # temporaries at ~470 B a row), with no partial sums; the backward
+    # holds one camera's table and a block of 1024 rows. Measured on tiny
+    # seed 0: 4.12 MiB for the gradients and 4.12 MiB for the loss, the
+    # forward's block being the peak of both.
     cfg = PipelineConfig.for_preset("tiny", seed=0)
     sample = prepare_sample(preset("tiny", seed=0), cfg)
     model = OccModel.create(cfg)
@@ -227,11 +228,34 @@ def test_sample_peak_memory(fn, limit_mib, block_passes):
     assert peak <= limit_mib * 2**20
 
 
+def test_forward_peak_memory_per_visible_row(monkeypatch):
+    # A forward block's temporaries grow with its visible (point, camera)
+    # rows. The block drops its per-row arrays before the contraction and
+    # the corners are taken in the locations' array, so a row costs ~470 B
+    # on tiny seed 0; a stray view holding the locations and pixels to the
+    # end of the block makes it ~750 B. The bound is the growth of a loss
+    # call's peak from 2048 to 4096 rows per block, per row of the largest
+    # block.
+    cfg = PipelineConfig.for_preset("tiny", seed=0)
+    sample = prepare_sample(preset("tiny", seed=0), cfg)
+    model = OccModel.create(cfg)
+    real, spans, peaks, rows = fusion.map_samples, [], [], []
+    monkeypatch.setattr(fusion, "map_samples",
+                        lambda fn, items, threads: spans.append(items) or real(fn, items, threads))
+    for size in (2048, 4096):
+        monkeypatch.setattr(fusion, "_FWD_ROWS", size)
+        peaks.append(traced_peak(lambda: sample_loss(model, sample, cfg),
+                                 before=lambda: setattr(sample, "scored", None)))
+        rows.append(max(sample.proj.valid[:, a:b].sum() for a, b in spans[-1]))
+    assert rows[1] > rows[0]
+    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 560
+
+
 def test_scored_sample_gradients_peak_memory(block_passes):
     # A gradient call right after the scoring pass takes the fused volume
     # that ``sample_loss`` left (64 KiB at tiny, allocated before the trace)
     # and runs no forward block: it builds the cache and runs the backward.
-    # Measured on tiny seed 0: 4.00 MiB, against 4.06 MiB for a full call;
+    # Measured on tiny seed 0: 3.42 MiB, against 4.12 MiB for a full call;
     # the bound is the full call's.
     cfg = PipelineConfig.for_preset("tiny", seed=0)
     sample = prepare_sample(preset("tiny", seed=0), cfg)
@@ -352,7 +376,8 @@ def test_forward_block_size_changes_no_byte(name, four_cpus, monkeypatch):
     # voxels with a visible point is a block, some holding one visible row
     # (small's 3726 would make a slow test).
     case, runs = _fusion_case(name), []
-    sizes = [("_FWD_ROWS", rows) for rows in (700, 2048, 3072) + ((1,) if name == "tiny" else ())]
+    fwd_rows = (700, 2048, 3072, 4096, 8192) + ((1,) if name == "tiny" else ())
+    sizes = [("_FWD_ROWS", rows) for rows in fwd_rows]
     sizes += [("_GATHER", rows) for rows in (64, 128, 512)]
     for attr, rows in sizes:
         with monkeypatch.context() as m:
@@ -380,10 +405,10 @@ def test_gather_size_changes_no_gradient_byte(name, monkeypatch):
 def test_fusion_peak_memory_on_two_threads(four_cpus):
     # The calling thread builds the stacked table of every camera's heads
     # (4.7 MiB at small) and the voxel sums; each thread then holds one
-    # block of ~2048 visible rows (~1.8 MiB of temporaries with its 0.5 MiB
+    # block of ~4096 visible rows (~1.9 MiB of temporaries with its 0.5 MiB
     # patch buffer), and no block has partial sums. Measured on small seed
-    # 0: 10.8 MiB, where one thread peaks at 8.9 MiB and the same sample's
-    # decode at 12.1 MiB. The budget, set when two cameras with their own
+    # 0: 11.6 MiB, where one thread peaks at 9.3 MiB and the same sample's
+    # decode at 8.9 MiB. The budget, set when two cameras with their own
     # tables and partials were in flight (12.7 MiB), is unchanged.
     cfg = PipelineConfig.for_preset("small", seed=0)
     s = prepare_sample(preset("small", seed=0), cfg)
