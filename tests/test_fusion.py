@@ -247,7 +247,7 @@ def test_occ_fuse_matches_loop_oracle():
         np.testing.assert_allclose(fused.data, expect, atol=1e-12)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 5, fusion._FWD_ROWS])
+@pytest.mark.parametrize("rows", [1, 2, 5, 2048, fusion._FWD_ROWS])
 def test_occ_fuse_blocks_of_one_point_voxels(rows, monkeypatch):
     """Forward blocks of ``rows`` visible rows give the per-camera loop's
     bytes, down to blocks of a single one-point voxel, whose generator
